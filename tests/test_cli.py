@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import udnsim.cli
 from udnsim.cli import main
 from udnsim.solution_io import load_solution
 
@@ -142,6 +143,24 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert len(table.strip().split("\n")) == 3
     dat = blobs[0]["sweep_ee_bits_per_j.dat"].decode()
     assert dat.startswith("# k baseline_mean")
+
+
+@pytest.mark.parametrize("key, values, solves",
+                         [("v", "1, 10, 100", 1), ("k", "1, 2", 2)])
+def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solves):
+    solve = udnsim.cli.solve_mfg
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(udnsim.cli, "solve_mfg", counting_solve)
+    cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    assert len(calls) == solves
+    table = open(os.path.join(out, "sweep_ee_bits_per_j.csv")).read()
+    assert len(table.strip().split("\n")) == 1 + len(values.split(","))
 
 
 def test_sweep_requires_sweep_section(tmp_path):

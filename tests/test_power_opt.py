@@ -3,8 +3,49 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from udnsim import ConfigError, PhyParams
-from udnsim.power_opt import (_phi, _psi, existence_check, maximize_rate_value,
-                              optimal_power_pointwise)
+from udnsim.power_opt import (N_SCAN, _phi, _psi, existence_check,
+                              maximize_rate_value, optimal_power_pointwise)
+
+
+def _bisect_reference(beta, vgrad, lo, hi, phy, n_scan=N_SCAN):
+    """Scan-and-bisection reference for maximize_rate_value, same contract.
+
+    Scans psi for its first up-crossing, bisects that bracket 46 times
+    (1.4e-14 of a unit interval) and keeps the best of the root and both
+    endpoints; beta <= 0 stays at lo with value 0.
+    """
+    p0 = phy.circuit_power_w
+    beta, vgrad, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                                for a in (beta, vgrad, lo, hi)))
+    shape = beta.shape
+    beta, vgrad = beta.ravel(), vgrad.ravel()
+    lo = np.clip(lo.ravel(), 0.0, phy.max_power_w)
+    hi = np.clip(hi.ravel(), lo, phy.max_power_w)
+    v = vgrad * beta
+
+    frac = np.linspace(0.0, 1.0, n_scan)[:, None]
+    ps = lo[None, :] + (hi - lo)[None, :] * frac
+    sign_pos = _psi(ps, beta[None, :], v[None, :], p0) > 0.0
+    up = sign_pos[1:] & ~sign_pos[:-1]
+    has_root = up.any(axis=0)
+    k = np.argmax(up, axis=0)
+
+    idx = np.arange(beta.size)
+    blo = np.where(has_root, ps[k, idx], lo)
+    bhi = np.where(has_root, ps[k + 1, idx], hi)
+    for _ in range(46):
+        mid = 0.5 * (blo + bhi)
+        pos = _psi(mid, beta, v, p0) > 0.0
+        bhi = np.where(pos, mid, bhi)
+        blo = np.where(pos, blo, mid)
+    root = 0.5 * (blo + bhi)
+
+    cand = np.stack([lo, hi, np.where(has_root, root, lo)])
+    val = _phi(cand, beta[None, :], vgrad[None, :], p0)
+    best = np.argmax(val, axis=0)
+    p = np.where(beta <= 0.0, lo, cand[best, idx])
+    out_val = np.where(beta <= 0.0, 0.0, val[best, idx])
+    return p.reshape(shape), out_val.reshape(shape)
 
 
 def golden_max(beta, vgrad, lo, hi, p0):
@@ -57,13 +98,40 @@ def test_interior_points_are_stationary(phy, rng):
     assert interior.any()
     psi = _psi(p[interior], beta[interior], vgrad[interior] * beta[interior],
                phy.circuit_power_w)
-    # 46 bisections pin the up-crossing to ~1e-14 in p
+    # the closed form and the Newton steps pin the up-crossing to rounding
+    # level in p (see test_matches_bisection_reference)
     assert np.abs(psi).max() < 1e-8
     # and the root is a local maximum of phi
     for i in np.flatnonzero(interior)[:50]:
         mid = _phi(p[i], beta[i], vgrad[i], phy.circuit_power_w)
         assert _phi(p[i] - 1e-6, beta[i], vgrad[i], phy.circuit_power_w) <= mid + 1e-12
         assert _phi(p[i] + 1e-6, beta[i], vgrad[i], phy.circuit_power_w) <= mid + 1e-12
+
+
+def test_matches_bisection_reference(phy, rng):
+    # one call mixing every lane kind: vgrad == 0 (closed form) and != 0
+    # (scan + Newton), beta = 0, beta over 1e-6..1e5, full box and sub-boxes
+    n = 4000
+    p_max = phy.max_power_w
+    beta = 10.0 ** rng.uniform(-6.0, 5.0, n)
+    beta[rng.integers(0, n, 40)] = 0.0
+    kind = rng.integers(0, 4, n)
+    vgrad = np.where(kind == 0, 0.0,
+                     np.where(kind == 3, 10.0 ** rng.uniform(-3.0, 1.0, n),
+                              -(10.0 ** rng.uniform(-3.0, 2.0, n))))
+    lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 0.8 * p_max, n))
+    hi = np.where(rng.random(n) < 0.5, p_max,
+                  np.minimum(lo + rng.uniform(0.0, 0.5 * p_max, n), p_max))
+    p, val = maximize_rate_value(beta, vgrad, lo, hi, phy)
+    p_ref, val_ref = _bisect_reference(beta, vgrad, lo, hi, phy)
+    np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(val, val_ref, rtol=1e-12, atol=1e-15)
+    # both searches were exercised on interior optima, in full and sub-boxes
+    interior = (p > lo + 1e-9) & (p < hi - 1e-9)
+    sub = (lo > 0.0) & (hi < p_max)
+    for lanes in (vgrad == 0.0, vgrad != 0.0):
+        assert (interior & lanes).sum() > 100
+        assert (interior & lanes & sub).sum() > 10
 
 
 def test_strong_queue_pressure_saturates(phy):

@@ -8,6 +8,7 @@ from udnsim import (CflError, ConfigError, ConvergenceError, GridSpec, PhyParams
 from udnsim.fields import density_mass
 from udnsim.power_opt import _phi
 from udnsim.solver import _rate_coeffs, drift_field
+from test_power_opt import _bisect_reference
 
 
 def ee_max(beta, p0, p_max):
@@ -146,6 +147,16 @@ def test_solve_converges(small_solution, phy):
     assert sol.policy.min() >= 0.0 and sol.policy.max() <= phy.max_power_w + 1e-12
     assert np.abs(density_mass(sol.grid, sol.density) - 1.0).max() < 1e-9
     sol.validate()
+
+
+def test_solve_matches_bisection_reference(small_solution, phy, queue, monkeypatch):
+    # the same fixed point as with the scan-and-bisection optimizer
+    monkeypatch.setattr("udnsim.solver.maximize_rate_value", _bisect_reference)
+    ref = solve_mfg(small_solution.grid, phy, queue, noise_norm=0.1)
+    assert small_solution.iterations == ref.iterations
+    np.testing.assert_allclose(small_solution.residuals, ref.residuals,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(small_solution.policy, ref.policy, rtol=0.0, atol=1e-10)
 
 
 def test_solve_reproduces_anchor_slices(small_solution, queue):
