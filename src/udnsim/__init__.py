@@ -8,7 +8,7 @@ from .errors import (CflError, ConfigError, ConvergenceError, InvariantError,
                      SchemeError, UdnsimError)
 from .fields import (DensityField, GridSpec, MfgSolution, PowerPolicy, ValueField,
                      initial_density, terminal_value)
-from .phy import LinkState, PathlossModel, PhyParams, QueueParams, QueueVector
+from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import existence_check, maximize_rate_value, optimal_power_pointwise
 from .scheduler import DppParams, SchedulerState, dpp_step
 from .simulate import EpisodeMetrics, ReplicationSummary, run_episode, run_replications
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineState", "CflError", "ConfigError", "ConvergenceError",
     "Deployment", "DensityField", "DppParams", "EpisodeMetrics", "GridSpec",
-    "InvariantError", "LinkState", "MfgSolution", "PathlossModel", "PhyParams",
-    "PowerPolicy", "QueueParams", "QueueVector", "ReplicationSummary",
+    "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
+    "PowerPolicy", "QueueParams", "ReplicationSummary",
     "RunConfig", "SchedulerState", "SchemeError", "UdnsimError", "ValueField",
     "__version__", "dpp_step", "drift_field", "existence_check", "fpk_forward",
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",

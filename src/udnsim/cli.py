@@ -96,8 +96,7 @@ def _run_methods(cfg: RunConfig, methods, sol: MfgSolution | None,
                 drain_window_slots=sim["drain_window_slots"], replicate=i)
 
         results[method] = run_replications(deploy_fn, episode_fn,
-                                           sim["n_replicates"],
-                                           sim["base_seed"], jobs=cfg.jobs)
+                                           sim["n_replicates"], sim["base_seed"])
     return results
 
 

@@ -1,9 +1,9 @@
 """Run configuration: INI-style key = value files with strict schema checks.
 
 Unknown sections or keys are rejected; every key has a typed default, so an
-empty file is a valid (reference-like) configuration.  Environment variables
-UDNSIM_OUTDIR and UDNSIM_JOBS override the output directory and worker count
-without touching the file.
+empty file is a valid (reference-like) configuration.  The environment
+variable UDNSIM_OUTDIR overrides the output directory without touching the
+file.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
+from .baseline import ESTIMATE_MODES
 from .errors import ConfigError
 from .fields import BOUNDARY_KINDS, GridSpec
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import GRADIENT_MODELS, DppParams
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
-JOBS_ENV = "UDNSIM_JOBS"
 
 SWEEP_KEYS = ("isd", "k", "v", "boundary")
 
@@ -102,7 +102,7 @@ CHOICES = {
     ("solver", "boundary"): BOUNDARY_KINDS,
     ("solver", "init"): ("zero", "half"),
     ("scheduler", "gradient_model"): GRADIENT_MODELS,
-    ("simulate", "estimate_mode"): ("arithmetic", "exponential"),
+    ("simulate", "estimate_mode"): ESTIMATE_MODES,
     ("simulate", "initial_backlog"): ("empty", "density"),
     ("sweep", "key"): ("",) + SWEEP_KEYS,
 }
@@ -117,7 +117,6 @@ class RunConfig:
     dpp: DppParams
     raw: dict = field(default_factory=dict)
     output_dir: str = "out"
-    jobs: int = 1
 
     def __getitem__(self, pair):
         section, key = pair
@@ -188,13 +187,6 @@ def load_config(path=None) -> RunConfig:
                     f"[{section}] {key} must be one of {choices}, got {raw[section][key]!r}")
 
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
-    jobs_text = os.environ.get(JOBS_ENV, "1")
-    try:
-        jobs = int(jobs_text)
-    except ValueError as exc:
-        raise ConfigError(f"{JOBS_ENV} must be an integer, got {jobs_text!r}") from exc
-    if jobs < 1:
-        raise ConfigError(f"{JOBS_ENV} must be positive")
 
     p = raw["phy"]
     t = raw["traffic"]
@@ -213,7 +205,7 @@ def load_config(path=None) -> RunConfig:
                                min_distance_m=pl["min_distance_m"]),
         grid=GridSpec(s["n_t"], s["n_q"], s["horizon_s"]),
         dpp=DppParams(v_coeff=d["v_coeff"], gradient_model=d["gradient_model"]),
-        raw=raw, output_dir=outdir, jobs=jobs,
+        raw=raw, output_dir=outdir,
     )
     if raw["solver"]["noise_norm"] <= 0:
         raise ConfigError("[solver] noise_norm must be positive")

@@ -10,7 +10,7 @@ per slot, and drop only at the capacity wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class PhyParams:
     circuit_power_w  always-on circuit draw added to radiated power, W
     sbs_density      interference coupling constant (eta): mean total
                      cross-link gain at a UE after serving-gain normalization
-    channel_drift    drift scale of the channel process; only the static
-                     channel model (0) is supported
     """
 
     bandwidth_hz: float = 1e6
@@ -43,7 +41,6 @@ class PhyParams:
     max_power_w: float = 1.0
     circuit_power_w: float = 1.0
     sbs_density: float = 0.25
-    channel_drift: float = 0.0
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
@@ -54,8 +51,6 @@ class PhyParams:
             raise ConfigError("circuit_power_w must be positive")
         if self.sbs_density < 0:
             raise ConfigError("sbs_density must be nonnegative")
-        if self.channel_drift != 0.0:
-            raise ConfigError("only the static channel model (channel_drift=0) is supported")
 
     @property
     def noise_w(self) -> float:
@@ -79,38 +74,17 @@ class QueueParams:
             raise ConfigError("slot_duration_s must be positive")
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """One UE's link sample: normalized serving gain (unit population mean),
-    interference seen at the UE and its QSI, all in normalized units."""
-
-    gain: float
-    interference_w: float
-    queue_bits: float
-
-
-@dataclass
-class QueueVector:
-    """Per-UE backlog bookkeeping for one SBS."""
-
-    backlog_bits: np.ndarray
-    dropped_bits: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.backlog_bits = np.asarray(self.backlog_bits)
-        if self.dropped_bits is None:
-            self.dropped_bits = np.zeros_like(self.backlog_bits)
-
-
-def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams):
+def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w=None):
     """Shannon rate in bits/s; accepts scalars or arrays.
 
-    gain and interference must share one normalization (any common factor
-    cancels against the noise conversion done by the caller).
+    gain, interference and noise must share one normalization; noise_w
+    defaults to phy.noise_w (Watts), and callers in normalized units pass
+    their own noise (e.g. Deployment.noise_norm).
     """
+    noise_w = phy.noise_w if noise_w is None else noise_w
     power_w = np.asarray(power_w, dtype=float)
     sinr = power_w * np.asarray(gain, dtype=float) / (
-        np.asarray(interference_w, dtype=float) + phy.noise_w
+        np.asarray(interference_w, dtype=float) + noise_w
     )
     return phy.bandwidth_hz * np.log1p(sinr) / LN2
 

@@ -5,6 +5,8 @@ auxiliary one-hot (argmin of the virtual queues), schedules the UE maximizing
 ``q * r + Y - V * df/dlambda`` over one-hot vectors, then updates the virtual
 queues by the auxiliary-minus-schedule difference and folds the schedule into
 an exact running mean.  Ties break toward the lowest UE index everywhere.
+Every step works along the last axis, so one state and one call per period
+serve one SBS (shape (k,)) or all of them at once (shape (n_sbs, k)).
 
 The op-level vectors are unit-agnostic; the simulator feeds backlog in
 bits and rates in bits/s, so the backlog-rate product dominates whenever
@@ -14,7 +16,7 @@ among near-empty queues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +48,16 @@ class DppParams:
 
 @dataclass
 class SchedulerState:
-    """Per-SBS bookkeeping carried across periods."""
+    """Virtual queues and schedule running means (shape (..., k)) carried
+    across periods."""
 
-    queue_bits: np.ndarray
     virtual: np.ndarray
     lam_avg: np.ndarray
     periods: int = 0
 
     @classmethod
-    def fresh(cls, n_ue: int, queue_bits=None):
-        q = np.zeros(n_ue) if queue_bits is None else np.asarray(queue_bits)
-        return cls(queue_bits=q, virtual=np.zeros(n_ue), lam_avg=np.zeros(n_ue))
+    def fresh(cls, shape):
+        return cls(virtual=np.zeros(shape), lam_avg=np.zeros(shape))
 
 
 def expected_rate(sol: MfgSolution, t_in_period, q_norm, gain, phy: PhyParams):
@@ -78,25 +79,23 @@ def penalty_gradient(rate_hz, power_w, phy: PhyParams, model: str = "linear_ee")
     raise ConfigError(f"unknown gradient model {model!r}")
 
 
+def _one_hot(index, n: int) -> np.ndarray:
+    return (np.arange(n) == np.expand_dims(index, -1)).astype(float)
+
+
 def solve_auxiliary(virtual: np.ndarray) -> np.ndarray:
-    """One-hot minimizer of the virtual queue vector (lowest index on ties)."""
-    out = np.zeros(virtual.shape)
-    out[int(np.argmin(virtual))] = 1.0
-    return out
+    """One-hot minimizer of the virtual queues along the last axis (lowest
+    index on ties)."""
+    return _one_hot(np.argmin(virtual, axis=-1), virtual.shape[-1])
 
 
-def schedule(q_vec, rate_vec, virtual, lam_avg, penalty, params: DppParams) -> np.ndarray:
-    """One-hot argmax of q*r + Y - V * penalty (lowest index on ties).
-
-    lam_avg is accepted for gradient models that need it; the linear model's
-    penalty is precomputed by the caller via penalty_gradient.
-    """
+def schedule(q_vec, rate_vec, virtual, penalty, params: DppParams) -> np.ndarray:
+    """One-hot argmax of q*r + Y - V * penalty along the last axis (lowest
+    index on ties); the caller precomputes penalty via penalty_gradient."""
     objective = (np.asarray(q_vec, dtype=float) * np.asarray(rate_vec, dtype=float)
                  + np.asarray(virtual, dtype=float)
                  - params.v_coeff * np.asarray(penalty, dtype=float))
-    out = np.zeros(objective.shape)
-    out[int(np.argmax(objective))] = 1.0
-    return out
+    return _one_hot(np.argmax(objective, axis=-1), objective.shape[-1])
 
 
 def update_virtual_queue(virtual, aux, lam) -> np.ndarray:
@@ -105,16 +104,18 @@ def update_virtual_queue(virtual, aux, lam) -> np.ndarray:
 
 
 def dpp_step(state: SchedulerState, q_norm_vec, rate_hz_vec, power_vec,
-             phy: PhyParams, params: DppParams) -> int:
+             phy: PhyParams, params: DppParams):
     """One period of the scheduler: auxiliary, schedule, bookkeeping.
 
     Mutates state (virtual queues, exact running mean of schedules, period
-    counter) and returns the scheduled UE index.
+    counter) and returns the scheduled UE index along the last axis: an int
+    for one SBS, an index array for a batch.
     """
     aux = solve_auxiliary(state.virtual)
     penalty = penalty_gradient(rate_hz_vec, power_vec, phy, params.gradient_model)
-    lam = schedule(q_norm_vec, rate_hz_vec, state.virtual, state.lam_avg, penalty, params)
+    lam = schedule(q_norm_vec, rate_hz_vec, state.virtual, penalty, params)
     state.virtual = update_virtual_queue(state.virtual, aux, lam)
     state.lam_avg = (state.lam_avg * state.periods + lam) / (state.periods + 1)
     state.periods += 1
-    return int(np.argmax(lam))
+    pick = np.argmax(lam, axis=-1)
+    return int(pick) if pick.ndim == 0 else pick

@@ -7,6 +7,19 @@ fixed first, then every scheduled UE sees the interference of that joint
 choice.  Bits are integers end to end, so arrivals, service, drops and
 backlog balance exactly.
 
+The slot kernel holds no physics of its own; it calls the tested functions
+once per slot or period on arrays batched over SBSs, with the UEs of SBS b
+in row b of an (n_sbs, k) view:
+
+- every slot: ``phy.instantaneous_rate`` (in the deployment's normalized
+  units), ``phy.sample_arrivals`` and ``phy.queue_step``;
+- mfg: ``fields.bilinear`` for the slot power, and once per period
+  ``scheduler.expected_rate``, ``fields.bilinear`` and ``scheduler.dpp_step``;
+- baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
+  slot power, ``baseline.update_interference_estimate`` and
+  ``baseline.update_rate_averages`` after it, and once per period
+  ``baseline.myopic_power`` and ``baseline.pf_schedule``.
+
 Energy accounting matches the solver's utility ln(1 + beta p) / (p + p0):
 every scheduled SBS radiates its chosen power p for the whole slot, so a
 slot costs (p + p0) * dt per SBS whatever the buffer delivers.  Circuit
@@ -18,18 +31,17 @@ the full slot.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.stats
 
-from .baseline import pf_schedule
+from .baseline import (ESTIMATE_MODES, BaselineState, drain_power, myopic_power,
+                       pf_schedule, update_interference_estimate, update_rate_averages)
 from .deployment import Deployment
 from .errors import ConfigError
 from .fields import MfgSolution, bilinear
-from .phy import LN2, PhyParams, QueueParams
-from .power_opt import maximize_rate_value
+from .phy import PhyParams, QueueParams, instantaneous_rate, queue_step, sample_arrivals
 from .scheduler import DppParams, SchedulerState, dpp_step, expected_rate
 
 METHODS = ("mfg", "baseline")
@@ -54,7 +66,6 @@ class EpisodeMetrics:
     interference_mean: float = 0.0
     utility: float = 0.0
     infeasible_slots: int = 0
-    power_samples: np.ndarray | None = None
 
 
 def derived_rng(seed, replicate: int, stream: int) -> np.random.Generator:
@@ -79,7 +90,6 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
                 dpp: DppParams = DppParams(), qos_min_rate_bps: float | None = None,
                 slots_per_period: int = 100, initial_backlog: str = "empty",
                 estimate_mode: str = "arithmetic", drain_window_slots: int = 40,
-                collect_power: bool = False,
                 replicate: int = 0) -> EpisodeMetrics:
     """Simulate one episode and return its aggregate metrics.
 
@@ -92,23 +102,19 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
         raise ConfigError(f"unknown method {method!r}")
     if method == "mfg" and solution is None:
         raise ConfigError("the mfg method needs a solved policy")
-    if estimate_mode not in ("arithmetic", "exponential"):
+    if estimate_mode not in ESTIMATE_MODES:
         raise ConfigError(f"unknown estimate mode {estimate_mode!r}")
     if drain_window_slots < 1:
         raise ConfigError("drain_window_slots must be at least 1")
     if qos_min_rate_bps is None:
         qos_min_rate_bps = queue.arrival_rate_bps
 
-    n_sbs, n_ue = deploy.n_sbs, deploy.n_ue
-    k = deploy.k
-    gains = deploy.gains
-    serving_gain = deploy.serving_gains()
+    n_sbs, n_ue, k = deploy.n_sbs, deploy.n_ue, deploy.k
+    serving_gain = deploy.serving_gains().reshape(n_sbs, k)
     noise = deploy.noise_norm
     cap = int(queue.capacity_bits)
     dt = queue.slot_duration_s
-    lam = queue.arrival_rate_bps * dt
     rows = np.arange(n_sbs)
-    ue_of = np.arange(n_ue).reshape(n_sbs, k)
 
     traffic = derived_rng(seed, replicate, 1)
     if initial_backlog == "density":
@@ -123,14 +129,9 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
     dropped_per_ue = np.zeros(n_ue, dtype=np.int64)
 
     if method == "mfg":
-        sched_states = [SchedulerState.fresh(k) for _ in range(n_sbs)]
+        dpp_state = SchedulerState.fresh((n_sbs, k))
     else:
-        # global arrays; the per-SBS update rules are the op-level ones
-        rate_avg = np.zeros(n_ue)
-        rate_slots = 0
-        i_est = np.zeros(n_sbs)
-        i_count = 0
-        p_floor = np.expm1(qos_min_rate_bps * LN2 / phy.bandwidth_hz)
+        pf_state = BaselineState.fresh((n_sbs, k))
 
     arrived = 0
     delivered = 0
@@ -138,126 +139,86 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
     power_sum = 0.0
     interference_sum = 0.0
     infeasible = 0
-    n_slots_total = 0
-    sched_slots = np.zeros(n_ue, dtype=np.int64)    # slots spent scheduled
     sched_rate_hz = np.zeros(n_ue)                  # per-Hz achieved rate sum
     sched_power = np.zeros(n_ue)                    # power sum while scheduled
     sched_periods = np.zeros(n_ue, dtype=np.int64)  # periods scheduled
-    psamples = [] if collect_power else None
 
     for _ in range(n_periods):
         # --- slow timescale: pick one UE per SBS for the whole period
+        cells = queues.reshape(n_sbs, k)
         if method == "mfg":
-            scheduled = np.empty(n_sbs, dtype=int)
-            for b in range(n_sbs):
-                ids = ue_of[b]
-                q_norm = queues[ids] / cap
-                r_bps = expected_rate(solution, 0.0, q_norm, serving_gain[ids], phy)
-                p_cand = bilinear(solution.grid, solution.policy, 0.0, q_norm)
-                local = dpp_step(sched_states[b], queues[ids].astype(float),
-                                 r_bps, p_cand, phy, dpp)
-                scheduled[b] = ids[local]
+            q_norm = cells / cap
+            r_bps = expected_rate(solution, 0.0, q_norm, serving_gain, phy)
+            p_cand = bilinear(solution.grid, solution.policy, 0.0, q_norm)
+            local = dpp_step(dpp_state, cells.astype(float), r_bps, p_cand, phy, dpp)
         else:
-            beta_all = serving_gain / (i_est[deploy.serving] + noise)
-            lo_all = np.minimum(p_floor / np.maximum(beta_all, 1e-300), phy.max_power_w)
-            p_all, _ = maximize_rate_value(beta_all, 0.0, lo_all, phy.max_power_w, phy)
-            cand = phy.bandwidth_hz * np.log1p(p_all * beta_all) / LN2
-            scheduled = np.empty(n_sbs, dtype=int)
-            for b in range(n_sbs):
-                scheduled[b] = ue_of[b, pf_schedule(cand[ue_of[b]], rate_avg[ue_of[b]])]
+            i_cell = pf_state.interference_est[:, None]
+            p_cand, _ = myopic_power(serving_gain, i_cell, noise, phy, qos_min_rate_bps)
+            # beta = gain / (interference + noise) is an SINR per Watt, so
+            # the rate takes it as the gain over a unit noise floor
+            cand = instantaneous_rate(p_cand, serving_gain / (i_cell + noise), 0.0, phy, 1.0)
+            local = pf_schedule(cand, pf_state.rate_avg)
+        scheduled = rows * k + local
         sched_periods[scheduled] += 1
-        g_cross = gains[scheduled]             # (B, B): row b = gains at b's UE
+        g_cross = deploy.gains[scheduled]     # (B, B): row b = gains at b's UE
         g_own = g_cross[rows, rows]
 
         # --- fast timescale
         for s in range(slots_per_period):
-            t_rel = s * dt
-            q_norm = queues[scheduled] / cap
+            own_bits = queues[scheduled]
             if method == "mfg":
-                powers = bilinear(solution.grid, solution.policy, t_rel, q_norm)
+                powers = bilinear(solution.grid, solution.policy, s * dt, own_bits / cap)
             else:
-                beta = g_own / (i_est + noise)
-                p_lo = p_floor / np.maximum(beta, 1e-300)
-                bad = p_lo > phy.max_power_w
+                i_est = pf_state.interference_est
+                powers, bad = myopic_power(g_own, i_est, noise, phy, qos_min_rate_bps)
                 infeasible += int(bad.sum())
-                powers, _ = maximize_rate_value(beta, 0.0, np.minimum(p_lo, phy.max_power_w),
-                                                phy.max_power_w, phy)
-                powers = np.where(bad, phy.max_power_w, powers)
-                # Finite-buffer myopic EE with an overload override.  The
-                # server owns k queues and the rotation returns to each only
-                # after serving the others, so its clearing duty is the CELL
-                # aggregate backlog: when that demands more rate than the
-                # per-slot EE argmax can supply within a rolling service
-                # window, the transmitter abandons efficiency and stays at
-                # the argmax.  Otherwise delivered bits saturate once the
-                # scheduled queue is cleared while Joules keep rising, so the
-                # efficient move is to spread the scheduled backlog over the
-                # rest of the turn at the cheapest sufficient power (capped
-                # at the argmax as the turn closes).  The QoS floor holds
-                # regardless.
-                pot_rate = phy.bandwidth_hz * np.log1p(powers * beta) / LN2
-                window = drain_window_slots * dt
-                cell_backlog = queues[ue_of].sum(axis=1).astype(float)
-                need_cell = cell_backlog * LN2 / (phy.bandwidth_hz * window)
-                p_emerg = np.expm1(np.minimum(need_cell, 40.0)) / np.maximum(beta, 1e-300)
-                horizon = (slots_per_period - s) * dt
-                need_own = queues[scheduled].astype(float) * LN2 / (phy.bandwidth_hz * horizon)
-                p_own = np.expm1(np.minimum(need_own, 40.0)) / np.maximum(beta, 1e-300)
-                drain = np.minimum(np.maximum(p_own, np.minimum(p_lo, phy.max_power_w)),
-                                   powers)
-                powers = np.where(p_emerg > powers, powers, drain)
-                powers = np.where(bad, phy.max_power_w, powers)
+                beta = g_own / (i_est + noise)
+                # PF averaging tracks the rate the channel would support at the
+                # myopic power, not the buffer-limited served rate; otherwise a
+                # freshly drained UE looks starved and the rotation collapses.
+                pot_rate = instantaneous_rate(powers, beta, 0.0, phy, 1.0)
+                powers = drain_power(powers, beta, own_bits,
+                                     queues.reshape(n_sbs, k).sum(axis=1),
+                                     (slots_per_period - s) * dt, drain_window_slots * dt,
+                                     phy, qos_min_rate_bps)
 
             interference = g_cross @ powers - g_own * powers
-            sinr = powers * g_own / (interference + noise)
-            rate = phy.bandwidth_hz * np.log1p(sinr) / LN2
-            service = (rate * dt).astype(np.int64)
-
-            arrivals = traffic.poisson(lam, n_ue).astype(np.int64)
-            after = queues + arrivals
-            served = np.minimum(after[scheduled], service)
-            after[scheduled] -= served
-            dropped = np.maximum(after - cap, 0)
-            queues = after - dropped
+            rate = instantaneous_rate(powers, g_own, interference, phy, noise)
+            arrivals = sample_arrivals(traffic, queue, n_ue)
+            served_own = np.minimum(own_bits + arrivals[scheduled],
+                                    (rate * dt).astype(np.int64))
+            served = np.zeros(n_ue, dtype=np.int64)
+            served[scheduled] = served_own
+            queues, dropped = queue_step(queues, arrivals, served, queue)
 
             # every scheduled SBS radiates its power for the full slot
             radiated_w = float(powers.sum())
 
             arrived += int(arrivals.sum())
-            delivered += int(served.sum())
+            delivered += int(served_own.sum())
             dropped_per_ue += dropped
             energy += (radiated_w + n_sbs * phy.circuit_power_w) * dt
             power_sum += radiated_w
             interference_sum += float(interference.mean())
-            n_slots_total += 1
-            sched_slots[scheduled] += 1
-            sched_rate_hz[scheduled] += served / (dt * phy.bandwidth_hz)
+            sched_rate_hz[scheduled] += served_own / (dt * phy.bandwidth_hz)
             sched_power[scheduled] += powers
-            if collect_power:
-                psamples.append(powers.copy())
 
             if method == "baseline":
-                # arithmetic running means, one slot for every SBS at once
-                if estimate_mode == "arithmetic":
-                    i_est = i_est + (interference - i_est) / (i_count + 1)
-                else:
-                    i_est = interference.copy() if i_count == 0 else 0.95 * i_est + 0.05 * interference
-                i_count += 1
-                # PF averaging tracks the rate the channel would support at the
-                # myopic power, not the buffer-limited served rate; otherwise a
-                # freshly drained UE looks starved and the rotation collapses.
-                achieved = np.zeros(n_ue)
-                achieved[scheduled] = pot_rate
-                rate_avg = (rate_avg * rate_slots + achieved) / (rate_slots + 1)
-                rate_slots += 1
+                pf_state.interference_est, pf_state.meas_count = update_interference_estimate(
+                    pf_state.interference_est, pf_state.meas_count, interference, estimate_mode)
+                achieved = np.zeros((n_sbs, k))
+                achieved[rows, local] = pot_rate
+                update_rate_averages(pf_state, achieved)
 
+    n_slots_total = n_periods * slots_per_period
+    sched_slots = sched_periods * slots_per_period
     dropped_total = int(dropped_per_ue.sum())
     share = sched_periods / n_periods
     mean_rate = np.where(sched_slots > 0, sched_rate_hz / np.maximum(sched_slots, 1), 0.0)
     mean_pow = np.where(sched_slots > 0, sched_power / np.maximum(sched_slots, 1), 0.0)
     utility = float((share * mean_rate / (mean_pow + phy.circuit_power_w)).sum() / n_sbs)
 
-    m = EpisodeMetrics(
+    return EpisodeMetrics(
         method=method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
         arrived_bits=arrived, delivered_bits=delivered, dropped_bits=dropped_total,
         backlog_delta_bits=int(queues.sum()) - backlog_start, energy_j=energy,
@@ -268,9 +229,6 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
         interference_mean=interference_sum / n_slots_total,
         utility=utility, infeasible_slots=infeasible,
     )
-    if collect_power:
-        m.power_samples = np.concatenate(psamples)
-    return m
 
 
 METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",
@@ -306,25 +264,16 @@ def summarize_replications(metrics: list[EpisodeMetrics]) -> ReplicationSummary:
     return out
 
 
-def run_replications(deploy_fn, episode_fn, n_replicates: int, base_seed: int,
-                     jobs: int = 1):
+def run_replications(deploy_fn, episode_fn, n_replicates: int, base_seed: int):
     """Run paired replicates: replicate i gets a deployment from
     deploy_fn(seed_i) and metrics from episode_fn(deployment, base_seed, i).
 
-    Seeds derive deterministically from base_seed so reruns are identical;
-    jobs > 1 runs episodes in a thread pool, preserving replicate order.
+    Seeds derive deterministically from base_seed so reruns are identical.
     Returns (metrics list, summary).
     """
     if n_replicates < 1:
         raise ConfigError("n_replicates must be at least 1")
-
-    def one(i: int) -> EpisodeMetrics:
-        dep_seed = np.random.SeedSequence(base_seed, spawn_key=(i, 0))
-        return episode_fn(deploy_fn(dep_seed), base_seed, i)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            metrics = list(pool.map(one, range(n_replicates)))
-    else:
-        metrics = [one(i) for i in range(n_replicates)]
+    metrics = [episode_fn(deploy_fn(np.random.SeedSequence(base_seed, spawn_key=(i, 0))),
+                          base_seed, i)
+               for i in range(n_replicates)]
     return metrics, summarize_replications(metrics)

@@ -21,7 +21,6 @@ def test_defaults_without_file():
     assert cfg.raw["solver"]["noise_norm"] == 0.03
     assert cfg.dpp.v_coeff == -1.0
     assert cfg.raw["deployment"]["isd_units"] == 3.5
-    assert cfg.jobs == 1
     assert cfg.output_dir == "out"
 
 
@@ -90,17 +89,8 @@ def test_bool_parsing(tmp_path):
 
 def test_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("UDNSIM_OUTDIR", str(tmp_path / "env-out"))
-    monkeypatch.setenv("UDNSIM_JOBS", "4")
     cfg = load_config(None)
     assert cfg.output_dir == str(tmp_path / "env-out")
-    assert cfg.jobs == 4
-
-
-@pytest.mark.parametrize("bad", ["zero", "0", "-2"])
-def test_env_jobs_invalid(monkeypatch, bad):
-    monkeypatch.setenv("UDNSIM_JOBS", bad)
-    with pytest.raises(ConfigError):
-        load_config(None)
 
 
 def test_sweep_values_typed(tmp_path):

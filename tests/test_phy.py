@@ -27,8 +27,6 @@ def test_phy_validation():
         PhyParams(circuit_power_w=0.0)
     with pytest.raises(ConfigError):
         PhyParams(sbs_density=-0.1)
-    with pytest.raises(ConfigError):
-        PhyParams(channel_drift=0.5)
 
 
 def test_queue_params_validation():

@@ -25,7 +25,7 @@ def test_schedule_matches_enumeration(phy, rng):
         y = rng.normal(0, 2, n)
         p = rng.uniform(0, 1, n)
         penalty = penalty_gradient(r, p, phy)
-        lam = schedule(q, r, y, np.zeros(n), penalty, params)
+        lam = schedule(q, r, y, penalty, params)
         assert lam.sum() == 1.0
         assert int(np.argmax(lam)) == brute_force_schedule(q, r, y, penalty, params.v_coeff)
 
@@ -36,7 +36,7 @@ def test_schedule_tie_breaks_low_index(phy):
     r = np.array([1.0, 1.0, 1.0])
     y = np.zeros(3)
     penalty = np.array([0.5, 0.5, 0.5])
-    lam = schedule(q, r, y, np.zeros(3), penalty, params)
+    lam = schedule(q, r, y, penalty, params)
     assert lam.tolist() == [1.0, 0.0, 0.0]
 
 
@@ -123,3 +123,24 @@ def test_expected_rate_formula(phy):
     r = expected_rate(sol, 0.4, 0.7, 2.0, phy)
     sinr = 0.5 * 2.0 / 0.25
     assert r == pytest.approx(phy.bandwidth_hz * np.log1p(sinr) / LN2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["linear_ee", "zero"])
+def test_batched_dpp_step_matches_rows(phy, rng, model):
+    """One (B, k) state stepped once per period equals B independent 1-D
+    states: same picks, and bit-identical virtual queues and running means."""
+    params = DppParams(v_coeff=-2.0, gradient_model=model)
+    n_sbs, k = 7, 4
+    batch = SchedulerState.fresh((n_sbs, k))
+    rows = [SchedulerState.fresh(k) for _ in range(n_sbs)]
+    for _ in range(50):
+        # quantized draws make exact ties, which must break the same way
+        q = rng.integers(0, 3, (n_sbs, k)) / 2.0
+        r = rng.uniform(0, 3, (n_sbs, k))
+        p = rng.choice([0.25, 0.5], (n_sbs, k))
+        picks = dpp_step(batch, q, r, p, phy, params)
+        assert picks.tolist() == [dpp_step(rows[b], q[b], r[b], p[b], phy, params)
+                                  for b in range(n_sbs)]
+    assert batch.periods == 50
+    assert np.array_equal(batch.virtual, np.stack([s.virtual for s in rows]))
+    assert np.array_equal(batch.lam_avg, np.stack([s.lam_avg for s in rows]))
