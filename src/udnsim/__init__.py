@@ -11,7 +11,7 @@ from .fields import (DensityField, GridSpec, MfgSolution, PowerPolicy, ValueFiel
 from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import existence_check, maximize_rate_value, optimal_power_pointwise
 from .scheduler import DppParams, SchedulerState, dpp_step
-from .simulate import EpisodeMetrics, ReplicationSummary, run_episode, run_replications
+from .simulate import EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import drift_field, fpk_forward, hjb_backward, mf_interference, solve_mfg
 
@@ -27,6 +27,6 @@ __all__ = [
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",
     "load_config", "load_solution", "maximize_rate_value", "mf_interference",
     "myopic_power", "optimal_power_pointwise", "pf_schedule", "run_episode",
-    "run_replications", "save_solution", "solve_mfg", "terminal_value",
+    "run_episodes", "save_solution", "solve_mfg", "terminal_value",
     "update_interference_estimate",
 ]

@@ -51,11 +51,19 @@ def pf_schedule(rate_vec, rate_avg):
     return int(pick) if pick.ndim == 0 else pick
 
 
-def _qos_floor_power(beta, qos_min_rate_bps, phy: PhyParams):
-    """Lowest power meeting the QoS rate at channel quality beta (inf on a
-    dead link with a high enough floor)."""
+def qos_floor_power(beta, qos_min_rate_bps, phy: PhyParams):
+    """Lowest power meeting the QoS rate at channel quality beta, capped at
+    max power.  Returns (floor_w, infeasible): infeasible where even max
+    power falls short of the floor (always on a dead link with a floor)."""
     with np.errstate(over="ignore"):
-        return np.expm1(qos_min_rate_bps * LN2 / phy.bandwidth_hz) / np.maximum(beta, BETA_FLOOR)
+        p_lo = np.expm1(qos_min_rate_bps * LN2 / phy.bandwidth_hz) / np.maximum(beta, BETA_FLOOR)
+    return np.minimum(p_lo, phy.max_power_w), p_lo > phy.max_power_w
+
+
+def efficient_power(beta, floor_w, phy: PhyParams):
+    """The EE argmax over [floor_w, max power] at channel quality beta; an
+    infeasible lane (floor_w at max power) searches [max power, max power]."""
+    return maximize_rate_value(beta, 0.0, floor_w, phy.max_power_w, phy)[0]
 
 
 def myopic_power(gain, interference_w, noise_w, phy: PhyParams,
@@ -66,24 +74,23 @@ def myopic_power(gain, interference_w, noise_w, phy: PhyParams,
     floor fixes the lowest power that meets qos_min_rate_bps at the
     estimated interference; when even max power cannot, the SBS transmits
     at max power and flags infeasibility.  A dead link (beta <= 0) stays
-    silent without a floor and is infeasible with one.
+    silent without a floor and is infeasible with one.  It is
+    qos_floor_power and efficient_power at beta = gain / (interference +
+    noise); the simulator calls those two itself, with one beta per slot.
     """
     interference_w = np.asarray(interference_w, dtype=float)
     if np.any(interference_w < 0) or noise_w <= 0:
         raise ConfigError("interference must be nonnegative and noise positive")
     beta = np.asarray(gain, dtype=float) / (interference_w + noise_w)
-    p_lo = _qos_floor_power(beta, qos_min_rate_bps, phy)
-    infeasible = p_lo > phy.max_power_w
-    # an infeasible lane searches [max power, max power]
-    p, _ = maximize_rate_value(beta, 0.0, np.minimum(p_lo, phy.max_power_w),
-                               phy.max_power_w, phy)
+    floor_w, infeasible = qos_floor_power(beta, qos_min_rate_bps, phy)
+    p = efficient_power(beta, floor_w, phy)
     if p.ndim == 0:
         return float(p), bool(infeasible)
     return p, infeasible
 
 
 def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
-                phy: PhyParams, qos_min_rate_bps: float = 0.0):
+                phy: PhyParams, floor_w=0.0):
     """Finite-buffer refinement of the myopic power, with an overload override.
 
     power_w is the myopic EE power (max power where infeasible) at channel
@@ -95,16 +102,16 @@ def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
     saturate once the scheduled queue (own_bits) is cleared while Joules
     keep rising, so the efficient move is to spread own_bits over the
     horizon_s left in the turn at the cheapest sufficient power, capped at
-    power_w as the turn closes.  The QoS floor holds regardless, so an
-    infeasible link stays at the max power that myopic_power gave it.
+    power_w as the turn closes.  The QoS floor floor_w (from
+    qos_floor_power; 0 without a floor) holds regardless, so an infeasible
+    link stays at the max power that myopic_power gave it.
     """
     beta_pos = np.maximum(beta, BETA_FLOOR)
-    p_lo = _qos_floor_power(beta, qos_min_rate_bps, phy)
     need_cell = np.asarray(cell_bits, dtype=float) * LN2 / (phy.bandwidth_hz * window_s)
     p_emerg = np.expm1(np.minimum(need_cell, NEED_CAP)) / beta_pos
     need_own = np.asarray(own_bits, dtype=float) * LN2 / (phy.bandwidth_hz * horizon_s)
     p_own = np.expm1(np.minimum(need_own, NEED_CAP)) / beta_pos
-    drain = np.minimum(np.maximum(p_own, np.minimum(p_lo, phy.max_power_w)), power_w)
+    drain = np.minimum(np.maximum(p_own, floor_w), power_w)
     return np.where(p_emerg > power_w, power_w, drain)
 
 

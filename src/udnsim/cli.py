@@ -20,7 +20,7 @@ from .deployment import generate_deployment
 from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
 from .reporting import build_cdf, cdf_table, csv_to_dat, metrics_csv, sweep_report
-from .simulate import METRIC_FIELDS, run_episode, run_replications
+from .simulate import METRIC_FIELDS, run_episodes, summarize_replications
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
 
@@ -49,55 +49,45 @@ def _solve(cfg: RunConfig, *, eta: float | None = None,
     )
 
 
-def _calibrate_and_solve(cfg: RunConfig, isd_units: float, k: int,
-                         boundary: str | None = None) -> tuple:
-    """One coupling solve per geometry: derive the coupling strength and the
-    normalized noise from a reference deployment draw, then solve."""
+def _deployments(cfg: RunConfig, isd_units: float, k: int) -> list:
+    """The replicates' deployments of one geometry: replicate i is drawn from
+    SeedSequence(base_seed, spawn_key=(i, 0)), so every method and every
+    swept value that shares the geometry runs on the same networks."""
     dep_cfg = cfg.raw["deployment"]
-    base_seed = cfg.raw["simulate"]["base_seed"]
-    seed = np.random.SeedSequence(base_seed, spawn_key=(0, 0))
-    dep = generate_deployment(isd_units, k, cfg.phy, cfg.pathloss, seed=seed,
-                              area_km2=dep_cfg["area_km2"],
-                              jitter_frac=dep_cfg["jitter_frac"],
-                              fading=dep_cfg["fading"],
-                              cross_isolation_db=dep_cfg["cross_isolation_db"],
-                              rician_k_db=dep_cfg["rician_k_db"])
+    sim = cfg.raw["simulate"]
+    return [generate_deployment(isd_units, k, cfg.phy, cfg.pathloss,
+                                seed=np.random.SeedSequence(sim["base_seed"], spawn_key=(i, 0)),
+                                area_km2=dep_cfg["area_km2"],
+                                jitter_frac=dep_cfg["jitter_frac"],
+                                fading=dep_cfg["fading"],
+                                cross_isolation_db=dep_cfg["cross_isolation_db"],
+                                rician_k_db=dep_cfg["rician_k_db"])
+            for i in range(sim["n_replicates"])]
+
+
+def _calibrate_and_solve(cfg: RunConfig, dep, boundary: str | None = None) -> MfgSolution:
+    """One coupling solve per geometry: take the coupling strength and the
+    normalized noise from a reference deployment (replicate 0's), then solve."""
     if boundary is not None:
         cfg = replace(cfg, raw={**cfg.raw, "solver": {**cfg.raw["solver"],
                                                       "boundary": boundary}})
-    sol = _solve(cfg, eta=dep.eta, noise_norm=dep.noise_norm)
-    return sol, dep
+    return _solve(cfg, eta=dep.eta, noise_norm=dep.noise_norm)
 
 
-def _run_methods(cfg: RunConfig, methods, sol: MfgSolution | None,
-                 isd_units: float, k: int, dpp=None):
-    dep_cfg = cfg.raw["deployment"]
+def _run_method(cfg: RunConfig, method: str, sol: MfgSolution | None, deploys: list,
+                dpp=None) -> tuple:
+    """All replicates of one method as one batch: (metrics, summary)."""
     sim = cfg.raw["simulate"]
-    qos = cfg.raw["scheduler"]["qos_min_rate_bps"]
-    dpp = dpp if dpp is not None else cfg.dpp
-
-    def deploy_fn(seed):
-        return generate_deployment(isd_units, k, cfg.phy, cfg.pathloss,
-                                   seed=seed, area_km2=dep_cfg["area_km2"],
-                                   jitter_frac=dep_cfg["jitter_frac"],
-                                   fading=dep_cfg["fading"],
-                                   cross_isolation_db=dep_cfg["cross_isolation_db"],
-                              rician_k_db=dep_cfg["rician_k_db"])
-
-    results = {}
-    for method in methods:
-        def episode_fn(dep, base_seed, i, method=method):
-            return run_episode(
-                dep, method, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
-                seed=base_seed, solution=sol, dpp=dpp, qos_min_rate_bps=qos,
-                slots_per_period=sim["slots_per_period"],
-                initial_backlog=sim["initial_backlog"],
-                estimate_mode=sim["estimate_mode"],
-                drain_window_slots=sim["drain_window_slots"], replicate=i)
-
-        results[method] = run_replications(deploy_fn, episode_fn,
-                                           sim["n_replicates"], sim["base_seed"])
-    return results
+    metrics = run_episodes(
+        deploys, method, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
+        seed=sim["base_seed"], replicates=range(len(deploys)), solution=sol,
+        dpp=cfg.dpp if dpp is None else dpp,
+        qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"],
+        slots_per_period=sim["slots_per_period"],
+        initial_backlog=sim["initial_backlog"],
+        estimate_mode=sim["estimate_mode"],
+        drain_window_slots=sim["drain_window_slots"])
+    return metrics, summarize_replications(metrics)
 
 
 def _summary_csv(results: dict) -> str:
@@ -130,16 +120,17 @@ def cmd_simulate(args) -> int:
     outdir = _ensure_outdir(cfg)
     methods = ("mfg", "baseline") if args.method == "both" else (args.method,)
     dep_cfg = cfg.raw["deployment"]
+    deploys = _deployments(cfg, dep_cfg["isd_units"], dep_cfg["k"])
 
     sol = None
     if "mfg" in methods:
         if args.solution:
             sol = load_solution(args.solution)
         else:
-            sol, _ = _calibrate_and_solve(cfg, dep_cfg["isd_units"], dep_cfg["k"])
+            sol = _calibrate_and_solve(cfg, deploys[0])
             save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
-    results = _run_methods(cfg, methods, sol, dep_cfg["isd_units"], dep_cfg["k"])
+    results = {method: _run_method(cfg, method, sol, deploys) for method in methods}
     for method, (metrics, _) in results.items():
         _write(os.path.join(outdir, f"metrics_{method}.csv"), metrics_csv(metrics))
     _write(os.path.join(outdir, "summary.csv"), _summary_csv(results))
@@ -149,17 +140,23 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     """Run both methods at each value of the swept key.
 
-    The equilibrium depends on the geometry (isd, k) and the terminal
-    condition only; v enters the scheduler alone.  So one solution is solved
-    per distinct (isd, k, boundary) and shared by every value that has it: a
-    v sweep solves once.
+    The replicates' deployments depend on the geometry (isd, k) alone, so
+    each geometry draws them once.  The equilibrium depends on the geometry
+    and the terminal condition only; v enters the scheduler alone.  So one
+    solution is solved per distinct (isd, k, boundary) and shared by every
+    value that has it: a v sweep solves once.  The baseline reads neither v
+    nor the terminal condition (its density start reads the solution's
+    initial slice, which is rho0 whatever the boundary), so it runs once
+    per (isd, k) and its rows repeat at every value that shares the geometry.
     """
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
     key, values = cfg.sweep_values()
     dep_cfg = cfg.raw["deployment"]
 
+    deployments = {}
     solutions = {}
+    baselines = {}
     points = []
     all_rows = []
     for value in values:
@@ -173,15 +170,20 @@ def cmd_sweep(args) -> int:
             boundary = value
         elif key == "v":
             dpp = replace(cfg.dpp, v_coeff=-abs(value))
-        geometry = (isd, k, boundary)
+        site, geometry = (isd, k), (isd, k, boundary)
+        if site not in deployments:
+            deployments[site] = _deployments(cfg, isd, k)
+        deploys = deployments[site]
         if geometry not in solutions:
-            solutions[geometry], _ = _calibrate_and_solve(cfg, *geometry)
+            solutions[geometry] = _calibrate_and_solve(cfg, deploys[0], boundary)
         sol = solutions[geometry]
-        results = _run_methods(cfg, ("mfg", "baseline"), sol, isd, k, dpp=dpp)
+        if site not in baselines:
+            baselines[site] = _run_method(cfg, "baseline", sol, deploys)
+        results = {"mfg": _run_method(cfg, "mfg", sol, deploys, dpp=dpp),
+                   "baseline": baselines[site]}
         points.append((value, {m: r[1] for m, r in results.items()}))
-        for method, (metrics, _) in results.items():
-            for m in metrics:
-                all_rows.append(m)
+        for metrics, _ in results.values():
+            all_rows.extend(metrics)
         print(f"swept {key}={value}")
 
     _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(all_rows))

@@ -217,6 +217,8 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError("[deployment] needs k >= 1 and positive isd_units")
     if raw["simulate"]["n_periods"] < 1 or raw["simulate"]["n_replicates"] < 1:
         raise ConfigError("[simulate] needs at least one period and one replicate")
+    if raw["simulate"]["slots_per_period"] < 1:
+        raise ConfigError("[simulate] slots_per_period must be at least 1")
     if raw["simulate"]["drain_window_slots"] < 1:
         raise ConfigError("[simulate] drain_window_slots must be at least 1")
     if raw["scheduler"]["qos_min_rate_bps"] < 0:

@@ -112,7 +112,10 @@ def queue_step(q_bits, arrival_bits, served_bits, queue: QueueParams):
 
 
 def sample_arrivals(rng: np.random.Generator, queue: QueueParams, n=None):
-    """Poisson arrivals (bits) for one slot, mean arrival_rate * slot."""
+    """Poisson arrivals (bits) per UE and slot, mean arrival_rate * slot.
+
+    n is a UE count or a shape; the draws fill it in C order, so a
+    (slots, n_ue) block is the same stream as one draw per slot."""
     lam = queue.arrival_rate_bps * queue.slot_duration_s
     return rng.poisson(lam, size=n)
 

@@ -7,18 +7,40 @@ fixed first, then every scheduled UE sees the interference of that joint
 choice.  Bits are integers end to end, so arrivals, service, drops and
 backlog balance exactly.
 
-The slot kernel holds no physics of its own; it calls the tested functions
-once per slot or period on arrays batched over SBSs, with the UEs of SBS b
-in row b of an (n_sbs, k) view:
+The slot kernel runs R replicates in lockstep: R deployments of one
+(n_sbs, k) shape, each with its own normalized noise and its own traffic
+stream.  Per-UE state is one flat vector in which UE u of replicate r sits
+at r * n_ue + u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so
+reshaping it gives the (R, n_sbs, k) view that the period step works on.
+The UEs scheduled for a period are one (R, n_sbs) array of flat indices
+r * n_ue + b * k + local, which gathers and scatters every per-lane slot
+value with one index.  The cross gains of a period are an (R, n_sbs,
+n_sbs) stack whose row b holds the gains at b's scheduled UE, and the
+interference is one batched matrix-vector product over it.
 
-- every slot: ``phy.instantaneous_rate`` (in the deployment's normalized
-  units), ``phy.sample_arrivals`` and ``phy.queue_step``;
+The kernel holds no physics of its own; it calls the tested functions
+once per slot or period on these batched arrays:
+
+- every slot: ``phy.instantaneous_rate`` (in each deployment's normalized
+  units) and ``phy.queue_step``; once per period ``phy.sample_arrivals``
+  draws the period's arrivals, one row per slot, which is the same stream
+  as one draw per slot;
 - mfg: ``fields.bilinear`` for the slot power, and once per period
   ``scheduler.expected_rate``, ``fields.bilinear`` and ``scheduler.dpp_step``;
-- baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
-  slot power, ``baseline.update_interference_estimate`` and
+- baseline: ``baseline.qos_floor_power`` and ``baseline.efficient_power``
+  (the two halves of ``baseline.myopic_power``, fed one beta per slot) and
+  ``baseline.drain_power`` for the slot power,
+  ``baseline.update_interference_estimate`` and
   ``baseline.update_rate_averages`` after it, and once per period
-  ``baseline.myopic_power`` and ``baseline.pf_schedule``.
+  ``baseline.qos_floor_power``, ``baseline.efficient_power`` and
+  ``baseline.pf_schedule``.
+
+Every replicate's metrics equal those of running it alone, bit for bit.
+Elementwise steps and the per-replicate matrix-vector products do not mix
+replicates, and float sums keep the order of a slot-by-slot loop: slot
+values go into per-period rows, and ``np.add.accumulate`` (which adds
+strictly in row order, unlike the pairwise ``sum``) folds them into the
+per-UE and per-episode totals.  Integer ledgers are exact in any order.
 
 Energy accounting matches the solver's utility ln(1 + beta p) / (p + p0):
 every scheduled SBS radiates its chosen power p for the whole slot, so a
@@ -36,8 +58,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from .baseline import (ESTIMATE_MODES, BaselineState, drain_power, myopic_power,
-                       pf_schedule, update_interference_estimate, update_rate_averages)
+from .baseline import (ESTIMATE_MODES, BaselineState, drain_power, efficient_power,
+                       pf_schedule, qos_floor_power, update_interference_estimate,
+                       update_rate_averages)
 from .deployment import Deployment
 from .errors import ConfigError
 from .fields import MfgSolution, bilinear
@@ -85,13 +108,26 @@ def _sample_initial_backlog(solution: MfgSolution, n_ue: int, cap: int,
     return (np.interp(u, cdf, grid.queues) * cap).astype(np.int64)
 
 
-def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueueParams,
-                *, n_periods: int, seed: int, solution: MfgSolution | None = None,
-                dpp: DppParams = DppParams(), qos_min_rate_bps: float | None = None,
-                slots_per_period: int = 100, initial_backlog: str = "empty",
-                estimate_mode: str = "arithmetic", drain_window_slots: int = 40,
-                replicate: int = 0) -> EpisodeMetrics:
-    """Simulate one episode and return its aggregate metrics.
+def _fold_in_order(total: np.ndarray, index, rows: np.ndarray):
+    """total[index] += rows[0]; total[index] += rows[1]; ... in row order,
+    so the float sums round as a slot-by-slot loop rounds them."""
+    acc = np.concatenate((total[index][None], rows))
+    total[index] = np.add.accumulate(acc, axis=0)[-1]
+
+
+def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
+                 queue: QueueParams, *, n_periods: int, seed: int, replicates,
+                 solution: MfgSolution | None = None, dpp: DppParams = DppParams(),
+                 qos_min_rate_bps: float | None = None, slots_per_period: int = 100,
+                 initial_backlog: str = "empty", estimate_mode: str = "arithmetic",
+                 drain_window_slots: int = 40) -> list[EpisodeMetrics]:
+    """Simulate one episode per deployment, all in lockstep, and return
+    their metrics in order.
+
+    deploys[i] runs as replicate replicates[i], whose traffic (and density
+    draw) comes from derived_rng(seed, replicates[i], 1); every deployment
+    must have the same n_sbs and k.  Each episode's metrics equal those of
+    running it alone.
 
     initial_backlog: 'empty' starts all queues at zero; 'density' samples
     each UE's backlog from the solution's initial density (mean-field
@@ -106,129 +142,175 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
         raise ConfigError(f"unknown estimate mode {estimate_mode!r}")
     if drain_window_slots < 1:
         raise ConfigError("drain_window_slots must be at least 1")
+    if n_periods < 1 or slots_per_period < 1:
+        raise ConfigError("an episode needs at least one period of at least one slot")
+    replicates = list(replicates)
+    if not deploys or len(replicates) != len(deploys):
+        raise ConfigError("give one replicate index per deployment, at least one")
+    n_sbs, k = deploys[0].n_sbs, deploys[0].k
+    if any((d.n_sbs, d.k) != (n_sbs, k) for d in deploys):
+        raise ConfigError("the deployments of one batch must share n_sbs and k")
     if qos_min_rate_bps is None:
         qos_min_rate_bps = queue.arrival_rate_bps
 
-    n_sbs, n_ue, k = deploy.n_sbs, deploy.n_ue, deploy.k
-    serving_gain = deploy.serving_gains().reshape(n_sbs, k)
-    noise = deploy.noise_norm
+    n_rep, n_ue, spp = len(deploys), n_sbs * k, slots_per_period
+    serving_gain = np.stack([d.serving_gains() for d in deploys]).reshape(n_rep, n_sbs, k)
+    gains = np.concatenate([d.gains for d in deploys])       # (n_rep * n_ue, n_sbs)
+    noise = np.array([d.noise_norm for d in deploys])[:, None]
     cap = int(queue.capacity_bits)
     dt = queue.slot_duration_s
-    rows = np.arange(n_sbs)
+    # flat index of UE (b, 0) of replicate r, shape (n_rep, n_sbs)
+    lane_base = np.arange(n_rep)[:, None] * n_ue + np.arange(n_sbs) * k
 
-    traffic = derived_rng(seed, replicate, 1)
+    traffic = [derived_rng(seed, r, 1) for r in replicates]
     if initial_backlog == "density":
         if solution is None:
             raise ConfigError("density-initialized backlog needs a solution")
-        queues = _sample_initial_backlog(solution, n_ue, cap, traffic)
+        queues = np.concatenate([_sample_initial_backlog(solution, n_ue, cap, rng)
+                                 for rng in traffic])
     elif initial_backlog == "empty":
-        queues = np.zeros(n_ue, dtype=np.int64)
+        queues = np.zeros(n_rep * n_ue, dtype=np.int64)
     else:
         raise ConfigError("initial_backlog must be 'empty' or 'density'")
-    backlog_start = int(queues.sum())
-    dropped_per_ue = np.zeros(n_ue, dtype=np.int64)
+    backlog_start = queues.reshape(n_rep, n_ue).sum(axis=1)
 
     if method == "mfg":
-        dpp_state = SchedulerState.fresh((n_sbs, k))
+        dpp_state = SchedulerState.fresh((n_rep, n_sbs, k))
     else:
-        pf_state = BaselineState.fresh((n_sbs, k))
+        pf_state = BaselineState.fresh((n_rep, n_sbs, k))
+        achieved = np.zeros(n_rep * n_ue)
 
-    arrived = 0
-    delivered = 0
-    energy = 0.0
-    power_sum = 0.0
-    interference_sum = 0.0
-    infeasible = 0
-    sched_rate_hz = np.zeros(n_ue)                  # per-Hz achieved rate sum
-    sched_power = np.zeros(n_ue)                    # power sum while scheduled
-    sched_periods = np.zeros(n_ue, dtype=np.int64)  # periods scheduled
+    arrived = np.zeros(n_rep, dtype=np.int64)
+    delivered = np.zeros(n_rep, dtype=np.int64)
+    infeasible = np.zeros(n_rep, dtype=np.int64)
+    dropped_per_ue = np.zeros(n_rep * n_ue, dtype=np.int64)
+    sched_rate_hz = np.zeros(n_rep * n_ue)                  # per-Hz achieved rate sum
+    sched_power = np.zeros(n_rep * n_ue)                    # power sum while scheduled
+    sched_periods = np.zeros(n_rep * n_ue, dtype=np.int64)  # periods scheduled
+    served = np.zeros(n_rep * n_ue, dtype=np.int64)         # nonzero on lanes only
+    # per-slot values: one row per slot of the period, or of the episode
+    power_rows = np.empty((spp, n_rep, n_sbs))
+    interference_rows = np.empty((spp, n_rep, n_sbs))
+    served_rows = np.empty((spp, n_rep, n_sbs), dtype=np.int64)
+    infeasible_rows = np.zeros((spp, n_rep, n_sbs), dtype=bool)
+    radiated = np.empty((n_periods * spp, n_rep))
+    interference_mean = np.empty((n_periods * spp, n_rep))
 
-    for _ in range(n_periods):
+    for period in range(n_periods):
         # --- slow timescale: pick one UE per SBS for the whole period
-        cells = queues.reshape(n_sbs, k)
+        cells = queues.reshape(n_rep, n_sbs, k)
         if method == "mfg":
             q_norm = cells / cap
             r_bps = expected_rate(solution, 0.0, q_norm, serving_gain, phy)
             p_cand = bilinear(solution.grid, solution.policy, 0.0, q_norm)
             local = dpp_step(dpp_state, cells.astype(float), r_bps, p_cand, phy, dpp)
         else:
-            i_cell = pf_state.interference_est[:, None]
-            p_cand, _ = myopic_power(serving_gain, i_cell, noise, phy, qos_min_rate_bps)
+            beta = serving_gain / (pf_state.interference_est[..., None] + noise[..., None])
+            p_cand = efficient_power(beta, qos_floor_power(beta, qos_min_rate_bps, phy)[0], phy)
             # beta = gain / (interference + noise) is an SINR per Watt, so
             # the rate takes it as the gain over a unit noise floor
-            cand = instantaneous_rate(p_cand, serving_gain / (i_cell + noise), 0.0, phy, 1.0)
+            cand = instantaneous_rate(p_cand, beta, 0.0, phy, 1.0)
             local = pf_schedule(cand, pf_state.rate_avg)
-        scheduled = rows * k + local
-        sched_periods[scheduled] += 1
-        g_cross = deploy.gains[scheduled]     # (B, B): row b = gains at b's UE
-        g_own = g_cross[rows, rows]
+        lanes = lane_base + local
+        sched_periods[lanes] += 1
+        g_cross = gains[lanes]                   # (R, B, B): row b = gains at b's UE
+        g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
+        arrivals = np.stack([sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic],
+                            axis=1).reshape(spp, n_rep * n_ue)
 
         # --- fast timescale
-        for s in range(slots_per_period):
-            own_bits = queues[scheduled]
+        for s in range(spp):
+            own_bits = queues[lanes]
             if method == "mfg":
                 powers = bilinear(solution.grid, solution.policy, s * dt, own_bits / cap)
             else:
-                i_est = pf_state.interference_est
-                powers, bad = myopic_power(g_own, i_est, noise, phy, qos_min_rate_bps)
-                infeasible += int(bad.sum())
-                beta = g_own / (i_est + noise)
+                beta = g_own / (pf_state.interference_est + noise)
+                floor_w, infeasible_rows[s] = qos_floor_power(beta, qos_min_rate_bps, phy)
+                powers = efficient_power(beta, floor_w, phy)
                 # PF averaging tracks the rate the channel would support at the
                 # myopic power, not the buffer-limited served rate; otherwise a
                 # freshly drained UE looks starved and the rotation collapses.
                 pot_rate = instantaneous_rate(powers, beta, 0.0, phy, 1.0)
                 powers = drain_power(powers, beta, own_bits,
-                                     queues.reshape(n_sbs, k).sum(axis=1),
-                                     (slots_per_period - s) * dt, drain_window_slots * dt,
-                                     phy, qos_min_rate_bps)
+                                     queues.reshape(n_rep, n_sbs, k).sum(axis=2),
+                                     (spp - s) * dt, drain_window_slots * dt, phy, floor_w)
 
-            interference = g_cross @ powers - g_own * powers
+            interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
+                                       out=interference_rows[s])
             rate = instantaneous_rate(powers, g_own, interference, phy, noise)
-            arrivals = sample_arrivals(traffic, queue, n_ue)
-            served_own = np.minimum(own_bits + arrivals[scheduled],
-                                    (rate * dt).astype(np.int64))
-            served = np.zeros(n_ue, dtype=np.int64)
-            served[scheduled] = served_own
-            queues, dropped = queue_step(queues, arrivals, served, queue)
-
-            # every scheduled SBS radiates its power for the full slot
-            radiated_w = float(powers.sum())
-
-            arrived += int(arrivals.sum())
-            delivered += int(served_own.sum())
+            slot_arrivals = arrivals[s]
+            served[lanes] = np.minimum(own_bits + slot_arrivals[lanes],
+                                       (rate * dt).astype(np.int64), out=served_rows[s])
+            queues, dropped = queue_step(queues, slot_arrivals, served, queue)
             dropped_per_ue += dropped
-            energy += (radiated_w + n_sbs * phy.circuit_power_w) * dt
-            power_sum += radiated_w
-            interference_sum += float(interference.mean())
-            sched_rate_hz[scheduled] += served_own / (dt * phy.bandwidth_hz)
-            sched_power[scheduled] += powers
+            # every scheduled SBS radiates its power for the full slot
+            power_rows[s] = powers
 
             if method == "baseline":
                 pf_state.interference_est, pf_state.meas_count = update_interference_estimate(
                     pf_state.interference_est, pf_state.meas_count, interference, estimate_mode)
-                achieved = np.zeros((n_sbs, k))
-                achieved[rows, local] = pot_rate
-                update_rate_averages(pf_state, achieved)
+                achieved[lanes] = pot_rate
+                update_rate_averages(pf_state, achieved.reshape(n_rep, n_sbs, k))
 
-    n_slots_total = n_periods * slots_per_period
-    sched_slots = sched_periods * slots_per_period
-    dropped_total = int(dropped_per_ue.sum())
+        served[lanes] = 0
+        if method == "baseline":
+            achieved[lanes] = 0
+        slots = slice(period * spp, (period + 1) * spp)
+        radiated[slots] = power_rows.sum(axis=2)
+        interference_mean[slots] = interference_rows.mean(axis=2)
+        arrived += arrivals.reshape(spp, n_rep, n_ue).sum(axis=(0, 2))
+        delivered += served_rows.sum(axis=(0, 2))
+        infeasible += infeasible_rows.sum(axis=(0, 2))
+        _fold_in_order(sched_rate_hz, lanes, served_rows / (dt * phy.bandwidth_hz))
+        _fold_in_order(sched_power, lanes, power_rows)
+
+    n_slots_total = n_periods * spp
+    energy = np.add.accumulate((radiated + n_sbs * phy.circuit_power_w) * dt)[-1]
+    power_sum = np.add.accumulate(radiated)[-1]
+    interference_sum = np.add.accumulate(interference_mean)[-1]
+    sched_slots = sched_periods * spp
     share = sched_periods / n_periods
     mean_rate = np.where(sched_slots > 0, sched_rate_hz / np.maximum(sched_slots, 1), 0.0)
     mean_pow = np.where(sched_slots > 0, sched_power / np.maximum(sched_slots, 1), 0.0)
-    utility = float((share * mean_rate / (mean_pow + phy.circuit_power_w)).sum() / n_sbs)
+    utility = (share * mean_rate / (mean_pow + phy.circuit_power_w)).reshape(n_rep, n_ue)
+    utility = utility.sum(axis=1) / n_sbs
+    dropped_per_ue = dropped_per_ue.reshape(n_rep, n_ue)
+    dropped_total = dropped_per_ue.sum(axis=1)
+    outage = (dropped_per_ue > 0).mean(axis=1)
+    backlog_delta = queues.reshape(n_rep, n_ue).sum(axis=1) - backlog_start
 
-    return EpisodeMetrics(
-        method=method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
-        arrived_bits=arrived, delivered_bits=delivered, dropped_bits=dropped_total,
-        backlog_delta_bits=int(queues.sum()) - backlog_start, energy_j=energy,
-        ee_bits_per_j=delivered / energy if energy > 0 else 0.0,
-        outage_fraction=float((dropped_per_ue > 0).mean()),
-        dropped_ratio=dropped_total / arrived if arrived > 0 else 0.0,
-        mean_power_w=power_sum / (n_slots_total * n_sbs),
-        interference_mean=interference_sum / n_slots_total,
-        utility=utility, infeasible_slots=infeasible,
-    )
+    out = []
+    for r in range(n_rep):
+        arrived_r, delivered_r, dropped_r = int(arrived[r]), int(delivered[r]), int(dropped_total[r])
+        energy_r = float(energy[r])
+        out.append(EpisodeMetrics(
+            method=method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
+            arrived_bits=arrived_r, delivered_bits=delivered_r, dropped_bits=dropped_r,
+            backlog_delta_bits=int(backlog_delta[r]), energy_j=energy_r,
+            ee_bits_per_j=delivered_r / energy_r if energy_r > 0 else 0.0,
+            outage_fraction=float(outage[r]),
+            dropped_ratio=dropped_r / arrived_r if arrived_r > 0 else 0.0,
+            mean_power_w=float(power_sum[r]) / (n_slots_total * n_sbs),
+            interference_mean=float(interference_sum[r]) / n_slots_total,
+            utility=float(utility[r]), infeasible_slots=int(infeasible[r]),
+        ))
+    return out
+
+
+def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueueParams,
+                *, n_periods: int, seed: int, solution: MfgSolution | None = None,
+                dpp: DppParams = DppParams(), qos_min_rate_bps: float | None = None,
+                slots_per_period: int = 100, initial_backlog: str = "empty",
+                estimate_mode: str = "arithmetic", drain_window_slots: int = 40,
+                replicate: int = 0) -> EpisodeMetrics:
+    """Simulate one episode (replicate `replicate`) and return its metrics;
+    run_episodes on one deployment."""
+    return run_episodes(
+        [deploy], method, phy, queue, n_periods=n_periods, seed=seed,
+        replicates=[replicate], solution=solution, dpp=dpp,
+        qos_min_rate_bps=qos_min_rate_bps, slots_per_period=slots_per_period,
+        initial_backlog=initial_backlog, estimate_mode=estimate_mode,
+        drain_window_slots=drain_window_slots)[0]
 
 
 METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",
@@ -262,18 +344,3 @@ def summarize_replications(metrics: list[EpisodeMetrics]) -> ReplicationSummary:
         out.mean[key] = float(vals.mean())
         out.ci_half[key] = float(tcrit * vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return out
-
-
-def run_replications(deploy_fn, episode_fn, n_replicates: int, base_seed: int):
-    """Run paired replicates: replicate i gets a deployment from
-    deploy_fn(seed_i) and metrics from episode_fn(deployment, base_seed, i).
-
-    Seeds derive deterministically from base_seed so reruns are identical.
-    Returns (metrics list, summary).
-    """
-    if n_replicates < 1:
-        raise ConfigError("n_replicates must be at least 1")
-    metrics = [episode_fn(deploy_fn(np.random.SeedSequence(base_seed, spawn_key=(i, 0))),
-                          base_seed, i)
-               for i in range(n_replicates)]
-    return metrics, summarize_replications(metrics)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from udnsim import ConfigError, PhyParams, myopic_power, pf_schedule, update_interference_estimate
-from udnsim.baseline import BaselineState, drain_power, update_rate_averages
+from udnsim.baseline import (BaselineState, drain_power, qos_floor_power,
+                             update_rate_averages)
 from udnsim.phy import LN2
 from udnsim.power_opt import _phi
 
@@ -90,7 +91,8 @@ def test_drain_power_cases(phy):
     assert cleared == pytest.approx(own[1], rel=1e-12)
     qos = 1e5
     p_qos, _ = myopic_power(beta, 0.0, 1.0, phy, qos)
-    floored = drain_power(p_qos, beta, own, cell, horizon, window, phy, qos)
+    floor_w, _ = qos_floor_power(beta, qos, phy)
+    floored = drain_power(p_qos, beta, own, cell, horizon, window, phy, floor_w)
     assert floored[2] > free[2]
     assert phy.bandwidth_hz * np.log1p(beta[2] * floored[2]) / LN2 == pytest.approx(qos, rel=1e-12)
 

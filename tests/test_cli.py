@@ -163,6 +163,66 @@ def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solv
     assert len(table.strip().split("\n")) == 1 + len(values.split(","))
 
 
+def record_episodes(monkeypatch):
+    """Wrap the CLI's run_episodes; returns the list of (method, deploys)."""
+    run = udnsim.cli.run_episodes
+    calls = []
+
+    def recording(deploys, method, *args, **kwargs):
+        calls.append((method, deploys))
+        return run(deploys, method, *args, **kwargs)
+
+    monkeypatch.setattr(udnsim.cli, "run_episodes", recording)
+    return calls
+
+
+def count_deployments(monkeypatch):
+    draw = udnsim.cli.generate_deployment
+    seeds = []
+
+    def counting(*args, seed, **kwargs):
+        seeds.append(seed.spawn_key)
+        return draw(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(udnsim.cli, "generate_deployment", counting)
+    return seeds
+
+
+def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
+    """Both methods run on the same deployment objects, drawn once; the
+    calibration solve reuses replicate 0's."""
+    calls = record_episodes(monkeypatch)
+    seeds = count_deployments(monkeypatch)
+    cfg, _ = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert [method for method, _ in calls] == ["mfg", "baseline"]
+    (_, mfg), (_, base) = calls
+    assert len(mfg) == 2
+    assert all(a is b for a, b in zip(mfg, base))  # paired deployments across methods
+    assert seeds == [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("key, values, mfg_runs, baseline_runs, draws",
+                         [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4)])
+def test_sweep_runs_baseline_once_per_geometry(tmp_path, monkeypatch, key, values,
+                                               mfg_runs, baseline_runs, draws):
+    calls = record_episodes(monkeypatch)
+    seeds = count_deployments(monkeypatch)
+    cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    methods = [method for method, _ in calls]
+    assert (methods.count("mfg"), methods.count("baseline")) == (mfg_runs, baseline_runs)
+    assert len(seeds) == draws
+    rows = open(os.path.join(out, "sweep_metrics.csv")).read().strip().split("\n")
+    assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
+
+
+def test_zero_slots_per_period_exits_2(tmp_path):
+    cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("slots_per_period = 10",
+                                                 "slots_per_period = 0"))
+    assert main(["simulate", "--config", cfg]) == 2
+
+
 def test_sweep_requires_sweep_section(tmp_path):
     cfg, _ = write_cfg(tmp_path, SIM_CFG)
     assert main(["sweep", "--config", cfg]) == 2

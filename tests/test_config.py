@@ -71,6 +71,7 @@ def test_missing_file_rejected(tmp_path):
     "[deployment]\nk = 0\n",
     "[deployment]\nisd_units = -1\n",
     "[simulate]\nn_replicates = 0\n",
+    "[simulate]\nslots_per_period = 0\n",
     "[simulate]\nestimate_mode = kalman\n",
     "[simulate]\ninitial_backlog = full\n",
     "[sweep]\nkey = frequency\n",

@@ -5,9 +5,9 @@ import pytest
 import scipy.stats
 
 from udnsim import (ConfigError, Deployment, EpisodeMetrics, PhyParams,
-                    QueueParams, generate_deployment, run_episode, run_replications)
-from udnsim.simulate import (METRIC_FIELDS, _sample_initial_backlog, derived_rng,
-                             summarize_replications)
+                    QueueParams, generate_deployment, run_episode, run_episodes)
+from udnsim.simulate import (METRIC_FIELDS, _fold_in_order, _sample_initial_backlog,
+                             derived_rng, summarize_replications)
 
 
 def synthetic_deployment(n_sbs, k, gain_scale, noise=0.05, eta=0.0):
@@ -131,26 +131,57 @@ def test_derived_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-def test_run_replications_pairing(phy, queue, small_solution):
-    seen = {"mfg": [], "baseline": []}
+@pytest.mark.parametrize("start", ["empty", "density"])
+@pytest.mark.parametrize("estimate_mode", ["arithmetic", "exponential"])
+@pytest.mark.parametrize("method", ["mfg", "baseline"])
+def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode, start):
+    """A batch of three deployments gives each one exactly the metrics it
+    gets alone; the small buffer makes drops happen."""
+    deploys = [generate_deployment(12.5, 2, phy, seed=s) for s in (99, 100, 101)]
+    assert len({d.noise_norm for d in deploys}) == 3
+    queue = QueueParams(capacity_bits=60_000)
+    kw = dict(n_periods=3, seed=2024, solution=small_solution, slots_per_period=15,
+              estimate_mode=estimate_mode, initial_backlog=start)
+    batch = run_episodes(deploys, method, phy, queue, replicates=[2, 0, 5], **kw)
+    alone = [run_episode(d, method, phy, queue, replicate=r, **kw)
+             for d, r in zip(deploys, (2, 0, 5))]
+    assert batch == alone
+    assert all(m.dropped_bits > 0 for m in batch)
+    assert len({m.delivered_bits for m in batch}) == 3
 
-    def make(method):
-        def deploy_fn(seed):
-            seen[method].append(seed.entropy if hasattr(seed, "entropy") else seed)
-            return synthetic_deployment(2, 2, gain_scale=0.5, noise=0.1)
 
-        def episode_fn(dep, base_seed, i):
-            return run_episode(dep, method, phy, queue, n_periods=1, seed=base_seed,
-                               solution=small_solution, slots_per_period=5,
-                               replicate=i)
-        return deploy_fn, episode_fn
+def test_fold_in_order_matches_slot_loop(rng):
+    """Per-UE float sums round as one += per slot does; the values span 16
+    decades, so any other order of the adds rounds differently."""
+    start = 10.0 ** rng.uniform(-8, 8, 40)
+    index = rng.permutation(40)[:12].reshape(3, 4)
+    rows = 10.0 ** rng.uniform(-8, 8, (25, 3, 4))
+    loop, backwards = start.copy(), start.copy()
+    for row in rows:
+        loop[index] += row
+    for row in rows[::-1]:
+        backwards[index] += row
+    assert not np.array_equal(backwards, loop)
+    total = start.copy()
+    _fold_in_order(total, index, rows)
+    assert total.tolist() == loop.tolist()
 
-    for method in ("mfg", "baseline"):
-        dep_fn, ep_fn = make(method)
-        metrics, summary = run_replications(dep_fn, ep_fn, 3, base_seed=77)
-        assert len(metrics) == 3
-        assert summary.n == 3
-    assert seen["mfg"] == seen["baseline"]  # paired deployments across methods
+
+def test_batch_validation(small_deploy, phy, queue):
+    kw = dict(seed=0, replicates=[0])
+    with pytest.raises(ConfigError):
+        run_episodes([small_deploy], "baseline", phy, queue, n_periods=0, **kw)
+    with pytest.raises(ConfigError):
+        run_episodes([small_deploy], "baseline", phy, queue, n_periods=1,
+                     slots_per_period=0, **kw)
+    with pytest.raises(ConfigError):
+        run_episode(small_deploy, "baseline", phy, queue, n_periods=1, seed=0,
+                    slots_per_period=0)
+    with pytest.raises(ConfigError):  # one replicate index per deployment
+        run_episodes([small_deploy] * 2, "baseline", phy, queue, n_periods=1, **kw)
+    with pytest.raises(ConfigError):  # one shape per batch
+        run_episodes([small_deploy, synthetic_deployment(2, 2, gain_scale=0.5)],
+                     "baseline", phy, queue, n_periods=1, seed=0, replicates=[0, 1])
 
 
 def test_summary_confidence_interval():
