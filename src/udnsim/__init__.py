@@ -9,7 +9,7 @@ from .errors import (CflError, ConfigError, ConvergenceError, InvariantError,
 from .fields import (DensityField, GridSpec, MfgSolution, PowerPolicy, ValueField,
                      initial_density, terminal_value)
 from .phy import PathlossModel, PhyParams, QueueParams
-from .power_opt import existence_check, maximize_rate_value, optimal_power_pointwise
+from .power_opt import maximize_rate_value
 from .scheduler import DppParams, SchedulerState, dpp_step
 from .simulate import EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
@@ -23,10 +23,9 @@ __all__ = [
     "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
     "PowerPolicy", "QueueParams", "ReplicationSummary",
     "RunConfig", "SchedulerState", "SchemeError", "UdnsimError", "ValueField",
-    "__version__", "dpp_step", "drift_field", "existence_check", "fpk_forward",
+    "__version__", "dpp_step", "drift_field", "fpk_forward",
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",
     "load_config", "load_solution", "maximize_rate_value", "mf_interference",
-    "myopic_power", "optimal_power_pointwise", "pf_schedule", "run_episode",
-    "run_episodes", "save_solution", "solve_mfg", "terminal_value",
-    "update_interference_estimate",
+    "myopic_power", "pf_schedule", "run_episode", "run_episodes",
+    "save_solution", "solve_mfg", "terminal_value", "update_interference_estimate",
 ]

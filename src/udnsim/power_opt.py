@@ -27,14 +27,15 @@ Lambert-W branch (Isheden et al., 2012; Zappone & Jorswieck, 2015):
 phi is strictly quasi-concave on p >= 0 here (psi' = beta ln(1 + beta p) > 0),
 so p* clipped to [lo, hi] is the maximizer.
 
-Value-weighted case (vgrad != 0, the HJB nodes).  A 25-point scan of psi over
-[lo, hi] finds the first scan interval whose left end has psi <= 0 and whose
-right end psi > 0.  That interval holds an odd number of roots, and exactly
-one, since three would need a second up-crossing.  A fixed number of
-safeguarded Newton steps converge on it from the secant root of the scan
-values: each step shrinks the bracket by the sign of psi, takes the Newton
-point when it lies in the closed bracket and bisects otherwise.  Without an
-up-crossing the better endpoint wins.
+Value-weighted case (vgrad != 0, the HJB nodes).  A scan of psi at the
+N_SCAN = 25 evenly spaced fractions SCAN_FRAC of [lo, hi], a module constant
+shared by every call, finds the first scan interval whose left end has
+psi <= 0 and whose right end psi > 0.  That interval holds an odd number of
+roots, and exactly one, since three would need a second up-crossing.  A fixed
+number of safeguarded Newton steps converge on it from the secant root of the
+scan values: each step shrinks the bracket by the sign of psi, takes the
+Newton point when it lies in the closed bracket and bisects otherwise.
+Without an up-crossing the better endpoint wins.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import lambertw
 
-from .errors import ConfigError
 from .phy import PhyParams
 
 # scan grid density for the up-crossing bracket, and Newton steps from the
@@ -50,6 +50,8 @@ from .phy import PhyParams
 # four steps reached the bisected root to 1.3e-15 W, the fifth is margin
 N_SCAN = 25
 N_NEWTON = 5
+# the scan points as fractions of [lo, hi], one column for all lanes
+SCAN_FRAC = np.linspace(0.0, 1.0, N_SCAN)[:, None]
 
 
 def _phi(p, beta, vgrad, p0):
@@ -67,11 +69,10 @@ def _ee_power(beta, lo, hi, p0):
     return np.clip(np.expm1(w + 1.0) / beta, lo, hi)
 
 
-def _hjb_power(beta, vgrad, lo, hi, p0, n_scan):
+def _hjb_power(beta, vgrad, lo, hi, p0):
     """Scan for the up-crossing of psi, Newton on it, compare with endpoints."""
     v = vgrad * beta
-    frac = np.linspace(0.0, 1.0, n_scan)[:, None]
-    ps = lo + (hi - lo) * frac
+    ps = lo + (hi - lo) * SCAN_FRAC
     psi = _psi(ps, beta, v, p0)
     sign_pos = psi > 0.0
     up = sign_pos[1:] & ~sign_pos[:-1]
@@ -103,7 +104,7 @@ def _hjb_power(beta, vgrad, lo, hi, p0, n_scan):
     return cand[best, idx]
 
 
-def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, n_scan=N_SCAN):
+def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams):
     """Vectorized argmax of phi over [lo, hi] elementwise.
 
     beta, vgrad, lo, hi broadcast together.  Elements with vgrad == 0 take
@@ -130,35 +131,6 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, n_scan=N_SCAN):
     if ee.any():
         p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
     if hjb.any():
-        p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0, n_scan)
+        p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0)
     val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
     return p.reshape(shape), val.reshape(shape)
-
-
-def optimal_power_pointwise(beta, dgamma_dq, phy: PhyParams, lo=0.0, hi=None):
-    """Scalar optimal power for channel quality beta and value gradient dgamma_dq.
-
-    dgamma_dq is the marginal value of rate (utility per nat of spectral
-    rate); the stationarity condition uses v = dgamma_dq * beta.  The result
-    is clamped to [lo, hi] inside [0, max_power_w].
-    """
-    if not (np.isfinite(beta) and np.isfinite(dgamma_dq)):
-        raise ConfigError("optimal_power_pointwise requires finite inputs")
-    if beta < 0:
-        raise ConfigError("beta must be nonnegative")
-    if hi is None:
-        hi = phy.max_power_w
-    if beta == 0.0:
-        return float(np.clip(0.0, lo, hi))
-    p, _ = maximize_rate_value(beta, dgamma_dq, lo, hi, phy, n_scan=65)
-    return float(p)
-
-
-def existence_check(v, power_w, beta, phy: PhyParams, tol=1e-12) -> bool:
-    """Uniqueness diagnostic for the stationarity condition at (v, p, beta).
-
-    True when |2 v (p + p0) + beta ln(1 + beta p)| exceeds tol, i.e. the
-    stationary point is locally one-sided and the root is well defined.
-    """
-    expr = 2.0 * v * (power_w + phy.circuit_power_w) + beta * np.log1p(beta * power_w)
-    return bool(abs(expr) > tol)

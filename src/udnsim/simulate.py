@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from .baseline import (ESTIMATE_MODES, BaselineState, drain_power, efficient_power,
                        pf_schedule, qos_floor_power, update_interference_estimate,
@@ -334,11 +334,16 @@ class ReplicationSummary:
 
 
 def summarize_replications(metrics: list[EpisodeMetrics]) -> ReplicationSummary:
+    """Mean and Student-t 95% half-width of each metric over the replicates.
+
+    The t quantile comes from ``scipy.special.stdtrit``, the same function
+    ``scipy.stats.t.ppf`` evaluates, without importing ``scipy.stats``.
+    """
     if not metrics:
         raise ConfigError("no replicates to summarize")
     n = len(metrics)
     out = ReplicationSummary(n=n)
-    tcrit = float(scipy.stats.t.ppf(0.975, n - 1)) if n > 1 else 0.0
+    tcrit = float(stdtrit(n - 1, 0.975)) if n > 1 else 0.0
     for key in METRIC_FIELDS:
         vals = np.array([float(getattr(m, key)) for m in metrics])
         out.mean[key] = float(vals.mean())

@@ -93,28 +93,30 @@ def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
     policy = np.empty((grid.n_t, n_q))
     value[-1] = terminal
 
+    # the (2 n_q,) gradients and bounds of both branches, fill then drain,
+    # refilled in place at each step: the clamped wall gradients (fill at
+    # y=1, drain at y=0) stay 0, and only the balance power moves the bounds
+    vgrads = np.zeros(2 * n_q)
+    lo = np.zeros(2 * n_q)
+    hi = np.full(2 * n_q, phy.max_power_w)
+    cols = np.arange(n_q)
+    bal_snr = np.expm1(abar / rcoef)
+
     def step(v_next, beta_i):
-        # one-sided differences of the known (later) slice
-        dplus = np.zeros(n_q)
-        dminus = np.zeros(n_q)
-        dplus[:-1] = (v_next[1:] - v_next[:-1]) / dq
-        dminus[1:] = (v_next[1:] - v_next[:-1]) / dq
+        # one-sided differences of the known (later) slice: the fill branch
+        # takes the forward difference, the drain branch the backward one
+        diff = (v_next[1:] - v_next[:-1]) / dq
+        vgrads[:n_q - 1] = diff
+        vgrads[n_q + 1:] = diff
 
         # balance power: rate equals arrivals, the drift sign switch
         if beta_i > 0:
-            p_bal = min(np.expm1(abar / rcoef) / beta_i, phy.max_power_w)
+            p_bal = min(bal_snr / beta_i, phy.max_power_w)
         else:
             p_bal = phy.max_power_w
+        hi[:n_q] = p_bal
+        lo[n_q:] = p_bal
 
-        # fill branch uses the forward difference (clamped at the top wall),
-        # drain branch the backward difference (clamped at the bottom wall)
-        grad_fill = dplus.copy()
-        grad_fill[-1] = 0.0
-        grad_drain = dminus.copy()
-        grad_drain[0] = 0.0
-        vgrads = np.concatenate([grad_fill, grad_drain])
-        lo = np.concatenate([np.zeros(n_q), np.full(n_q, p_bal)])
-        hi = np.concatenate([np.full(n_q, p_bal), np.full(n_q, phy.max_power_w)])
         # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the -vgrad*rate
         # part of phi, so vgrad = rcoef*dV/dy and the arrival term remains
         p_all, phi_all = maximize_rate_value(beta_i, rcoef * vgrads, lo, hi, phy)
@@ -123,7 +125,6 @@ def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
         if p_bal >= phy.max_power_w:  # no drain region anywhere in the box
             ham[1] = -np.inf
         pick = np.argmax(ham, axis=0)
-        cols = np.arange(n_q)
         return p_all[pick, cols], ham[pick, cols]
 
     # policy on the terminal slice, from the terminal gradient

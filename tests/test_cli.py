@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,3 +259,14 @@ def test_report_plot_if_matplotlib_present(tmp_path):
     assert main(["report", "--metrics", os.path.join(out, "metrics_baseline.csv"),
                  "--metric", "ee_bits_per_j", "--out", rep, "--plot"]) == 0
     assert os.path.exists(os.path.join(rep, "cdf_ee_bits_per_j.png"))
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the package's import time and memory and
+    # nothing in the package needs it; check in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, udnsim, udnsim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

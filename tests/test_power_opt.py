@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from udnsim import ConfigError, PhyParams
-from udnsim.power_opt import (N_SCAN, _phi, _psi, existence_check,
-                              maximize_rate_value, optimal_power_pointwise)
+from udnsim import GridSpec
+from udnsim.power_opt import N_SCAN, _phi, _psi, maximize_rate_value
+from udnsim.solver import _existence_violations, _rate_coeffs
 
 
-def _bisect_reference(beta, vgrad, lo, hi, phy, n_scan=N_SCAN):
+def _bisect_reference(beta, vgrad, lo, hi, phy):
     """Scan-and-bisection reference for maximize_rate_value, same contract.
 
     Scans psi for its first up-crossing, bisects that bracket 46 times
@@ -23,7 +23,7 @@ def _bisect_reference(beta, vgrad, lo, hi, phy, n_scan=N_SCAN):
     hi = np.clip(hi.ravel(), lo, phy.max_power_w)
     v = vgrad * beta
 
-    frac = np.linspace(0.0, 1.0, n_scan)[:, None]
+    frac = np.linspace(0.0, 1.0, N_SCAN)[:, None]
     ps = lo[None, :] + (hi - lo)[None, :] * frac
     sign_pos = _psi(ps, beta[None, :], v[None, :], p0) > 0.0
     up = sign_pos[1:] & ~sign_pos[:-1]
@@ -152,29 +152,23 @@ def test_zero_beta_never_radiates(phy):
     assert val == 0.0
 
 
-def test_scalar_wrapper_consistency(phy, rng):
-    beta, vgrad = draw_cases(rng, 50)
-    vec_p, _ = maximize_rate_value(beta, vgrad, 0.0, phy.max_power_w, phy)
-    for i in range(beta.size):
-        ps = optimal_power_pointwise(beta[i], vgrad[i], phy)
-        # scalar path scans denser but brackets the same unique crossing
-        assert abs(ps - vec_p[i]) < 1e-9
+def _violations(v, power_w, beta, phy, queue):
+    """solver._existence_violations on two slices whose value has the constant
+    gradient giving v = beta * rcoef * dV/dy at every node."""
+    grid = GridSpec(2, 5)
+    _, rcoef = _rate_coeffs(phy, queue)
+    value = np.tile(v / (beta * rcoef) * grid.queues, (2, 1))
+    policy = np.full((2, grid.n_q), power_w)
+    return _existence_violations(grid, value, policy, np.full(2, beta), phy, queue)
 
 
-def test_scalar_wrapper_validation(phy):
-    with pytest.raises(ConfigError):
-        optimal_power_pointwise(float("nan"), 0.0, phy)
-    with pytest.raises(ConfigError):
-        optimal_power_pointwise(-1.0, 0.0, phy)
-    assert optimal_power_pointwise(0.0, -3.0, phy, lo=0.1) == pytest.approx(0.1)
-
-
-def test_existence_diagnostic(phy):
+def test_existence_diagnostic(phy, queue):
+    # psi'(p) = 2 v (p + p0) + beta ln(1 + beta p) at all 10 nodes;
     # v = 0 at p = 0 collapses the expression exactly
-    assert not existence_check(0.0, 0.0, 1.0, phy)
-    assert existence_check(0.0, 0.5, 1.0, phy)
-    assert existence_check(-2.0, 0.3, 5.0, phy)
+    assert _violations(0.0, 0.0, 1.0, phy, queue) == 10
+    assert _violations(0.0, 0.5, 1.0, phy, queue) == 0
+    assert _violations(-2.0, 0.3, 5.0, phy, queue) == 0
     # cancellation: 2 v (p+p0) = -beta ln(1+beta p)
     p, beta = 0.5, 2.0
-    v = -beta * np.log1p(beta * p) / (2 * (p + 1.0))
-    assert not existence_check(v, p, beta, phy)
+    v = -beta * np.log1p(beta * p) / (2 * (p + phy.circuit_power_w))
+    assert _violations(v, p, beta, phy, queue) == 10

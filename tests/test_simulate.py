@@ -184,19 +184,23 @@ def test_batch_validation(small_deploy, phy, queue):
                      "baseline", phy, queue, n_periods=1, seed=0, replicates=[0, 1])
 
 
-def test_summary_confidence_interval():
+@pytest.mark.parametrize("n", [2, 3, 20, 1000])
+def test_summary_confidence_interval(n):
+    vals = 1.0 + np.arange(n) ** 1.5 / n
     rows = []
-    for v in (1.0, 2.0, 3.0):
+    for v in vals:
         m = EpisodeMetrics(method="x", seed=0, n_periods=1, n_sbs=1, n_ue=1)
         for key in METRIC_FIELDS:
-            setattr(m, key, v)
+            setattr(m, key, float(v))
         rows.append(m)
     s = summarize_replications(rows)
-    tcrit = scipy.stats.t.ppf(0.975, 2)
+    # summary.csv carries this value, so it must equal the t.ppf expression
+    tcrit = float(scipy.stats.t.ppf(0.975, n - 1))
+    ci_half = float(tcrit * vals.std(ddof=1) / np.sqrt(n))
     for key in METRIC_FIELDS:
-        assert s.mean[key] == pytest.approx(2.0)
-        assert s.ci_half[key] == pytest.approx(tcrit / np.sqrt(3), rel=1e-12)
-        assert s.lo(key) == pytest.approx(2.0 - s.ci_half[key])
-        assert s.hi(key) == pytest.approx(2.0 + s.ci_half[key])
+        assert s.mean[key] == pytest.approx(vals.mean(), rel=1e-12)
+        assert s.ci_half[key] == ci_half
+        assert s.lo(key) == pytest.approx(s.mean[key] - ci_half)
+        assert s.hi(key) == pytest.approx(s.mean[key] + ci_half)
     with pytest.raises(ConfigError):
         summarize_replications([])

@@ -6,8 +6,8 @@ from udnsim import (CflError, ConfigError, ConvergenceError, GridSpec, PhyParams
                     QueueParams, fpk_forward, hjb_backward, initial_density,
                     mf_interference, solve_mfg, terminal_value)
 from udnsim.fields import density_mass
-from udnsim.power_opt import _phi
-from udnsim.solver import _rate_coeffs, drift_field
+from udnsim.power_opt import _phi, maximize_rate_value
+from udnsim.solver import _beta_traj, _rate_coeffs, drift_field
 from test_power_opt import _bisect_reference
 
 
@@ -63,6 +63,65 @@ def test_hjb_uniform_terminal_is_exact(phy, queue):
 def test_hjb_value_monotone_in_backlog(small_solution):
     dv = np.diff(small_solution.value, axis=1)
     assert dv.max() <= 1e-9  # more backlog is never better
+
+
+def _sweep_reference(grid, terminal, interference, phy, queue, noise_norm):
+    """hjb_backward with each step's branch gradients and bounds built afresh
+    by concatenation, then handed to one maximize_rate_value call."""
+    abar, rcoef = _rate_coeffs(phy, queue)
+    beta = _beta_traj(interference, noise_norm, 1.0)
+    n_q, dq = grid.n_q, grid.dq
+    value = np.empty((grid.n_t, n_q))
+    policy = np.empty((grid.n_t, n_q))
+    value[-1] = terminal
+
+    def step(v_next, beta_i):
+        dplus = np.zeros(n_q)
+        dminus = np.zeros(n_q)
+        dplus[:-1] = (v_next[1:] - v_next[:-1]) / dq
+        dminus[1:] = (v_next[1:] - v_next[:-1]) / dq
+        if beta_i > 0:
+            p_bal = min(np.expm1(abar / rcoef) / beta_i, phy.max_power_w)
+        else:
+            p_bal = phy.max_power_w
+        grad_fill = dplus.copy()
+        grad_fill[-1] = 0.0
+        grad_drain = dminus.copy()
+        grad_drain[0] = 0.0
+        vgrads = np.concatenate([grad_fill, grad_drain])
+        lo = np.concatenate([np.zeros(n_q), np.full(n_q, p_bal)])
+        hi = np.concatenate([np.full(n_q, p_bal), np.full(n_q, phy.max_power_w)])
+        p_all, phi_all = maximize_rate_value(beta_i, rcoef * vgrads, lo, hi, phy)
+        ham = (phi_all + abar * vgrads).reshape(2, n_q)
+        p_all = p_all.reshape(2, n_q)
+        if p_bal >= phy.max_power_w:
+            ham[1] = -np.inf
+        pick = np.argmax(ham, axis=0)
+        cols = np.arange(n_q)
+        return p_all[pick, cols], ham[pick, cols]
+
+    policy[-1], _ = step(terminal, float(beta[-1]))
+    for i in range(grid.n_t - 2, -1, -1):
+        p_i, ham_i = step(value[i + 1], float(beta[i]))
+        value[i] = value[i + 1] + grid.dt * ham_i
+        policy[i] = p_i
+    return value, policy
+
+
+@pytest.mark.parametrize("boundary", ["exponential", "uniform"])
+@pytest.mark.parametrize("trajectory", ["zero", "varying"])
+def test_hjb_matches_sweep_reference_bitwise(phy, queue, boundary, trajectory):
+    # the varying trajectory also reaches beta below the balance threshold,
+    # where the drain branch is empty (p_bal = p_max)
+    grid = GridSpec(601, 21)
+    interference = np.zeros(grid.n_t)
+    if trajectory == "varying":
+        interference = 4.0 * (1.0 + np.sin(9.0 * grid.times))
+    terminal = terminal_value(boundary, grid.queues)
+    value, policy = hjb_backward(grid, terminal, interference, phy, queue, noise_norm=0.1)
+    ref_value, ref_policy = _sweep_reference(grid, terminal, interference, phy, queue, 0.1)
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(policy, ref_policy)
 
 
 def test_drift_field_formula(phy, queue):
