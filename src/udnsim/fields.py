@@ -144,25 +144,22 @@ class PowerPolicy:
         if self.values.min() < 0.0 or self.values.max() > self.max_power_w + 1e-12:
             raise InvariantError("policy leaves the [0, max_power] box")
 
-    def __call__(self, t, q_norm):
-        """Bilinear policy lookup; t scalar or array, q_norm array-like."""
-        return bilinear(self.grid, self.values, t, q_norm)
 
 
 def bilinear(grid: GridSpec, values: np.ndarray, t, q_norm):
-    """Bilinear interpolation of a (n_t, n_q) field, clamped to the domain."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, grid.horizon_s)
-    y = np.clip(np.asarray(q_norm, dtype=float), 0.0, 1.0)
-    ft = np.minimum(t / grid.dt, grid.n_t - 1 - 1e-12)
-    fy = np.minimum(y / grid.dq, grid.n_q - 1 - 1e-12)
-    it = ft.astype(int)
-    iy = fy.astype(int)
+    """Bilinear interpolation of a (n_t, n_q) field at one time t (a scalar)
+    and the backlogs q_norm, clamped to the domain."""
+    ft = min(min(max(float(t), 0.0), grid.horizon_s) / grid.dt, grid.n_t - 1 - 1e-12)
+    it = int(ft)
     at = ft - it
+    y = np.minimum(np.maximum(q_norm, 0.0), 1.0)
+    fy = np.minimum(y / grid.dq, grid.n_q - 1 - 1e-12)
+    iy = fy.astype(int)
     ay = fy - iy
-    v00 = values[it, iy]
-    v01 = values[it, iy + 1]
-    v10 = values[it + 1, iy]
-    v11 = values[it + 1, iy + 1]
+    # the two time rows bracketing t, then the two backlog nodes in each
+    row0, row1 = values[it], values[it + 1]
+    v00, v01 = row0[iy], row0[iy + 1]
+    v10, v11 = row1[iy], row1[iy + 1]
     return (1 - at) * ((1 - ay) * v00 + ay * v01) + at * ((1 - ay) * v10 + ay * v11)
 
 
@@ -192,9 +189,6 @@ class MfgSolution:
     @property
     def residual(self) -> float:
         return self.residuals[-1] if self.residuals else float("nan")
-
-    def power_policy(self) -> PowerPolicy:
-        return PowerPolicy(self.grid, self.policy, self.max_power_w)
 
     def validate(self):
         ValueField(self.grid, self.value).validate()

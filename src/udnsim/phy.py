@@ -89,11 +89,6 @@ def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w=No
     return phy.bandwidth_hz * np.log1p(sinr) / LN2
 
 
-def ee_utility(rate_bps, power_w, phy: PhyParams):
-    """Bits per Joule for the given radiated power."""
-    return np.asarray(rate_bps, dtype=float) / (np.asarray(power_w, dtype=float) + phy.circuit_power_w)
-
-
 def queue_step(q_bits, arrival_bits, served_bits, queue: QueueParams):
     """One slot of queue dynamics.
 

@@ -36,6 +36,12 @@ number of safeguarded Newton steps converge on it from the secant root of the
 scan values: each step shrinks the bracket by the sign of psi, takes the
 Newton point when it lies in the closed bracket and bisects otherwise.
 Without an up-crossing the better endpoint wins.
+
+maximize_rate_value takes one pass over the broadcast inputs instead of
+gathering each case's elements: p* at beta's own shape (one Lambert-W for the
+solver's scalar beta) clipped by broadcasting, the search on every element
+only when some vgrad is nonzero, then np.where picks per element.  Each
+element takes the same floating-point operations either way.
 """
 
 from __future__ import annotations
@@ -64,13 +70,18 @@ def _psi(p, beta, v, p0):
 
 
 def _ee_power(beta, lo, hi, p0):
-    """Clipped Lambert-W maximizer of ln(1 + beta p) / (p + p0), beta > 0."""
+    """Lambert-W maximizer of ln(1 + beta p) / (p + p0) clipped to [lo, hi];
+    meaningful where beta > 0, evaluated at beta's shape before the clip."""
     w = lambertw((beta * p0 - 1.0) / np.e).real
-    return np.clip(np.expm1(w + 1.0) / beta, lo, hi)
+    return np.minimum(np.maximum(np.expm1(w + 1.0) / beta, lo), hi)
 
 
 def _hjb_power(beta, vgrad, lo, hi, p0):
-    """Scan for the up-crossing of psi, Newton on it, compare with endpoints."""
+    """Scan for the up-crossing of psi, Newton on it, compare with endpoints,
+    on the lanes of the four inputs broadcast together."""
+    lanes = np.broadcast_arrays(beta, vgrad, lo, hi)
+    shape = lanes[0].shape
+    beta, vgrad, lo, hi = (a.ravel() for a in lanes)
     v = vgrad * beta
     ps = lo + (hi - lo) * SCAN_FRAC
     psi = _psi(ps, beta, v, p0)
@@ -82,26 +93,25 @@ def _hjb_power(beta, vgrad, lo, hi, p0):
     idx = np.arange(beta.size)
     blo, bhi = ps[k, idx], ps[k + 1, idx]
     flo, fhi = psi[k, idx], psi[k + 1, idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # start at the secant root of the bracket, which psi(blo) <= 0 <
-        # psi(bhi) keeps inside it
-        x = blo - flo * (bhi - blo) / (fhi - flo)
-        for _ in range(N_NEWTON):
-            s = x + p0
-            bx = beta * x
-            lg = np.log1p(bx)
-            vs = v * s
-            f = (vs - beta) * s + (1.0 + bx) * lg
-            pos = f > 0.0
-            bhi = np.where(pos, x, bhi)
-            blo = np.where(pos, blo, x)
-            xn = x - f / (2.0 * vs + beta * lg)
-            # closed test: a converged step lands on the end just moved to x
-            x = np.where((xn >= blo) & (xn <= bhi), xn, 0.5 * (blo + bhi))
+    # start at the secant root of the bracket, which psi(blo) <= 0 <
+    # psi(bhi) keeps inside it
+    x = blo - flo * (bhi - blo) / (fhi - flo)
+    for _ in range(N_NEWTON):
+        s = x + p0
+        bx = beta * x
+        lg = np.log1p(bx)
+        vs = v * s
+        f = (vs - beta) * s + (1.0 + bx) * lg
+        pos = f > 0.0
+        bhi = np.where(pos, x, bhi)
+        blo = np.where(pos, blo, x)
+        xn = x - f / (2.0 * vs + beta * lg)
+        # closed test: a converged step lands on the end just moved to x
+        x = np.where((xn >= blo) & (xn <= bhi), xn, 0.5 * (blo + bhi))
 
     cand = np.stack([lo, hi, np.where(has_root, x, lo)])
     best = np.argmax(_phi(cand, beta, vgrad, p0), axis=0)
-    return cand[best, idx]
+    return cand[best, idx].reshape(shape)
 
 
 def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams):
@@ -110,27 +120,21 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams):
     beta, vgrad, lo, hi broadcast together.  Elements with vgrad == 0 take
     the closed form, the others the scan and Newton search; beta <= 0
     carries no rate and stays at lo with value 0.  Returns (p, phi_at_p).
+
+    One pass with no lane split, as the module docstring describes.
     """
     p0 = phy.circuit_power_w
-    beta, vgrad, lo, hi = np.broadcast_arrays(
-        np.asarray(beta, dtype=float),
-        np.asarray(vgrad, dtype=float),
-        np.asarray(lo, dtype=float),
-        np.asarray(hi, dtype=float),
-    )
-    shape = beta.shape
-    beta = beta.ravel()
-    vgrad = vgrad.ravel()
-    lo = np.clip(lo.ravel(), 0.0, phy.max_power_w)
-    hi = np.clip(hi.ravel(), lo, phy.max_power_w)
-
+    beta = np.asarray(beta, dtype=float)
+    vgrad = np.asarray(vgrad, dtype=float)
+    lo = np.minimum(np.maximum(lo, 0.0), phy.max_power_w)
+    hi = np.minimum(np.maximum(hi, lo), phy.max_power_w)
+    ee = vgrad == 0.0
     live = beta > 0.0
-    ee = live & (vgrad == 0.0)
-    hjb = live & ~ee
-    p = lo.copy()
-    if ee.any():
-        p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
-    if hjb.any():
-        p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0)
-    val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
-    return p.reshape(shape), val.reshape(shape)
+    # both cases also run on elements they do not serve (beta = 0 divides
+    # by zero); np.where discards those results
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(ee, _ee_power(beta, lo, hi, p0),
+                     _hjb_power(beta, vgrad, lo, hi, p0) if vgrad.any() else lo)
+        p = np.where(live, p, lo)
+        val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
+    return p, val

@@ -73,6 +73,41 @@ def test_bilinear_reproduces_nodes_and_planes():
     assert bilinear(grid, values, -1.0, 2.0) == pytest.approx(values[0, -1], rel=1e-12)
 
 
+def _bilinear_reference(grid, values, t, q_norm):
+    """The array formula bilinear replaced: t clamped and split as a NumPy
+    array, the four corners gathered by 2-D fancy indexing."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, grid.horizon_s)
+    y = np.clip(np.asarray(q_norm, dtype=float), 0.0, 1.0)
+    ft = np.minimum(t / grid.dt, grid.n_t - 1 - 1e-12)
+    fy = np.minimum(y / grid.dq, grid.n_q - 1 - 1e-12)
+    it = ft.astype(int)
+    iy = fy.astype(int)
+    at = ft - it
+    ay = fy - iy
+    v00 = values[it, iy]
+    v01 = values[it, iy + 1]
+    v10 = values[it + 1, iy]
+    v11 = values[it + 1, iy + 1]
+    return (1 - at) * ((1 - ay) * v00 + ay * v01) + at * ((1 - ay) * v10 + ay * v11)
+
+
+def test_bilinear_matches_array_formula_bitwise(rng):
+    grid = GridSpec(41, 26, 0.5)
+    values = rng.normal(size=(grid.n_t, grid.n_q))
+    # y inside, at both walls, outside; scalar, (B,) and (R, B, k) shapes
+    y = np.concatenate([rng.uniform(0.0, 1.0, 60), [0.0, 1.0, -0.3, 1.7],
+                        grid.queues])
+    times = [*grid.times[[0, 1, 17, -2, -1]], 0.0, grid.horizon_s,
+             *rng.uniform(0.0, grid.horizon_s, 5), -0.2, 0.5 + 1e-9, 3.0,
+             np.float64(0.1234), 7 * grid.dt, 0.3 * grid.dt, 0.6 * grid.dt]
+    for t in times:
+        for q in (y, y[:80].reshape(2, 8, 5), 0.42, 1.0, -1.0):
+            got = bilinear(grid, values, t, q)
+            ref = _bilinear_reference(grid, values, t, q)
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref), (t, q)
+
+
 def test_interp_trajectory():
     grid = GridSpec(5, 3, 1.0)
     traj = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
@@ -104,9 +139,3 @@ def test_field_validation():
         PowerPolicy(grid, np.full((4, 6), 1.5), 1.0).validate()
     with pytest.raises(InvariantError):
         PowerPolicy(grid, np.full((4, 6), -0.1), 1.0).validate()
-
-
-def test_policy_callable():
-    grid = GridSpec(3, 3)
-    pol = PowerPolicy(grid, np.ones((3, 3)) * 0.7, 1.0)
-    assert pol(0.5, np.array([0.1, 0.9])) == pytest.approx([0.7, 0.7])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from udnsim import ConfigError, PathlossModel, PhyParams, QueueParams
-from udnsim.phy import (dbm_to_watts, ee_utility, instantaneous_rate,
-                        pathloss_gain, queue_step, sample_arrivals)
+from udnsim.phy import (dbm_to_watts, instantaneous_rate, pathloss_gain, queue_step, sample_arrivals)
 
 
 def test_dbm_conversion():
@@ -49,10 +48,6 @@ def test_rate_monotone_in_interference(phy):
     r1 = instantaneous_rate(1.0, 1.0, 0.1, phy)
     r2 = instantaneous_rate(1.0, 1.0, 0.2, phy)
     assert r2 < r1
-
-
-def test_ee_utility(phy):
-    assert ee_utility(4e6, 1.0, phy) == pytest.approx(2e6, rel=1e-12)
 
 
 def test_queue_step_balance(queue):

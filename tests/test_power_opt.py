@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import lambertw
 
 from udnsim import GridSpec
-from udnsim.power_opt import N_SCAN, _phi, _psi, maximize_rate_value
+from udnsim.power_opt import N_SCAN, _hjb_power, _phi, _psi, maximize_rate_value
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -46,6 +49,33 @@ def _bisect_reference(beta, vgrad, lo, hi, phy):
     p = np.where(beta <= 0.0, lo, cand[best, idx])
     out_val = np.where(beta <= 0.0, 0.0, val[best, idx])
     return p.reshape(shape), out_val.reshape(shape)
+
+
+def _lane_split_reference(beta, vgrad, lo, hi, phy):
+    """The lane-split evaluation maximize_rate_value replaced: broadcast and
+    flatten the inputs, gather the closed-form lanes (beta > 0, vgrad == 0)
+    and the search lanes (beta > 0, vgrad != 0), solve each set apart and
+    scatter the results over lo."""
+    p0 = phy.circuit_power_w
+    beta, vgrad, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                                for a in (beta, vgrad, lo, hi)))
+    shape = beta.shape
+    beta, vgrad = beta.ravel(), vgrad.ravel()
+    lo = np.clip(lo.ravel(), 0.0, phy.max_power_w)
+    hi = np.clip(hi.ravel(), lo, phy.max_power_w)
+
+    live = beta > 0.0
+    ee = live & (vgrad == 0.0)
+    hjb = live & ~ee
+    p = lo.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if ee.any():
+            w = lambertw((beta[ee] * p0 - 1.0) / np.e).real
+            p[ee] = np.clip(np.expm1(w + 1.0) / beta[ee], lo[ee], hi[ee])
+        if hjb.any():
+            p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0)
+        val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
+    return p.reshape(shape), val.reshape(shape)
 
 
 def golden_max(beta, vgrad, lo, hi, p0):
@@ -132,6 +162,63 @@ def test_matches_bisection_reference(phy, rng):
     for lanes in (vgrad == 0.0, vgrad != 0.0):
         assert (interior & lanes).sum() > 100
         assert (interior & lanes & sub).sum() > 10
+
+
+def _bitwise_cases(rng, phy):
+    """Calls of every shape the solver, the slot kernel and users make, with
+    every lane kind: closed form, search, beta <= 0 and lo > hi."""
+    p_max = phy.max_power_w
+    n = 300
+    beta = 10.0 ** rng.uniform(-6.0, 5.0, n)
+    beta[rng.integers(0, n, 30)] = 0.0
+    beta[rng.integers(0, n, 10)] = -1.0
+    vgrad = np.where(rng.random(n) < 0.5, 0.0, -(10.0 ** rng.uniform(-3.0, 2.0, n)))
+    vgrad[rng.random(n) < 0.1] = 10.0 ** rng.uniform(-3.0, 1.0)
+    lo = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.1, 1.2 * p_max, n))
+    hi = np.where(rng.random(n) < 0.5, p_max, rng.uniform(0.0, 1.2 * p_max, n))
+    n_q = 51
+    wall = np.concatenate([rng.uniform(-5.0, 1.0, n_q - 1), [0.0], [0.0],
+                           rng.uniform(-5.0, 1.0, n_q - 1)])
+    bal = rng.uniform(0.0, p_max)
+    shape_rb, shape_rbk = (3, 121), (3, 121, 5)
+    return [
+        (beta, 0.0, lo, hi),                                  # pure EE
+        (beta, vgrad, lo, hi),                                # mixed
+        (np.abs(beta) + 1e-3, vgrad - 1e-3, lo, hi),          # all search lanes
+        (-np.abs(beta), vgrad, lo, hi),                       # beta <= 0 only
+        (beta, vgrad, hi + 0.1, hi),                          # lo > hi
+        # the solver's call: one beta, (2 n_q,) gradients and bounds with
+        # zero gradients at the clamped walls
+        (2.7, wall, np.r_[np.zeros(n_q), np.full(n_q, bal)],
+         np.r_[np.full(n_q, bal), np.full(n_q, p_max)]),
+        (0.0, wall, 0.0, p_max),
+        # the kernel's calls: per-SBS and per-candidate floors, scalar cap
+        (10.0 ** rng.uniform(-2.0, 4.0, shape_rb), 0.0,
+         rng.uniform(0.0, 1.5 * p_max, shape_rb), p_max),
+        (10.0 ** rng.uniform(-2.0, 4.0, shape_rbk), 0.0,
+         rng.uniform(0.0, 1.5 * p_max, shape_rbk), p_max),
+        (10.0 ** rng.uniform(-2.0, 4.0, shape_rb), -0.5,
+         rng.uniform(0.0, 0.5 * p_max, shape_rb), p_max),
+        # fully scalar input, each lane kind
+        (5.0, 0.0, 0.0, p_max), (5.0, -2.0, 0.1, p_max), (0.0, -5.0, 0.2, 0.9),
+        (5.0, 0.0, 0.9, 0.2),
+        # vgrad zero given as a scalar and as an array wider than the rest
+        (beta[:n_q], 0.0, 0.0, p_max),
+        (3.0, np.zeros((2, n_q)), 0.0, p_max),
+        (beta[:n_q], np.zeros((2, n_q)), lo[:n_q], p_max),
+    ]
+
+
+def test_one_pass_matches_lane_split_bitwise(phy, rng):
+    for beta, vgrad, lo, hi in _bitwise_cases(rng, phy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # lanes it does not serve stay quiet
+            p, val = maximize_rate_value(beta, vgrad, lo, hi, phy)
+        p_ref, val_ref = _lane_split_reference(beta, vgrad, lo, hi, phy)
+        for got, ref in ((p, p_ref), (val, val_ref)):
+            assert isinstance(got, np.ndarray) and got.flags.writeable
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref), (np.shape(beta), np.shape(vgrad))
 
 
 def test_strong_queue_pressure_saturates(phy):
