@@ -6,8 +6,7 @@ from .config import RunConfig, load_config
 from .deployment import Deployment, generate_deployment, grid_side
 from .errors import (CflError, ConfigError, ConvergenceError, InvariantError,
                      SchemeError, UdnsimError)
-from .fields import (DensityField, GridSpec, MfgSolution, PowerPolicy, ValueField,
-                     initial_density, terminal_value)
+from .fields import GridSpec, MfgSolution, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import maximize_rate_value
 from .scheduler import DppParams, SchedulerState, dpp_step
@@ -19,10 +18,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineState", "CflError", "ConfigError", "ConvergenceError",
-    "Deployment", "DensityField", "DppParams", "EpisodeMetrics", "GridSpec",
+    "Deployment", "DppParams", "EpisodeMetrics", "GridSpec",
     "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
-    "PowerPolicy", "QueueParams", "ReplicationSummary",
-    "RunConfig", "SchedulerState", "SchemeError", "UdnsimError", "ValueField",
+    "QueueParams", "ReplicationSummary",
+    "RunConfig", "SchedulerState", "SchemeError", "UdnsimError",
     "__version__", "dpp_step", "drift_field", "fpk_forward",
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",
     "load_config", "load_solution", "maximize_rate_value", "mf_interference",

@@ -3,6 +3,13 @@
 Subcommands: solve, simulate, sweep, report, validate.  Exit codes: 0 on
 success, 2 for configuration problems, 3 when the equilibrium iteration does
 not converge, 4 when a solution or scheme invariant fails.
+
+Every solve calibrates from replicate 0's deployment: the coupling strength
+eta and the normalized noise are that network's, so `solve`, `simulate` and
+`sweep` produce the same equilibrium for the same config.  A stored solution
+is accepted (`validate`, `simulate --solution`) only when it is that
+equilibrium: same grid, terminal condition and calibration, converged below
+the config's tolerance.
 """
 
 from __future__ import annotations
@@ -36,42 +43,70 @@ def _write(path: str, text: str):
     print(f"wrote {path}")
 
 
-def _solve(cfg: RunConfig, *, eta: float | None = None,
-           noise_norm: float | None = None) -> MfgSolution:
-    s = cfg.raw["solver"]
-    phy = cfg.phy if eta is None else replace(cfg.phy, sbs_density=eta)
-    rho0 = initial_density(cfg.grid, s["rho0_mean"], s["rho0_variance"])
-    return solve_mfg(
-        cfg.grid, phy, cfg.queue, cfg.boundary,
-        noise_norm=s["noise_norm"] if noise_norm is None else noise_norm,
-        mean_sq_gain=s["mean_sq_gain"], rho0=rho0, damping=s["damping"],
-        tol=s["tol"], max_iters=s["max_iters"], init=s["init"],
-    )
+def _deployment(cfg: RunConfig, isd_units: float, k: int, i: int):
+    """Replicate i's deployment of one geometry, drawn from
+    SeedSequence(base_seed, spawn_key=(i, 0)), so every method, every swept
+    value that shares the geometry and every solve runs on the same networks."""
+    d = cfg.raw["deployment"]
+    seed = np.random.SeedSequence(cfg.raw["simulate"]["base_seed"], spawn_key=(i, 0))
+    return generate_deployment(isd_units, k, cfg.phy, cfg.pathloss, seed=seed,
+                               area_km2=d["area_km2"], jitter_frac=d["jitter_frac"],
+                               fading=d["fading"],
+                               cross_isolation_db=d["cross_isolation_db"],
+                               rician_k_db=d["rician_k_db"])
 
 
 def _deployments(cfg: RunConfig, isd_units: float, k: int) -> list:
-    """The replicates' deployments of one geometry: replicate i is drawn from
-    SeedSequence(base_seed, spawn_key=(i, 0)), so every method and every
-    swept value that shares the geometry runs on the same networks."""
-    dep_cfg = cfg.raw["deployment"]
-    sim = cfg.raw["simulate"]
-    return [generate_deployment(isd_units, k, cfg.phy, cfg.pathloss,
-                                seed=np.random.SeedSequence(sim["base_seed"], spawn_key=(i, 0)),
-                                area_km2=dep_cfg["area_km2"],
-                                jitter_frac=dep_cfg["jitter_frac"],
-                                fading=dep_cfg["fading"],
-                                cross_isolation_db=dep_cfg["cross_isolation_db"],
-                                rician_k_db=dep_cfg["rician_k_db"])
-            for i in range(sim["n_replicates"])]
+    """The replicates' deployments of one geometry."""
+    return [_deployment(cfg, isd_units, k, i)
+            for i in range(cfg.raw["simulate"]["n_replicates"])]
+
+
+def _reference_deployment(cfg: RunConfig):
+    """Replicate 0's deployment of the config's geometry: the calibration."""
+    d = cfg.raw["deployment"]
+    return _deployment(cfg, d["isd_units"], d["k"], 0)
 
 
 def _calibrate_and_solve(cfg: RunConfig, dep, boundary: str | None = None) -> MfgSolution:
-    """One coupling solve per geometry: take the coupling strength and the
-    normalized noise from a reference deployment (replicate 0's), then solve."""
-    if boundary is not None:
-        cfg = replace(cfg, raw={**cfg.raw, "solver": {**cfg.raw["solver"],
-                                                      "boundary": boundary}})
-    return _solve(cfg, eta=dep.eta, noise_norm=dep.noise_norm)
+    """The one equilibrium solve: the coupling strength and the normalized
+    noise come from a reference deployment (replicate 0's); the terminal
+    condition is the config's unless a sweep passes its own."""
+    s = cfg.raw["solver"]
+    rho0 = initial_density(cfg.grid, s["rho0_mean"], s["rho0_variance"])
+    return solve_mfg(
+        cfg.grid, replace(cfg.phy, sbs_density=dep.eta), cfg.queue,
+        cfg.boundary if boundary is None else boundary,
+        noise_norm=dep.noise_norm, mean_sq_gain=s["mean_sq_gain"], rho0=rho0,
+        damping=s["damping"], tol=s["tol"], max_iters=s["max_iters"], init=s["init"],
+    )
+
+
+def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
+    """Raise InvariantError unless a stored solution is valid and is the
+    equilibrium `_calibrate_and_solve(cfg, dep)` solves.  The calibration is
+    compared exactly: the solution header round-trips floats bit for bit."""
+    sol.validate()
+    g = sol.grid
+    if g != cfg.grid:
+        raise InvariantError(
+            f"solution grid {g.n_t}x{g.n_q} over {g.horizon_s} s does not match "
+            f"config {cfg.grid.n_t}x{cfg.grid.n_q} over {cfg.grid.horizon_s} s")
+    if sol.boundary != cfg.boundary:
+        raise InvariantError(
+            f"solution terminal condition {sol.boundary!r} does not match "
+            f"config {cfg.boundary!r}")
+    expected = terminal_value(sol.boundary, g.queues)
+    if not np.allclose(sol.value[-1], expected, rtol=0, atol=1e-9):
+        raise InvariantError("stored terminal values do not match their kind")
+    if sol.residual >= cfg.raw["solver"]["tol"]:
+        raise InvariantError(
+            f"stored residual {sol.residual:.3e} exceeds config tolerance")
+    if (sol.eta, sol.noise_norm) != (dep.eta, dep.noise_norm):
+        raise InvariantError(
+            f"solution calibration eta={sol.eta!r}, noise_norm={sol.noise_norm!r} "
+            f"does not match replicate 0's deployment eta={dep.eta!r}, "
+            f"noise_norm={dep.noise_norm!r}")
 
 
 def _run_method(cfg: RunConfig, method: str, sol: MfgSolution | None, deploys: list,
@@ -104,7 +139,7 @@ def _summary_csv(results: dict) -> str:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
-    sol = _solve(cfg)
+    sol = _calibrate_and_solve(cfg, _reference_deployment(cfg))
     out = args.out or os.path.join(outdir, "solution.mfg")
     save_solution(out, sol)
     print(f"wrote {out}")
@@ -126,6 +161,7 @@ def cmd_simulate(args) -> int:
     if "mfg" in methods:
         if args.solution:
             sol = load_solution(args.solution)
+            _check_solution(cfg, sol, deploys[0])
         else:
             sol = _calibrate_and_solve(cfg, deploys[0])
             save_solution(os.path.join(outdir, "solution.mfg"), sol)
@@ -235,8 +271,8 @@ def cmd_report(args) -> int:
         fig, ax = plt.subplots(figsize=(5, 3.4))
         for method, vals in sorted(by_method.items()):
             cdf = build_cdf(vals)
-            frac = np.arange(1, cdf.n + 1) / cdf.n
-            ax.step(cdf.values, frac, where="post", label=method)
+            frac = np.arange(1, cdf.size + 1) / cdf.size
+            ax.step(cdf, frac, where="post", label=method)
         ax.set_xlabel(args.metric)
         ax.set_ylabel("cumulative fraction")
         ax.legend()
@@ -250,22 +286,8 @@ def cmd_report(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     sol = load_solution(args.solution)
-    sol.validate()
+    _check_solution(cfg, sol, _reference_deployment(cfg))
     g = sol.grid
-    if (g.n_t, g.n_q) != (cfg.grid.n_t, cfg.grid.n_q):
-        raise InvariantError(
-            f"solution grid {g.n_t}x{g.n_q} does not match config "
-            f"{cfg.grid.n_t}x{cfg.grid.n_q}")
-    if sol.boundary != cfg.boundary:
-        raise InvariantError(
-            f"solution terminal condition {sol.boundary!r} does not match "
-            f"config {cfg.boundary!r}")
-    expected = terminal_value(sol.boundary, g.queues)
-    if not np.allclose(sol.value[-1], expected, rtol=0, atol=1e-9):
-        raise InvariantError("stored terminal values do not match their kind")
-    if sol.residual >= cfg.raw["solver"]["tol"]:
-        raise InvariantError(
-            f"stored residual {sol.residual:.3e} exceeds config tolerance")
     print(f"ok: {args.solution} ({g.n_t}x{g.n_q}, {sol.iterations} iterations, "
           f"residual {sol.residual:.3e})")
     return 0

@@ -104,48 +104,6 @@ def density_from_samples(grid: GridSpec, q_norm_samples) -> np.ndarray:
     return rho / mass if mass > 0 else rho
 
 
-@dataclass
-class ValueField:
-    grid: GridSpec
-    values: np.ndarray  # (n_t, n_q)
-
-    def validate(self):
-        if self.values.shape != (self.grid.n_t, self.grid.n_q):
-            raise InvariantError("value field shape does not match grid")
-        if not np.isfinite(self.values).all():
-            raise InvariantError("value field has non-finite entries")
-
-
-@dataclass
-class DensityField:
-    grid: GridSpec
-    values: np.ndarray  # (n_t, n_q)
-
-    def validate(self):
-        if self.values.shape != (self.grid.n_t, self.grid.n_q):
-            raise InvariantError("density field shape does not match grid")
-        if self.values.min() < DENSITY_FLOOR:
-            raise InvariantError(f"density has negative entries below {DENSITY_FLOOR}")
-        mass = density_mass(self.grid, self.values)
-        err = np.abs(mass - 1.0).max()
-        if err > MASS_TOL:
-            raise InvariantError(f"density mass drifts by {err:.3e} (> {MASS_TOL})")
-
-
-@dataclass
-class PowerPolicy:
-    grid: GridSpec
-    values: np.ndarray  # (n_t, n_q), Watts
-    max_power_w: float
-
-    def validate(self):
-        if self.values.shape != (self.grid.n_t, self.grid.n_q):
-            raise InvariantError("policy field shape does not match grid")
-        if self.values.min() < 0.0 or self.values.max() > self.max_power_w + 1e-12:
-            raise InvariantError("policy leaves the [0, max_power] box")
-
-
-
 def bilinear(grid: GridSpec, values: np.ndarray, t, q_norm):
     """Bilinear interpolation of a (n_t, n_q) field at one time t (a scalar)
     and the backlogs q_norm, clamped to the domain."""
@@ -191,9 +149,22 @@ class MfgSolution:
         return self.residuals[-1] if self.residuals else float("nan")
 
     def validate(self):
-        ValueField(self.grid, self.value).validate()
-        DensityField(self.grid, self.density).validate()
-        PowerPolicy(self.grid, self.policy, self.max_power_w).validate()
+        """Raise InvariantError unless the fields fit the grid and are
+        finite, the density is nonnegative with unit mass in every slice and
+        the policy stays in [0, max_power]."""
+        for name, values in (("value", self.value), ("density", self.density),
+                             ("policy", self.policy)):
+            if values.shape != (self.grid.n_t, self.grid.n_q):
+                raise InvariantError(f"{name} field shape does not match grid")
+            if not np.isfinite(values).all():
+                raise InvariantError(f"{name} field has non-finite entries")
+        if self.density.min() < DENSITY_FLOOR:
+            raise InvariantError(f"density has negative entries below {DENSITY_FLOOR}")
+        err = np.abs(density_mass(self.grid, self.density) - 1.0).max()
+        if err > MASS_TOL:
+            raise InvariantError(f"density mass drifts by {err:.3e} (> {MASS_TOL})")
+        if self.policy.min() < 0.0 or self.policy.max() > self.max_power_w + 1e-12:
+            raise InvariantError("policy leaves the [0, max_power] box")
         if self.interference.shape != (self.grid.n_t,):
             raise InvariantError("interference trajectory length does not match grid")
         if self.interference.min() < 0:

@@ -8,7 +8,6 @@ bytes.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,43 +17,24 @@ from .simulate import METRIC_FIELDS, EpisodeMetrics, ReplicationSummary
 FMT = "%.12g"
 
 
-@dataclass
-class EmpiricalCdf:
-    """Right-continuous empirical distribution of a sample set."""
-
-    values: np.ndarray  # sorted ascending
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def evaluate(self, x):
-        """P(sample <= x); vectorized, monotone from 0 to 1."""
-        return np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-
-    def quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ConfigError("quantiles must lie in [0, 1]")
-        idx = np.minimum((np.ceil(q * self.n) - 1).astype(int), self.n - 1)
-        return self.values[np.maximum(idx, 0)]
-
-
-def build_cdf(samples) -> EmpiricalCdf:
+def build_cdf(samples) -> np.ndarray:
+    """The empirical distribution of a sample set: its values sorted
+    ascending; the i-th (from 1) has cumulative fraction i / n."""
     samples = np.asarray(samples, dtype=float).ravel()
     if samples.size == 0:
         raise ConfigError("cannot build a CDF from an empty sample set")
     if not np.isfinite(samples).all():
         raise ConfigError("CDF samples must be finite")
-    return EmpiricalCdf(np.sort(samples))
+    return np.sort(samples)
 
 
-def cdf_table(cdf: EmpiricalCdf) -> str:
-    """Two-column plot-ready table: value, cumulative fraction."""
+def cdf_table(cdf: np.ndarray) -> str:
+    """Two-column plot-ready table of a build_cdf result: value, cumulative
+    fraction."""
     out = io.StringIO()
     out.write("value,cum_fraction\n")
-    frac = np.arange(1, cdf.n + 1) / cdf.n
-    for v, f in zip(cdf.values, frac):
+    frac = np.arange(1, cdf.size + 1) / cdf.size
+    for v, f in zip(cdf, frac):
         out.write(f"{FMT % v},{FMT % f}\n")
     return out.getvalue()
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import MfgSolution, bilinear, interp_trajectory
-from .phy import LN2, PhyParams
+from .phy import PhyParams, instantaneous_rate
 
 GRADIENT_MODELS = ("linear_ee", "zero")
 
@@ -66,8 +66,7 @@ def expected_rate(sol: MfgSolution, t_in_period, q_norm, gain, phy: PhyParams):
     with the UE's own normalized gain and the mean-field interference."""
     p = bilinear(sol.grid, sol.policy, t_in_period, q_norm)
     i_t = interp_trajectory(sol.grid, sol.interference, t_in_period)
-    sinr = p * np.asarray(gain, dtype=float) / (i_t + sol.noise_norm)
-    return phy.bandwidth_hz * np.log1p(sinr) / LN2
+    return instantaneous_rate(p, gain, i_t, phy, sol.noise_norm)
 
 
 def penalty_gradient(rate_hz, power_w, phy: PhyParams, model: str = "linear_ee"):

@@ -1,10 +1,9 @@
 """Solution file serialization.
 
-Format (documented in docs/solution-format.md): a text magic line
-``UDNSIM-MFG <version>``, one JSON header line with the grid and solver
-metadata, then four little-endian float64 blocks in this order: value field,
-density field, power policy (each n_t*n_q row-major) and the interference
-trajectory (n_t).  Round-trips are bit-exact.
+Format: a text magic line ``UDNSIM-MFG <version>``, one JSON header line with
+the grid and solver metadata, then four little-endian float64 blocks in this
+order: value field, density field, power policy (each n_t*n_q row-major) and
+the interference trajectory (n_t).  Round-trips are bit-exact.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,13 +9,12 @@ import pytest
 
 import udnsim.cli
 from udnsim.cli import main
-from udnsim.solution_io import load_solution
+from udnsim.solution_io import load_solution, save_solution
 
 SOLVE_CFG = """
 [solver]
 n_t = 601
 n_q = 21
-noise_norm = 0.1
 [output]
 dir = {out}
 """
@@ -23,7 +23,6 @@ SIM_CFG = """
 [solver]
 n_t = 301
 n_q = 11
-noise_norm = 0.1
 [deployment]
 isd_units = 37.5
 k = 2
@@ -127,6 +126,52 @@ def test_simulate_with_saved_solution(tmp_path):
     assert not (reuse_out / "metrics_baseline.csv").exists()
     assert (open(os.path.join(out, "metrics_mfg.csv")).read()
             == (reuse_out / "metrics_mfg.csv").read_text())
+
+
+def test_solve_then_simulate_matches_simulate(tmp_path):
+    """`solve` calibrates from replicate 0's deployment as `simulate` does:
+    it writes the solution simulate writes, and simulating from that file
+    writes the metrics simulate writes alone."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG)
+    solved = str(tmp_path / "solved.mfg")
+    assert main(["solve", "--config", cfg, "--out", solved]) == 0
+    reuse_out = tmp_path / "reuse"
+    reuse_cfg, _ = write_cfg(tmp_path, SIM_CFG, name="reuse.cfg", out=reuse_out)
+    assert main(["simulate", "--config", reuse_cfg, "--method", "mfg",
+                 "--solution", solved]) == 0
+    assert main(["simulate", "--config", cfg]) == 0
+    assert open(solved, "rb").read() == open(os.path.join(out, "solution.mfg"), "rb").read()
+    assert ((reuse_out / "metrics_mfg.csv").read_bytes()
+            == open(os.path.join(out, "metrics_mfg.csv"), "rb").read())
+
+
+def test_miscalibrated_solution_exits_4(tmp_path):
+    """A solution solved for another network (another base_seed: same grid
+    and terminal condition, other eta and noise) is rejected by both
+    `validate` and `simulate --solution`."""
+    nine_cells = SIM_CFG.replace("isd_units = 37.5", "isd_units = 12.5")  # eta > 0
+    cfg, out = write_cfg(tmp_path, nine_cells)
+    other_out = tmp_path / "other"
+    other_cfg, _ = write_cfg(tmp_path, nine_cells.replace("base_seed = 11", "base_seed = 12"),
+                             name="other.cfg", out=other_out)
+    assert main(["solve", "--config", cfg]) == 0
+    assert main(["solve", "--config", other_cfg]) == 0
+    own_path = os.path.join(out, "solution.mfg")
+    foreign_path = str(other_out / "solution.mfg")
+    own, foreign = load_solution(own_path), load_solution(foreign_path)
+    assert (foreign.grid, foreign.boundary) == (own.grid, own.boundary)
+    assert foreign.eta != own.eta and foreign.noise_norm != own.noise_norm
+
+    assert main(["validate", "--config", cfg, "--solution", own_path]) == 0
+    assert main(["validate", "--config", cfg, "--solution", foreign_path]) == 4
+    assert main(["simulate", "--config", cfg, "--method", "mfg",
+                 "--solution", foreign_path]) == 4
+    assert not os.path.exists(os.path.join(out, "metrics_mfg.csv"))
+    # each calibration value is compared on its own
+    for name in ("eta", "noise_norm"):
+        path = str(tmp_path / f"{name}.mfg")
+        save_solution(path, dataclasses.replace(own, **{name: getattr(foreign, name)}))
+        assert main(["validate", "--config", cfg, "--solution", path]) == 4
 
 
 def test_sweep_outputs_and_determinism(tmp_path):

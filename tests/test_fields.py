@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from udnsim import ConfigError, GridSpec, InvariantError, initial_density, terminal_value
-from udnsim.fields import (DensityField, PowerPolicy, ValueField, bilinear,
-                           density_from_samples, density_mass, interp_trajectory)
+from udnsim import (ConfigError, GridSpec, InvariantError, MfgSolution, initial_density,
+                    terminal_value)
+from udnsim.fields import bilinear, density_from_samples, density_mass, interp_trajectory
 
 
 def test_grid_spacing():
@@ -116,26 +117,35 @@ def test_interp_trajectory():
     assert interp_trajectory(grid, traj, 5.0) == 16.0
 
 
+def _nan_at_origin(field):
+    bad = field.copy()
+    bad[0, 0] = np.nan
+    return bad
+
+
 def test_field_validation():
     grid = GridSpec(4, 6)
-    good = np.zeros((4, 6))
-    ValueField(grid, good).validate()
-    with pytest.raises(InvariantError):
-        ValueField(grid, np.zeros((4, 5))).validate()
-    with pytest.raises(InvariantError):
-        ValueField(grid, np.full((4, 6), np.nan)).validate()
-
     rho = np.tile(initial_density(grid), (4, 1))
-    DensityField(grid, rho).validate()
-    with pytest.raises(InvariantError):
-        DensityField(grid, rho * 1.01).validate()  # mass off by 1%
-    bad = rho.copy()
-    bad[0, 0] = -1e-6
-    with pytest.raises(InvariantError):
-        DensityField(grid, bad).validate()
-
-    PowerPolicy(grid, np.full((4, 6), 0.5), 1.0).validate()
-    with pytest.raises(InvariantError):
-        PowerPolicy(grid, np.full((4, 6), 1.5), 1.0).validate()
-    with pytest.raises(InvariantError):
-        PowerPolicy(grid, np.full((4, 6), -0.1), 1.0).validate()
+    good = MfgSolution(grid=grid, value=np.zeros((4, 6)), density=rho,
+                       policy=np.full((4, 6), 0.5), interference=np.zeros(4),
+                       iterations=1, max_power_w=1.0)
+    good.validate()
+    negative = rho.copy()
+    negative[0, 0] = -1e-6
+    cases = [
+        ("value", np.zeros((4, 5)), "value field shape"),
+        ("value", np.full((4, 6), np.nan), "value field has non-finite"),
+        ("density", rho[:, :-1], "density field shape"),
+        ("density", _nan_at_origin(rho), "density field has non-finite"),
+        ("density", rho * 1.01, "mass drifts"),  # mass off by 1%
+        ("density", negative, "negative entries"),
+        ("policy", np.zeros((3, 6)), "policy field shape"),
+        ("policy", _nan_at_origin(good.policy), "policy field has non-finite"),
+        ("policy", np.full((4, 6), 1.5), r"\[0, max_power\] box"),
+        ("policy", np.full((4, 6), -0.1), r"\[0, max_power\] box"),
+        ("interference", np.zeros(3), "interference trajectory length"),
+        ("interference", np.full(4, -0.1), "interference trajectory has negative"),
+    ]
+    for name, values, message in cases:
+        with pytest.raises(InvariantError, match=message):
+            dataclasses.replace(good, **{name: values}).validate()

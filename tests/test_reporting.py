@@ -2,23 +2,13 @@ import numpy as np
 import pytest
 
 from udnsim import ConfigError, EpisodeMetrics
-from udnsim.reporting import (EmpiricalCdf, build_cdf, cdf_table, csv_to_dat,
-                              metrics_csv, sweep_report)
+from udnsim.reporting import build_cdf, cdf_table, csv_to_dat, metrics_csv, sweep_report
 from udnsim.simulate import METRIC_FIELDS, ReplicationSummary
 
 
-def test_cdf_evaluate_and_quantile():
-    cdf = build_cdf([3.0, 1.0, 2.0, 2.0])
-    assert np.array_equal(cdf.values, [1.0, 2.0, 3.0, 2.0][:0] or np.sort([3, 1, 2, 2.0]))
-    assert cdf.evaluate(0.5) == 0.0
-    assert cdf.evaluate(1.0) == 0.25
-    assert cdf.evaluate(2.0) == 0.75
-    assert cdf.evaluate(10.0) == 1.0
-    grid = np.linspace(0, 4, 33)
-    vals = cdf.evaluate(grid)
-    assert (np.diff(vals) >= 0).all()
-    assert cdf.quantile(0.5) == 2.0
-    assert cdf.quantile(1.0) == 3.0
+def test_build_cdf_sorts_samples():
+    assert np.array_equal(build_cdf([3.0, 1.0, 2.0, 2.0]), [1.0, 2.0, 2.0, 3.0])
+    assert np.array_equal(build_cdf([[2.0, -1.0], [0.5, 4.0]]), [-1.0, 0.5, 2.0, 4.0])
 
 
 def test_build_cdf_validation():
