@@ -213,8 +213,13 @@ def test_solve_matches_bisection_reference(small_solution, phy, queue, monkeypat
     monkeypatch.setattr("udnsim.solver.maximize_rate_value", _bisect_reference)
     ref = solve_mfg(small_solution.grid, phy, queue, noise_norm=0.1)
     assert small_solution.iterations == ref.iterations
+    # a residual is max|i_new - I| / scale with i_new and I of size up to
+    # scale: each carries a rounding error of about eps * scale, so the
+    # difference has an absolute floor of a few eps in residual units
+    # however small the residual is; rtol alone asks for 1e-12 of the final
+    # ~1e-4, i.e. 1e-16, below that floor
     np.testing.assert_allclose(small_solution.residuals, ref.residuals,
-                               rtol=1e-12, atol=0.0)
+                               rtol=1e-12, atol=4 * np.finfo(float).eps)
     np.testing.assert_allclose(small_solution.policy, ref.policy, rtol=0.0, atol=1e-10)
 
 
