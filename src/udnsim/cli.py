@@ -157,14 +157,15 @@ def cmd_simulate(args) -> int:
     dep_cfg = cfg.raw["deployment"]
     deploys = _deployments(cfg, dep_cfg["isd_units"], dep_cfg["k"])
 
+    # a given solution is always checked; otherwise one is solved when the
+    # mfg policy or a density-initialized backlog needs it
     sol = None
-    if "mfg" in methods:
-        if args.solution:
-            sol = load_solution(args.solution)
-            _check_solution(cfg, sol, deploys[0])
-        else:
-            sol = _calibrate_and_solve(cfg, deploys[0])
-            save_solution(os.path.join(outdir, "solution.mfg"), sol)
+    if args.solution:
+        sol = load_solution(args.solution)
+        _check_solution(cfg, sol, deploys[0])
+    elif "mfg" in methods or cfg.raw["simulate"]["initial_backlog"] == "density":
+        sol = _calibrate_and_solve(cfg, deploys[0])
+        save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
     results = {method: _run_method(cfg, method, sol, deploys) for method in methods}
     for method, (metrics, _) in results.items():

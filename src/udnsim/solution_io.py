@@ -40,7 +40,13 @@ def save_solution(path, sol: MfgSolution):
 
 
 def load_solution(path) -> MfgSolution:
-    with open(path, "rb") as f:
+    """Read a solution file; ConfigError when the path cannot be opened or
+    does not hold a complete solution file."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open solution file ({exc.strerror})") from exc
+    with f:
         magic = f.readline().decode("ascii", errors="replace").strip().split()
         if len(magic) != 2 or magic[0] != MAGIC:
             raise ConfigError(f"{path}: not a solution file")

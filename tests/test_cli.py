@@ -128,6 +128,41 @@ def test_simulate_with_saved_solution(tmp_path):
             == (reuse_out / "metrics_mfg.csv").read_text())
 
 
+def test_baseline_checks_a_given_solution(tmp_path):
+    # the baseline reads no policy, but a --solution given to it is still
+    # loaded and checked against the config
+    cfg, out = write_cfg(tmp_path, SIM_CFG)
+    missing = str(tmp_path / "missing.mfg")
+    assert main(["simulate", "--config", cfg, "--method", "baseline",
+                 "--solution", missing]) == 2
+    other_cfg, other_out = write_cfg(tmp_path, SIM_CFG.replace("n_q = 11", "n_q = 21"),
+                                     name="other.cfg", out=tmp_path / "other")
+    assert main(["solve", "--config", other_cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--method", "baseline",
+                 "--solution", os.path.join(other_out, "solution.mfg")]) == 4
+    assert not os.path.exists(os.path.join(out, "metrics_baseline.csv"))
+
+
+def test_baseline_with_density_backlog_solves_as_both_does(tmp_path):
+    density = SIM_CFG.replace("[simulate]", "[simulate]\ninitial_backlog = density")
+    cfg, out = write_cfg(tmp_path, density)
+    both_cfg, both_out = write_cfg(tmp_path, density, name="both.cfg",
+                                   out=tmp_path / "both")
+    assert main(["simulate", "--config", cfg, "--method", "baseline"]) == 0
+    assert main(["simulate", "--config", both_cfg]) == 0
+    for name in ("solution.mfg", "metrics_baseline.csv"):
+        assert (open(os.path.join(out, name), "rb").read()
+                == open(os.path.join(both_out, name), "rb").read()), name
+
+
+def test_unreadable_solution_path_exits_2(tmp_path):
+    cfg, _ = write_cfg(tmp_path, SIM_CFG)
+    for path in (str(tmp_path / "missing.mfg"), str(tmp_path)):
+        assert main(["validate", "--config", cfg, "--solution", path]) == 2
+        assert main(["simulate", "--config", cfg, "--method", "mfg",
+                     "--solution", path]) == 2
+
+
 def test_solve_then_simulate_matches_simulate(tmp_path):
     """`solve` calibrates from replicate 0's deployment as `simulate` does:
     it writes the solution simulate writes, and simulating from that file
@@ -306,12 +341,36 @@ def test_report_plot_if_matplotlib_present(tmp_path):
     assert os.path.exists(os.path.join(rep, "cdf_ee_bits_per_j.png"))
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs most of the package's import time and memory and
-    # nothing in the package needs it; check in a fresh interpreter
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, udnsim, udnsim.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+SCIPY_FREE_RUN = """
+import sys
+import udnsim, udnsim.cli
+from udnsim.config import load_config
+from udnsim.reporting import metrics_csv
+
+cfg_path, out = sys.argv[1:]
+cli = udnsim.cli
+assert cli.main(["solve", "--config", cfg_path]) == 0
+assert cli.main(["validate", "--config", cfg_path, "--solution", out + "/solution.mfg"]) == 0
+cfg = load_config(cfg_path)
+m = udnsim.run_episode(cli._reference_deployment(cfg), "baseline", cfg.phy, cfg.queue,
+                       n_periods=1, seed=1, slots_per_period=10)
+with open(out + "/metrics_baseline.csv", "w") as fh:
+    fh.write(metrics_csv([m]))
+assert cli.main(["report", "--metrics", out + "/metrics_baseline.csv",
+                 "--out", out + "/report"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_solve_validate_report_and_episode_leave_scipy_out(tmp_path):
+    # scipy.special alone costs most of the package's import time and memory;
+    # only simulate and sweep summarize, and only they may load it.  Checked
+    # in a fresh interpreter on the smoke config.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), UDNSIM_OUTDIR=str(out))
+    run = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN,
+                          str(root / "configs" / "smoke.cfg"), str(out)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert run.stdout.strip().splitlines()[-1] == "[]"

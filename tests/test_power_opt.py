@@ -6,7 +6,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from udnsim import GridSpec
-from udnsim.power_opt import N_SCAN, _hjb_power, _phi, _psi, maximize_rate_value
+from udnsim.power_opt import (N_SCAN, _ee_power, _hjb_power, _phi, _psi,
+                               maximize_rate_value)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -70,8 +71,7 @@ def _lane_split_reference(beta, vgrad, lo, hi, phy):
     p = lo.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         if ee.any():
-            w = lambertw((beta[ee] * p0 - 1.0) / np.e).real
-            p[ee] = np.clip(np.expm1(w + 1.0) / beta[ee], lo[ee], hi[ee])
+            p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
         if hjb.any():
             p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0)
         val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
@@ -219,6 +219,60 @@ def test_one_pass_matches_lane_split_bitwise(phy, rng):
             assert isinstance(got, np.ndarray) and got.flags.writeable
             assert got.shape == ref.shape
             assert np.array_equal(got, ref), (np.shape(beta), np.shape(vgrad))
+
+
+EPS = np.finfo(float).eps
+
+
+def _ee_cases(rng, p0):
+    """beta log-uniform over [1e-6, 1e6], beta p0 == 1 exactly (u = 1), and
+    the far ends 1e-12, 1e12 and 1e300."""
+    beta = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, 20000),
+                           [1.0 / p0, 1e-12, 1e12, 1e300]])
+    assert beta[-4] * p0 == 1.0
+    return beta
+
+
+@pytest.mark.parametrize("p0", [1.0, 0.25])
+def test_ee_power_matches_lambertw_closed_form(rng, p0):
+    beta = _ee_cases(rng, p0)
+    p = _ee_power(beta, 0.0, np.inf, p0)
+    ref = np.expm1(lambertw((beta * p0 - 1.0) / np.e).real + 1.0) / beta
+    # both leave u = ln(1 + beta p*) a few ulps from the root, an absolute
+    # error of about eps * max(u, 1) that expm1(u) / beta turns into a
+    # relative error of about eps (1 + u); the closed form is also fed
+    # beta p0 - 1 rounded to eps, which moves p* by about eps / (beta p0)
+    # relative and dominates below beta p0 ~ 1e-3 (1e-4 at 1e-12).  The
+    # largest ratio to this scale seen over 2e5 draws was 1.2.
+    u = np.log1p(beta * p)
+    rtol = 4.0 * EPS * (1.0 + u + 1.0 / (beta * p0))
+    assert np.all(np.abs(p - ref) <= rtol * ref)
+    assert p[-4] == pytest.approx(np.expm1(1.0) / beta[-4], rel=4 * EPS)
+
+
+def test_ee_power_is_stationary(rng):
+    p0 = 1.0
+    beta = _ee_cases(rng, p0)
+    p = _ee_power(beta, 0.0, np.inf, p0)
+    # psi(p*) cancels two terms of size beta (p + p0); p* carries the
+    # rounding of u scaled by u (see above), which moves psi by
+    # psi' dp = beta u dp.  The largest ratio to this scale seen was 2.4.
+    u = np.log1p(beta * p)
+    psi = _psi(p, beta, 0.0, p0)
+    assert np.all(np.abs(psi) <= 4.0 * EPS * beta * (p + p0) * (1.0 + u))
+
+
+def test_ee_lanes_without_rate_stay_quiet(phy):
+    # beta <= 0 and nan lanes carry no rate and stay at lo with value 0;
+    # below the start table (beta p0 < 1e-15) and at a subnormal beta the
+    # true p* is astronomically large, so the lane goes to hi
+    beta = np.array([0.0, -0.0, -1.0, -1e300, -np.inf, np.nan, 1e-20, 1e-300, 5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, val = maximize_rate_value(beta, 0.0, 0.2, 0.9, phy)
+    dead = ~(beta > 0.0)
+    assert np.all(p[dead] == 0.2) and np.all(val[dead] == 0.0)
+    assert np.all(p[~dead] == 0.9) and np.all(val[~dead] >= 0.0)
 
 
 def test_strong_queue_pressure_saturates(phy):
