@@ -344,20 +344,19 @@ def test_report_plot_if_matplotlib_present(tmp_path):
 SCIPY_FREE_RUN = """
 import sys
 import udnsim, udnsim.cli
-from udnsim.config import load_config
+from udnsim.cli import _reference_deployment, main
 from udnsim.reporting import metrics_csv
 
 cfg_path, out = sys.argv[1:]
-cli = udnsim.cli
-assert cli.main(["solve", "--config", cfg_path]) == 0
-assert cli.main(["validate", "--config", cfg_path, "--solution", out + "/solution.mfg"]) == 0
-cfg = load_config(cfg_path)
-m = udnsim.run_episode(cli._reference_deployment(cfg), "baseline", cfg.phy, cfg.queue,
+assert main(["solve", "--config", cfg_path]) == 0
+assert main(["validate", "--config", cfg_path, "--solution", out + "/solution.mfg"]) == 0
+cfg = udnsim.load_config(cfg_path)
+m = udnsim.run_episode(_reference_deployment(cfg), "baseline", cfg.phy, cfg.queue,
                        n_periods=1, seed=1, slots_per_period=10)
 with open(out + "/metrics_baseline.csv", "w") as fh:
     fh.write(metrics_csv([m]))
-assert cli.main(["report", "--metrics", out + "/metrics_baseline.csv",
-                 "--out", out + "/report"]) == 0
+assert main(["report", "--metrics", out + "/metrics_baseline.csv",
+             "--out", out + "/report"]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
