@@ -262,25 +262,6 @@ def cmd_report(args) -> int:
         lines.append(f"{method},{arr.size},{'%.12g' % arr.mean()},{'%.12g' % np.median(arr)}")
     _write(os.path.join(outdir, f"report_{args.metric}.csv"), "\n".join(lines) + "\n")
 
-    if args.plot:
-        try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError as exc:
-            raise ConfigError("plotting requires matplotlib") from exc
-        fig, ax = plt.subplots(figsize=(5, 3.4))
-        for method, vals in sorted(by_method.items()):
-            cdf = build_cdf(vals)
-            frac = np.arange(1, cdf.size + 1) / cdf.size
-            ax.step(cdf, frac, where="post", label=method)
-        ax.set_xlabel(args.metric)
-        ax.set_ylabel("cumulative fraction")
-        ax.legend()
-        fig.tight_layout()
-        png = os.path.join(outdir, f"cdf_{args.metric}.png")
-        fig.savefig(png, dpi=150)
-        print(f"wrote {png}")
     return 0
 
 
@@ -322,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", nargs="+", required=True, help="metrics CSV files")
     p.add_argument("--metric", default="ee_bits_per_j")
     p.add_argument("--out", default="out")
-    p.add_argument("--plot", action="store_true", help="also write a CDF figure")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("validate", help="check a stored solution against a config")

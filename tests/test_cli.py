@@ -331,16 +331,6 @@ def test_report_from_metrics(tmp_path):
     assert main(["report", "--metrics", str(empty), "--out", rep]) == 2
 
 
-def test_report_plot_if_matplotlib_present(tmp_path):
-    pytest.importorskip("matplotlib")
-    cfg, out = write_cfg(tmp_path, SIM_CFG)
-    assert main(["simulate", "--config", cfg, "--method", "baseline"]) == 0
-    rep = str(tmp_path / "rep")
-    assert main(["report", "--metrics", os.path.join(out, "metrics_baseline.csv"),
-                 "--metric", "ee_bits_per_j", "--out", rep, "--plot"]) == 0
-    assert os.path.exists(os.path.join(rep, "cdf_ee_bits_per_j.png"))
-
-
 SCIPY_FREE_RUN = """
 import sys
 import udnsim, udnsim.cli

@@ -5,10 +5,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
-from udnsim import GridSpec
-from udnsim.power_opt import (N_SCAN, _ee_power, _hjb_power, _phi, _psi,
-                               maximize_rate_value)
+from udnsim import GridSpec, PhyParams
+from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _hjb_power, _phi,
+                               _up_crossing, maximize_rate_value)
 from udnsim.solver import _existence_violations, _rate_coeffs
+
+
+def _psi(p, beta, v, p0):
+    """psi of the power_opt docstring: positive exactly where phi falls."""
+    s = p + p0
+    return v * s * s - beta * s + (1.0 + beta * p) * np.log1p(beta * p)
 
 
 def _bisect_reference(beta, vgrad, lo, hi, phy):
@@ -27,7 +33,7 @@ def _bisect_reference(beta, vgrad, lo, hi, phy):
     hi = np.clip(hi.ravel(), lo, phy.max_power_w)
     v = vgrad * beta
 
-    frac = np.linspace(0.0, 1.0, N_SCAN)[:, None]
+    frac = np.linspace(0.0, 1.0, 25)[:, None]
     ps = lo[None, :] + (hi - lo)[None, :] * frac
     sign_pos = _psi(ps, beta[None, :], v[None, :], p0) > 0.0
     up = sign_pos[1:] & ~sign_pos[:-1]
@@ -73,7 +79,8 @@ def _lane_split_reference(beta, vgrad, lo, hi, phy):
         if ee.any():
             p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
         if hjb.any():
-            p[hjb] = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0)
+            p[hjb], _ = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0,
+                                   phy.max_power_w)
         val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
     return p.reshape(shape), val.reshape(shape)
 
@@ -128,7 +135,7 @@ def test_interior_points_are_stationary(phy, rng):
     assert interior.any()
     psi = _psi(p[interior], beta[interior], vgrad[interior] * beta[interior],
                phy.circuit_power_w)
-    # the closed form and the Newton steps pin the up-crossing to rounding
+    # the closed form and the Cauchy steps pin the up-crossing to rounding
     # level in p (see test_matches_bisection_reference)
     assert np.abs(psi).max() < 1e-8
     # and the root is a local maximum of phi
@@ -140,7 +147,8 @@ def test_interior_points_are_stationary(phy, rng):
 
 def test_matches_bisection_reference(phy, rng):
     # one call mixing every lane kind: vgrad == 0 (closed form) and != 0
-    # (scan + Newton), beta = 0, beta over 1e-6..1e5, full box and sub-boxes
+    # (table + Cauchy steps), beta = 0, beta over 1e-6..1e5, full box and
+    # sub-boxes
     n = 4000
     p_max = phy.max_power_w
     beta = 10.0 ** rng.uniform(-6.0, 5.0, n)
@@ -162,6 +170,148 @@ def test_matches_bisection_reference(phy, rng):
     for lanes in (vgrad == 0.0, vgrad != 0.0):
         assert (interior & lanes).sum() > 100
         assert (interior & lanes & sub).sum() > 10
+
+
+def _g(p, beta, p0):
+    """g(p) = v - psi / (p + p0)^2, which depends on beta alone."""
+    return -_psi(p, beta, 0.0, p0) / (p + p0) ** 2
+
+
+def _has_root(beta, v, p0, p_max):
+    """Whether _up_crossing brackets a root, with the errstate its callers
+    give it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _up_crossing(np.asarray(beta, dtype=float), np.asarray(v, dtype=float),
+                            p0, p_max)[1]
+
+
+def test_solver_shaped_calls_match_bisection_reference(phy, queue, rng):
+    # what hjb_backward hands over: one scalar beta per call, (2 n_q,)
+    # gradients with zero walls, fill and drain bounds split at the balance
+    # power; beta p0 log-uniform over 1e-3..1e7, so the table is built at
+    # beta's scalar shape in every call
+    _, rcoef = _rate_coeffs(phy, queue)
+    abar = queue.arrival_rate_bps / queue.capacity_bits
+    p0, p_max = phy.circuit_power_w, phy.max_power_w
+    n_q = 51
+    interior = np.zeros(2, dtype=int)
+    for beta in 10.0 ** rng.uniform(-3.0, 7.0, 300) / p0:
+        grad = -(10.0 ** rng.uniform(-4.0, 2.0, n_q - 1))
+        grad[rng.random(n_q - 1) < 0.2] *= -0.1
+        vgrads = rcoef * np.r_[grad, 0.0, 0.0, grad]
+        p_bal = min(np.expm1(abar / rcoef) / beta, p_max)
+        lo = np.r_[np.zeros(n_q), np.full(n_q, p_bal)]
+        hi = np.r_[np.full(n_q, p_bal), np.full(n_q, p_max)]
+        p, val = maximize_rate_value(beta, vgrads, lo, hi, phy)
+        p_ref, val_ref = _bisect_reference(beta, vgrads, lo, hi, phy)
+        np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(val, val_ref, rtol=1e-12, atol=1e-15)
+        inside = (p > lo + 1e-9) & (p < hi - 1e-9)
+        interior += inside[:n_q].any(), inside[n_q:].any()
+    # interior optima were found in both branches
+    assert interior.min() > 30
+
+
+def test_g_falls_then_rises_at_most_once():
+    # the shape the table bracket rests on, for beta p0 from 1e-6 to 1e6 and
+    # p0 on both sides of p_max = 1 (the fold enters the box when p0 < 1)
+    p = np.linspace(0.0, 1.0, 20001)
+    for p0 in (0.05, 0.3, 1.0, 3.0):
+        for beta in 10.0 ** np.linspace(-6.0, 6.0, 25) / p0:
+            dg = np.diff(_g(p, beta, p0))
+            turns = np.flatnonzero(dg[1:] > 0.0) + 1
+            assert dg[0] < 0.0
+            # once rising, it never falls again
+            assert turns.size == 0 or np.all(dg[turns[0]:] > 0.0), (p0, beta)
+
+
+def test_edge_lanes():
+    # p0 < p_max puts the fold of g inside [0, p_max]
+    phy = PhyParams(circuit_power_w=0.25, max_power_w=1.0)
+    p0, p_max = phy.circuit_power_w, phy.max_power_w
+    nodes = p_max * NODE_FRAC
+    beta = 40.0
+    g_nodes = _g(nodes, beta, p0)
+    m = int(np.argmin(g_nodes))
+    assert 2 <= m < N_NODES - 2
+    fold = minimize_scalar(lambda q: _g(q, beta, p0), bounds=(nodes[m - 1], nodes[m + 1]),
+                           method="bounded", options={"xatol": 1e-14}).x
+    g_min = _g(fold, beta, p0)
+
+    def run(v, lo, hi):
+        vgrad = np.asarray(v) / beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, val = maximize_rate_value(beta, vgrad, lo, hi, phy)
+        p_ref, val_ref = _bisect_reference(beta, vgrad, lo, hi, phy)
+        return p, val, p_ref, val_ref
+
+    # v >= beta / p0: psi(0) >= 0 and phi falls from p = 0; at equality the
+    # bracket holds the root p = 0, above it there is none
+    v = beta / p0 * np.array([1.0, 1.0 + 1e-12, 2.0, 1e3])
+    assert not _has_root(beta, v[1:], p0, p_max).any()
+    p, _, p_ref, _ = run(v, 0.0, p_max)
+    assert np.all(p == 0.0) and np.all(p_ref == 0.0)
+
+    # v at the node minimum or below: no bracket; below the true minimum psi
+    # < 0 on the whole box and hi wins
+    v = np.array([g_nodes[m], g_min, g_min - 1e-9, g_min - 1.0])
+    assert not _has_root(beta, v, p0, p_max).any()
+    p, _, _, _ = run(v, 0.0, p_max)
+    assert np.all(p[1:] == p_max)
+    # between the true and the node minimum the root pair lies inside one
+    # node interval: an endpoint wins
+    v = g_min + np.array([0.25, 0.5, 0.75]) * (g_nodes[m] - g_min)
+    p, _, _, _ = run(v, 0.0, nodes[m])
+    assert np.all((p == 0.0) | (p == nodes[m]))
+
+    # roots inside the first node interval, at large beta p0
+    for b in (1e3, 1e5, 1e7):
+        r = nodes[1] * np.array([1e-6, 1e-3, 0.1, 0.5, 0.99])
+        v = _g(r, b, p0)
+        assert _has_root(b, v, p0, p_max).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, _ = maximize_rate_value(b, v / b, 0.0, p_max, phy)
+        p_ref, _ = _bisect_reference(b, v / b, 0.0, p_max, phy)
+        np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(p, r, rtol=1e-9, atol=1e-14)
+
+    # roots in the interval next to the fold, above the node minimum: psi'
+    # vanishes at the fold, and two steps leave up to 1.1e-11 W there (module
+    # docstring); the box ends on the node past the root, where psi > 0, so
+    # the root wins
+    r = np.linspace(nodes[m - 1], min(fold, nodes[m]), 401)[1:-1]
+    v = _g(r, beta, p0)
+    r, v = r[v > g_nodes[m]], v[v > g_nodes[m]]
+    assert r.size > 20 and _has_root(beta, v, p0, p_max).all()
+    p, val, p_ref, val_ref = run(v, 0.0, nodes[m])
+    np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=2e-11)
+    np.testing.assert_allclose(val, val_ref, rtol=1e-12, atol=0.0)
+    assert np.all((p > nodes[m - 1]) & (p < nodes[m]))
+
+    # box ends exactly on nodes, with the root inside, below and above
+    v = _g(nodes[30] + 0.3 * (nodes[31] - nodes[30]), beta, p0)
+    for lo, hi in ((nodes[20], nodes[40]), (nodes[31], nodes[40]), (nodes[20], nodes[30]),
+                   (nodes[30], nodes[31])):
+        p, val, p_ref, val_ref = run(np.full(3, v), lo, hi)
+        np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(val, val_ref, rtol=1e-12, atol=1e-15)
+
+
+def test_search_lanes_without_rate_stay_quiet(phy):
+    # beta <= 0 and nan lanes next to live search lanes: no floating-point
+    # warning, p = lo and value 0
+    beta = np.array([0.0, -0.0, -1.0, -1e300, -np.inf, np.nan, 2.0, 30.0])
+    vgrad = np.array([-1.0, -5.0, 2.0, -0.5, -1.0, -1.0, -1.0, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, val = maximize_rate_value(beta, vgrad, 0.2, 0.9, phy)
+        p_one, val_one = maximize_rate_value(np.nan, -1.0, 0.2, 0.9, phy)
+    dead = ~(beta > 0.0)
+    assert np.all(p[dead] == 0.2) and np.all(val[dead] == 0.0)
+    assert p_one == 0.2 and val_one == 0.0
+    assert np.all(np.isfinite(val))
 
 
 def _bitwise_cases(rng, phy):

@@ -223,6 +223,23 @@ def test_solve_matches_bisection_reference(small_solution, phy, queue, monkeypat
     np.testing.assert_allclose(small_solution.policy, ref.policy, rtol=0.0, atol=1e-10)
 
 
+def test_interior_solve_matches_bisection_reference(interior_phy, queue, monkeypatch):
+    # the table search and the bisection reach one fixed point: the same
+    # iteration count, and policy, value and interference equal to 1e-12 on
+    # an equilibrium whose policy is mostly interior
+    grid = GridSpec(201, 11)
+    sol = solve_mfg(grid, interior_phy, queue, noise_norm=0.05)
+    monkeypatch.setattr("udnsim.solver.maximize_rate_value", _bisect_reference)
+    ref = solve_mfg(grid, interior_phy, queue, noise_norm=0.05)
+    interior = (ref.policy > 1e-6) & (ref.policy < interior_phy.max_power_w - 1e-6)
+    assert interior.mean() > 0.4
+    assert sol.iterations == ref.iterations
+    np.testing.assert_allclose(sol.policy, ref.policy, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sol.value, ref.value, rtol=0.0, atol=1e-12)
+    scale = ref.interference.max()
+    assert np.abs(sol.interference - ref.interference).max() <= 1e-12 * scale
+
+
 def test_solve_reproduces_anchor_slices(small_solution, queue):
     grid = small_solution.grid
     assert small_solution.value[-1] == pytest.approx(
