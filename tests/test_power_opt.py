@@ -299,24 +299,9 @@ def test_edge_lanes():
         np.testing.assert_allclose(val, val_ref, rtol=1e-12, atol=1e-15)
 
 
-def test_search_lanes_without_rate_stay_quiet(phy):
-    # beta <= 0 and nan lanes next to live search lanes: no floating-point
-    # warning, p = lo and value 0
-    beta = np.array([0.0, -0.0, -1.0, -1e300, -np.inf, np.nan, 2.0, 30.0])
-    vgrad = np.array([-1.0, -5.0, 2.0, -0.5, -1.0, -1.0, -1.0, -0.2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        p, val = maximize_rate_value(beta, vgrad, 0.2, 0.9, phy)
-        p_one, val_one = maximize_rate_value(np.nan, -1.0, 0.2, 0.9, phy)
-    dead = ~(beta > 0.0)
-    assert np.all(p[dead] == 0.2) and np.all(val[dead] == 0.0)
-    assert p_one == 0.2 and val_one == 0.0
-    assert np.all(np.isfinite(val))
-
-
 def _bitwise_cases(rng, phy):
     """Calls of every shape the solver, the slot kernel and users make, with
-    every lane kind: closed form, search, beta <= 0 and lo > hi."""
+    every lane kind: closed form, search, beta <= 0 or nan and lo > hi."""
     p_max = phy.max_power_w
     n = 300
     beta = 10.0 ** rng.uniform(-6.0, 5.0, n)
@@ -349,9 +334,12 @@ def _bitwise_cases(rng, phy):
          rng.uniform(0.0, 1.5 * p_max, shape_rbk), p_max),
         (10.0 ** rng.uniform(-2.0, 4.0, shape_rb), -0.5,
          rng.uniform(0.0, 0.5 * p_max, shape_rb), p_max),
+        # search lanes without rate (beta <= 0, nan) next to live ones
+        (np.array([0.0, -0.0, -1.0, -1e300, -np.inf, np.nan, 2.0, 30.0]),
+         np.array([-1.0, -5.0, 2.0, -0.5, -1.0, -1.0, -1.0, -0.2]), 0.2, 0.9),
         # fully scalar input, each lane kind
         (5.0, 0.0, 0.0, p_max), (5.0, -2.0, 0.1, p_max), (0.0, -5.0, 0.2, 0.9),
-        (5.0, 0.0, 0.9, 0.2),
+        (np.nan, -1.0, 0.2, 0.9), (5.0, 0.0, 0.9, 0.2),
         # vgrad zero given as a scalar and as an array wider than the rest
         (beta[:n_q], 0.0, 0.0, p_max),
         (3.0, np.zeros((2, n_q)), 0.0, p_max),
