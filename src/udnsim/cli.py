@@ -233,8 +233,11 @@ def cmd_sweep(args) -> int:
 
 
 def _read_metrics_rows(path: str):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read metrics file {path} ({exc.strerror})") from exc
     if not rows:
         raise ConfigError(f"no metric rows in {path}")
     return rows
@@ -252,6 +255,8 @@ def cmd_report(args) -> int:
                 by_method.setdefault(row["method"], []).append(float(row[args.metric]))
             except (KeyError, TypeError) as exc:
                 raise ConfigError(f"{path} lacks a {args.metric!r} column") from exc
+            except ValueError as exc:
+                raise ConfigError(f"{path}: non-numeric {args.metric!r} value ({exc})") from exc
 
     for method, vals in sorted(by_method.items()):
         cdf = build_cdf(vals)

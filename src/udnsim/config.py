@@ -16,7 +16,7 @@ from .baseline import ESTIMATE_MODES
 from .errors import ConfigError
 from .fields import BOUNDARY_KINDS, GridSpec
 from .phy import PathlossModel, PhyParams, QueueParams
-from .scheduler import GRADIENT_MODELS, DppParams
+from .scheduler import DppParams
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
 
@@ -72,6 +72,9 @@ SCHEMA = {
     },
     "scheduler": {
         "v_coeff": (float, -1.0),
+        # one model only (the EE penalty; V = 0 drops it); the key stays
+        # because unknown keys are rejected and bench/configs/reference.cfg
+        # still sets it
         "gradient_model": (str, "linear_ee"),
         "qos_min_rate_bps": (float, 200e3),
     },
@@ -105,7 +108,7 @@ SCHEMA = {
 CHOICES = {
     ("solver", "boundary"): BOUNDARY_KINDS,
     ("solver", "init"): ("zero", "half"),
-    ("scheduler", "gradient_model"): GRADIENT_MODELS,
+    ("scheduler", "gradient_model"): ("linear_ee",),
     ("simulate", "estimate_mode"): ESTIMATE_MODES,
     ("simulate", "initial_backlog"): ("empty", "density"),
     ("sweep", "key"): ("",) + SWEEP_KEYS,
@@ -148,14 +151,18 @@ class RunConfig:
 
 def _parse_file(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     values = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, text in parser.items(section):
+        for key, text in items:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             values[(section, key)] = text
@@ -203,7 +210,7 @@ def load_config(path=None) -> RunConfig:
                                shadowing_std_db=pl["shadowing_std_db"],
                                min_distance_m=pl["min_distance_m"]),
         grid=GridSpec(s["n_t"], s["n_q"], s["horizon_s"]),
-        dpp=DppParams(v_coeff=d["v_coeff"], gradient_model=d["gradient_model"]),
+        dpp=DppParams(v_coeff=d["v_coeff"]),
         raw=raw, output_dir=outdir,
     )
     if raw["solver"]["noise_norm"] <= 0:

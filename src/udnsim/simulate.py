@@ -26,7 +26,8 @@ once per slot or period on these batched arrays:
   draws the period's arrivals, one row per slot, which is the same stream
   as one draw per slot;
 - mfg: ``fields.bilinear`` for the slot power, and once per period
-  ``scheduler.expected_rate``, ``fields.bilinear`` and ``scheduler.dpp_step``;
+  ``scheduler.expected_rate`` (the candidates' policy power and rate) and
+  ``scheduler.dpp_step``;
 - baseline: ``baseline.qos_floor_power`` and ``baseline.efficient_power``
   (the two halves of ``baseline.myopic_power``, fed one beta per slot) and
   ``baseline.drain_power`` for the slot power,
@@ -200,9 +201,8 @@ def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
         cells = queues.reshape(n_rep, n_sbs, k)
         if method == "mfg":
             q_norm = cells / cap
-            r_bps = expected_rate(solution, 0.0, q_norm, serving_gain, phy)
-            p_cand = bilinear(solution.grid, solution.policy, 0.0, q_norm)
-            local = dpp_step(dpp_state, cells.astype(float), r_bps, p_cand, phy, dpp)
+            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, serving_gain, phy)
+            local = dpp_step(dpp_state, cells, r_bps, p_cand, phy, dpp)
         else:
             beta = serving_gain / (pf_state.interference_est[..., None] + noise[..., None])
             p_cand = efficient_power(beta, qos_floor_power(beta, qos_min_rate_bps, phy)[0], phy)

@@ -50,10 +50,17 @@ def load_solution(path) -> MfgSolution:
         magic = f.readline().decode("ascii", errors="replace").strip().split()
         if len(magic) != 2 or magic[0] != MAGIC:
             raise ConfigError(f"{path}: not a solution file")
-        if int(magic[1]) != VERSION:
+        if magic[1] != str(VERSION):
             raise ConfigError(f"{path}: unsupported solution format version {magic[1]}")
-        header = json.loads(f.readline().decode("ascii"))
-        grid = GridSpec(header["n_t"], header["n_q"], header["horizon_s"])
+        try:
+            header = json.loads(f.readline().decode("ascii"))
+            grid = GridSpec(header["n_t"], header["n_q"], header["horizon_s"])
+            meta = dict(iterations=header["iterations"], residuals=list(header["residuals"]),
+                        eta=header["eta"], noise_norm=header["noise_norm"],
+                        mean_sq_gain=header["mean_sq_gain"], boundary=header["boundary"],
+                        max_power_w=header["max_power_w"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: corrupt solution header ({exc!r})") from exc
         n = grid.n_t * grid.n_q
         raw = np.frombuffer(f.read(), dtype="<f8")
         if raw.size != 3 * n + grid.n_t:
@@ -62,10 +69,5 @@ def load_solution(path) -> MfgSolution:
     density = raw[n:2 * n].reshape(grid.n_t, grid.n_q).copy()
     policy = raw[2 * n:3 * n].reshape(grid.n_t, grid.n_q).copy()
     interference = raw[3 * n:].copy()
-    return MfgSolution(
-        grid=grid, value=value, density=density, policy=policy,
-        interference=interference, iterations=header["iterations"],
-        residuals=list(header["residuals"]), eta=header["eta"],
-        noise_norm=header["noise_norm"], mean_sq_gain=header["mean_sq_gain"],
-        boundary=header["boundary"], max_power_w=header["max_power_w"],
-    )
+    return MfgSolution(grid=grid, value=value, density=density, policy=policy,
+                       interference=interference, **meta)

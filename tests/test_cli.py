@@ -329,6 +329,10 @@ def test_report_from_metrics(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("method,seed\n")
     assert main(["report", "--metrics", str(empty), "--out", rep]) == 2
+    assert main(["report", "--metrics", str(tmp_path / "absent.csv"), "--out", rep]) == 2
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("method,ee_bits_per_j\nmfg,lots\n")
+    assert main(["report", "--metrics", str(garbled), "--out", rep]) == 2
 
 
 SCIPY_FREE_RUN = """

@@ -75,6 +75,10 @@ def test_missing_file_rejected(tmp_path):
     "[simulate]\nestimate_mode = kalman\n",
     "[simulate]\ninitial_backlog = full\n",
     "[sweep]\nkey = frequency\n",
+    "[scheduler]\ngradient_model = zero\n",
+    "bandwidth_hz = 1e6\n",                       # no section header
+    "[phy]\nmax_power_w = 1\nmax_power_w = 2\n",  # duplicate key
+    "[phy]\nbandwidth_hz = 5%\n",                  # bad interpolation
 ])
 def test_bad_values_rejected(tmp_path, body):
     with pytest.raises(ConfigError):

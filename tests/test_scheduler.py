@@ -3,8 +3,7 @@ import pytest
 
 from udnsim import ConfigError, DppParams, GridSpec, MfgSolution, SchedulerState, dpp_step
 from udnsim.phy import LN2
-from udnsim.scheduler import (expected_rate, penalty_gradient, schedule,
-                              solve_auxiliary, update_virtual_queue)
+from udnsim.scheduler import expected_rate
 
 
 def brute_force_schedule(q, r, y, penalty, v):
@@ -16,6 +15,52 @@ def brute_force_schedule(q, r, y, penalty, v):
     return best
 
 
+def _one_hot_reference(virtual, q_vec, rate_vec, power_vec, phy, v_coeff, model="linear_ee"):
+    """The one-hot formulation dpp_step replaced, kept as its reference:
+    auxiliary and schedule as one-hot vectors along the last axis, the
+    penalty from a gradient model ("zero" drops it), Y + aux - lam.
+    Returns (pick, new virtual)."""
+    def one_hot(index, n):
+        return (np.arange(n) == np.expand_dims(index, -1)).astype(float)
+
+    virtual = np.asarray(virtual, dtype=float)
+    rate = np.asarray(rate_vec, dtype=float)
+    if model == "linear_ee":
+        penalty = rate / (np.asarray(power_vec, dtype=float) + phy.circuit_power_w)
+    else:
+        penalty = np.zeros_like(rate)
+    aux = one_hot(np.argmin(virtual, axis=-1), virtual.shape[-1])
+    objective = np.asarray(q_vec, dtype=float) * rate + virtual - v_coeff * penalty
+    lam = one_hot(np.argmax(objective, axis=-1), objective.shape[-1])
+    pick = np.argmax(lam, axis=-1)
+    return (int(pick) if pick.ndim == 0 else pick), virtual + aux - lam
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4, 5)], ids=["k", "R-B-k"])
+@pytest.mark.parametrize("v_coeff", [0.0, -2.0, -50.0])
+def test_dpp_step_matches_one_hot_reference(phy, rng, shape, v_coeff):
+    """Bit for bit on quantized draws that force ties in both the objective
+    and the virtual queues, for one SBS and for an (R, B, k) batch."""
+    params = DppParams(v_coeff=v_coeff)
+    state = SchedulerState.fresh(shape)
+    ref_y = np.zeros(shape)
+    zero_y = np.zeros(shape)
+    for _ in range(60):
+        q = rng.integers(0, 3, shape) * 1000
+        r = rng.integers(0, 3, shape) * 0.5
+        p = rng.choice([0.25, 0.5], shape)
+        pick = dpp_step(state, q, r, p, phy, params)
+        ref_pick, ref_y = _one_hot_reference(ref_y, q, r, p, phy, v_coeff)
+        assert np.array_equal(pick, ref_pick)
+        assert type(pick) is type(ref_pick)
+        assert np.array_equal(state.virtual, ref_y)
+        if v_coeff == 0.0:
+            # the removed "zero" gradient model is V = 0 exactly
+            zero_pick, zero_y = _one_hot_reference(zero_y, q, r, p, phy, -2.0, model="zero")
+            assert np.array_equal(zero_pick, pick)
+            assert np.array_equal(zero_y, state.virtual)
+
+
 def test_schedule_matches_enumeration(phy, rng):
     params = DppParams(v_coeff=-2.5)
     for _ in range(300):
@@ -24,47 +69,43 @@ def test_schedule_matches_enumeration(phy, rng):
         r = rng.uniform(0, 3, n)
         y = rng.normal(0, 2, n)
         p = rng.uniform(0, 1, n)
-        penalty = penalty_gradient(r, p, phy)
-        lam = schedule(q, r, y, penalty, params)
-        assert lam.sum() == 1.0
-        assert int(np.argmax(lam)) == brute_force_schedule(q, r, y, penalty, params.v_coeff)
+        penalty = r / (p + phy.circuit_power_w)
+        pick = dpp_step(SchedulerState(virtual=y), q, r, p, phy, params)
+        assert pick == brute_force_schedule(q, r, y, penalty, params.v_coeff)
 
 
 def test_schedule_tie_breaks_low_index(phy):
     params = DppParams(v_coeff=-1.0)
     q = np.array([0.3, 0.3, 0.1])
     r = np.array([1.0, 1.0, 1.0])
-    y = np.zeros(3)
-    penalty = np.array([0.5, 0.5, 0.5])
-    lam = schedule(q, r, y, penalty, params)
-    assert lam.tolist() == [1.0, 0.0, 0.0]
+    p = np.array([0.5, 0.5, 0.5])
+    assert dpp_step(SchedulerState.fresh(3), q, r, p, phy, params) == 0
 
 
-def test_auxiliary_is_argmin():
-    assert solve_auxiliary(np.array([0.5, -1.0, 2.0])).tolist() == [0.0, 1.0, 0.0]
-    assert solve_auxiliary(np.zeros(3)).tolist() == [1.0, 0.0, 0.0]  # tie -> lowest
+def test_auxiliary_is_argmin(phy):
+    """The auxiliary UE (argmin of Y, lowest index on ties) gains one credit
+    while the backlog schedules UE 2, which pays one debit."""
+    q, ones = np.array([0.0, 0.0, 100.0]), np.ones(3)
+    state = SchedulerState(virtual=np.array([0.5, -1.0, 2.0]))
+    assert dpp_step(state, q, ones, ones, phy, DppParams()) == 2
+    assert state.virtual.tolist() == [0.5, 0.0, 1.0]
+    state = SchedulerState.fresh(3)
+    assert dpp_step(state, q, ones, ones, phy, DppParams()) == 2
+    assert state.virtual.tolist() == [1.0, 0.0, -1.0]  # tie -> lowest
 
 
-def test_virtual_queue_unclamped():
-    y = update_virtual_queue(np.array([0.0, 0.0]), np.array([0.0, 0.0]),
-                             np.array([1.0, 0.0]))
-    assert y.tolist() == [-1.0, 0.0]  # may go negative by design
-
-
-def test_penalty_gradient_models(phy):
-    r = np.array([2.0, 1.0])
-    p = np.array([0.5, 0.5])
-    assert penalty_gradient(r, p, phy) == pytest.approx([2 / 1.5, 1 / 1.5])
-    assert penalty_gradient(r, p, phy, model="zero").tolist() == [0.0, 0.0]
-    with pytest.raises(ConfigError):
-        penalty_gradient(r, p, phy, model="other")
+def test_virtual_queue_unclamped(phy):
+    """UE 0 is scheduled while UE 1 is the auxiliary: Y goes negative by design."""
+    state = SchedulerState(virtual=np.array([0.0, -0.5]))
+    pick = dpp_step(state, np.array([1.0, 0.0]), np.array([1.0, 1.0]),
+                    np.array([0.5, 0.5]), phy, DppParams())
+    assert pick == 0
+    assert state.virtual.tolist() == [-1.0, 0.5]
 
 
 def test_dpp_params_validation():
     with pytest.raises(ConfigError):
         DppParams(v_coeff=0.5)
-    with pytest.raises(ConfigError):
-        DppParams(gradient_model="bogus")
 
 
 def test_two_ue_alternation(phy):
@@ -87,14 +128,10 @@ def test_two_ue_alternation(phy):
 def test_dpp_step_bookkeeping(phy):
     params = DppParams(v_coeff=-1.0)
     state = SchedulerState.fresh(3)
-    counts = np.zeros(3)
     rng = np.random.default_rng(5)
     for _ in range(40):
-        i = dpp_step(state, rng.uniform(0, 1, 3), rng.uniform(0, 3, 3),
-                     rng.uniform(0, 1, 3), phy, params)
-        counts[i] += 1
-    assert state.periods == 40
-    assert state.lam_avg * 40 == pytest.approx(counts, abs=1e-9)
+        dpp_step(state, rng.uniform(0, 1, 3), rng.uniform(0, 3, 3),
+                 rng.uniform(0, 1, 3), phy, params)
     # each period moves Y by one +1 credit and one -1 debit
     assert state.virtual.sum() == pytest.approx(0.0, abs=1e-9)
 
@@ -120,16 +157,17 @@ def test_expected_rate_formula(phy):
         interference=np.full(3, 0.2),
         iterations=1, residuals=[0.0], eta=0.25, noise_norm=0.05,
     )
-    r = expected_rate(sol, 0.4, 0.7, 2.0, phy)
+    p, r = expected_rate(sol, 0.4, 0.7, 2.0, phy)
+    assert p == 0.5
     sinr = 0.5 * 2.0 / 0.25
     assert r == pytest.approx(phy.bandwidth_hz * np.log1p(sinr) / LN2, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", ["linear_ee", "zero"])
-def test_batched_dpp_step_matches_rows(phy, rng, model):
+@pytest.mark.parametrize("v_coeff", [-2.0, 0.0])
+def test_batched_dpp_step_matches_rows(phy, rng, v_coeff):
     """One (B, k) state stepped once per period equals B independent 1-D
-    states: same picks, and bit-identical virtual queues and running means."""
-    params = DppParams(v_coeff=-2.0, gradient_model=model)
+    states: same picks, and bit-identical virtual queues."""
+    params = DppParams(v_coeff=v_coeff)
     n_sbs, k = 7, 4
     batch = SchedulerState.fresh((n_sbs, k))
     rows = [SchedulerState.fresh(k) for _ in range(n_sbs)]
@@ -141,6 +179,4 @@ def test_batched_dpp_step_matches_rows(phy, rng, model):
         picks = dpp_step(batch, q, r, p, phy, params)
         assert picks.tolist() == [dpp_step(rows[b], q[b], r[b], p[b], phy, params)
                                   for b in range(n_sbs)]
-    assert batch.periods == 50
     assert np.array_equal(batch.virtual, np.stack([s.virtual for s in rows]))
-    assert np.array_equal(batch.lam_avg, np.stack([s.lam_avg for s in rows]))

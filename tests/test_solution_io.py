@@ -58,3 +58,18 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     path.write_bytes(blob[:-16])
     with pytest.raises(ConfigError):
         load_solution(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    (f"{MAGIC} {VERSION}\n", f"{MAGIC} x\n"),     # version not an integer
+    ('{"boundary"', '{boundary'),                  # header line not JSON
+    ('"eta": ', '"etc": '),                        # header lacks a key
+], ids=["version", "json", "key"])
+def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
+    path = tmp_path / "sol.mfg"
+    save_solution(path, small_solution)
+    blob = path.read_bytes()
+    assert old.encode() in blob
+    path.write_bytes(blob.replace(old.encode(), new.encode(), 1))
+    with pytest.raises(ConfigError):
+        load_solution(path)
