@@ -99,9 +99,10 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
     expected = terminal_value(sol.boundary, g.queues)
     if not np.allclose(sol.value[-1], expected, rtol=0, atol=1e-9):
         raise InvariantError("stored terminal values do not match their kind")
-    if sol.residual >= cfg.raw["solver"]["tol"]:
+    # not below: an empty residual list reads nan
+    if not sol.residual < cfg.raw["solver"]["tol"]:
         raise InvariantError(
-            f"stored residual {sol.residual:.3e} exceeds config tolerance")
+            f"stored residual {sol.residual:.3e} is not below the config tolerance")
     if (sol.eta, sol.noise_norm) != (dep.eta, dep.noise_norm):
         raise InvariantError(
             f"solution calibration eta={sol.eta!r}, noise_norm={sol.noise_norm!r} "
@@ -234,10 +235,12 @@ def cmd_sweep(args) -> int:
 
 def _read_metrics_rows(path: str):
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read metrics file {path} ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"metrics file {path} is not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise ConfigError(f"no metric rows in {path}")
     return rows

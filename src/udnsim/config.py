@@ -152,9 +152,9 @@ class RunConfig:
 def _parse_file(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         sections = {section: parser.items(section) for section in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -215,6 +215,8 @@ def load_config(path=None) -> RunConfig:
     )
     if raw["solver"]["noise_norm"] <= 0:
         raise ConfigError("[solver] noise_norm must be positive")
+    if not 0 < raw["solver"]["mean_sq_gain"] < float("inf"):
+        raise ConfigError("[solver] mean_sq_gain must be positive and finite")
     if raw["solver"]["tol"] <= 0 or raw["solver"]["max_iters"] < 1:
         raise ConfigError("[solver] tol must be positive and max_iters at least 1")
     if not 0 < raw["solver"]["damping"] <= 1:

@@ -66,13 +66,14 @@ m' = -beta s^2 g / (1 + beta p), so m falls while g > 0 and rises once g < 0
 (past the EE power p*, where g = 0), and g' changes sign at most once, from
 - to +.  The up-crossing is where the falling part of g meets v.
 
-g is evaluated once per call, at beta's own shape (one table for the solver's
-scalar beta), on N_NODES = 129 fixed nodes p_max (j / 128)^2.  Their spacing
-grows from p_max / 16384 at 0, fine enough for the 1/beta scale of
-ln(1 + beta p) at large beta, to p_max / 64 at p_max.  The running minimum of
-the table is g on the falling part and the node minimum past it, so the count
-c of its nodes with g >= v brackets the root in [p_(c-1), p_c], where
-psi <= 0 at the left node and psi > 0 at the right.  c = 0 (v > beta / p0,
+_g_table evaluates g on N_NODES = 129 fixed nodes p_max (j / 128)^2, one row
+of nodes per beta.  Their spacing grows from p_max / 16384 at 0, fine enough
+for the 1/beta scale of ln(1 + beta p) at large beta, to p_max / 64 at p_max.
+The running minimum of a row is g on the falling part and the node minimum
+past it, so the count c of its nodes with g >= v brackets the root in
+[p_(c-1), p_c], where psi <= 0 at the left node and psi > 0 at the right.
+The row does not rise, so where one row serves every lane the count is a
+binary search of it; otherwise each lane counts its own row.  c = 0 (v > beta / p0,
 psi(0) > 0) and c = N_NODES (v at or below the node minimum) have no root,
 and the better endpoint wins.  So lanes whose root pair lies inside one node
 interval, with v between the node minimum and the true minimum, take the
@@ -100,15 +101,27 @@ p0 < p_max, which no shipped config has.  Two Halley steps left
 3.1e-3 W and three 1.8e-3 W, both next to the fold; evenly spaced nodes left
 6.1e-12 W in the first node interval after two Cauchy steps.  phi rises up
 to the root, so the root clipped to [lo, hi] (lo where there is none) is the
-best of lo and the root, and phi decides between it and hi.
+best of lo and the root, and _box_best lets phi decide between it and hi,
+from ln(1 + beta hi) and 1 / (hi + p0) given to it.
 
-maximize_rate_value takes one pass over the broadcast inputs instead of
-gathering each case's elements: p* at beta's own shape (one lookup and one
-Halley step for the solver's scalar beta) clipped by broadcasting and phi at
-it, the search on every element only when some vgrad is nonzero, then
-np.where picks p and phi per element, the search's phi from its own
-comparison.  Each element takes the same floating-point operations either
-way.
+One search and one comparison serve both callers.  _up_crossing depends on
+beta, v, p0 and p_max, not on the box, and _box_best broadcasts the root
+against any number of boxes:
+
+- maximize_rate_value, the pointwise API, builds its table and the box-end
+  terms per call, at beta's own shape (_hjb_power).  It takes one pass over
+  the broadcast inputs instead of gathering each case's elements: p* at
+  beta's own shape clipped by broadcasting and phi at it, the search on
+  every element only when some vgrad is nonzero, then np.where picks p and
+  phi per element, the search's phi from its own comparison.
+- solver.hjb_backward builds every term that depends on beta alone once per
+  sweep: the tables in blocks of time steps, the box ends' terms, beta^2 / 2,
+  and p* and its phi in both boxes.  The fill lane at node j and the drain
+  lane at node j + 1 read the same difference of the value, so one search
+  per difference serves both, and both boxes are compared in one pass.
+
+Each element takes the same floating-point operations on either path, so the
+sweep equals a sweep of maximize_rate_value calls bit for bit.
 """
 
 from __future__ import annotations
@@ -117,7 +130,7 @@ import numpy as np
 
 from .phy import PhyParams
 
-# the g table of _up_crossing: its nodes as fractions of [0, max_power],
+# the g table of _g_table: its nodes as fractions of [0, max_power],
 # squares of evenly spaced ones, and the safeguarded steps from its linear
 # start (see the module docstring)
 N_NODES = 129
@@ -174,29 +187,35 @@ def _ee_power(beta, lo, hi, p0):
     return np.minimum(np.maximum(np.expm1(u) / beta, lo), hi)
 
 
-def _up_crossing(beta, v, p0, p_max):
-    """The up-crossing of psi on [0, p_max] at the shape of v: the table
-    bracket, its linear start and N_STEPS safeguarded Cauchy steps.  Returns
-    (root, has_root); the root is meaningless where has_root is False."""
-    # g on the nodes at beta's own shape, the node axis first; its running
-    # minimum is g on the falling part and the node minimum past it, so its
-    # nodes with g >= v are the falling ones, or all of them
-    pn = (p_max * NODE_FRAC).reshape((-1,) + (1,) * v.ndim)
+def _g_table(beta, pn, p0):
+    """g on the nodes pn at beta's shape plus a last node axis, as its
+    running minimum: g on the falling part and the node minimum past it, so
+    the nodes with g >= v are the falling ones, or all of them."""
+    b = beta[..., None]
     s = pn + p0
-    bp = beta * pn
-    g = (beta * s - (1.0 + bp) * np.log1p(bp)) / (s * s)
-    g = np.minimum.accumulate(g, axis=0)
-    c = np.count_nonzero(g >= v, axis=0)
+    bp = b * pn
+    return np.minimum.accumulate((b * s - (1.0 + bp) * np.log1p(bp)) / (s * s), axis=-1)
+
+
+def _up_crossing(g, row, v, beta, hb2, pn, p0):
+    """The up-crossing of psi on [0, p_max] at the shape of v: the bracket
+    that row g[row] of a _g_table on the nodes pn gives, its linear start
+    and N_STEPS safeguarded Cauchy steps; hb2 = beta^2 / 2.  Returns
+    (root, has_root); the root is meaningless where has_root is False."""
+    gr = g[row]
+    # the count of a row's nodes with g >= v; g does not rise along the
+    # nodes, so where one row serves every lane a binary search finds it
+    if gr.ndim == 1:
+        c = np.searchsorted(-gr, -v, side="right")
+    else:
+        c = np.count_nonzero(gr >= v[..., None], axis=-1)
     has_root = (c > 0) & (c < N_NODES)
     k = np.minimum(np.maximum(c, 1), N_NODES - 1)
-    g = g.reshape(N_NODES, -1)
-    col = np.arange(beta.size).reshape(beta.shape)
-    ga, gb = g[k - 1, col], g[k, col]
-    blo = p_max * NODE_FRAC[k - 1]
-    bhi = p_max * NODE_FRAC[k]
+    km = k - 1
+    ga, gb = g[row, km], g[row, k]
+    blo, bhi = pn[km], pn[k]
     # ga >= v > gb keeps the linear start inside the bracket
     x = blo + (ga - v) / (ga - gb) * (bhi - blo)
-    hb2 = 0.5 * beta * beta
     for _ in range(N_STEPS):
         s = x + p0
         bx = beta * x
@@ -217,18 +236,29 @@ def _up_crossing(beta, v, p0, p_max):
     return x, has_root
 
 
-def _hjb_power(beta, vgrad, lo, hi, p0, p_max):
-    """The up-crossing compared with the endpoints; returns (p, phi at p) at
-    the inputs' broadcast shape."""
-    x, has_root = _up_crossing(beta, vgrad * beta, p0, p_max)
+def _box_best(x, has_root, beta, vgrad, lo, hi, log_hi, inv_hi, p0):
+    """The up-crossing compared with the ends of [lo, hi], given
+    log_hi = ln(1 + beta hi) and inv_hi = 1 / (hi + p0); returns (p, phi at
+    p) at the inputs' broadcast shape."""
     # phi rises up to the root, so lo can beat it only where there is none
     # or it lies below lo: the root clipped to [lo, hi], or lo where there
     # is none, is the best of lo and the root, and competes with hi
     r = np.where(has_root, np.minimum(np.maximum(x, lo), hi), lo)
     f_r = _phi(r, beta, vgrad, p0)
-    f_hi = _phi(hi, beta, vgrad, p0)
+    f_hi = log_hi * (inv_hi - vgrad)
     up = f_hi > f_r
     return np.where(up, hi, r), np.where(up, f_hi, f_r)
+
+
+def _hjb_power(beta, vgrad, lo, hi, p0, p_max):
+    """The table search with its table built for this call, at beta's own
+    shape; returns (p, phi at p) at the inputs' broadcast shape."""
+    pn = p_max * NODE_FRAC
+    g = _g_table(beta, pn, p0).reshape(-1, N_NODES)
+    row = np.arange(beta.size).reshape(beta.shape)
+    x, has_root = _up_crossing(g, row, vgrad * beta, beta, 0.5 * beta * beta, pn, p0)
+    return _box_best(x, has_root, beta, vgrad, lo, hi, np.log1p(beta * hi),
+                     1.0 / (hi + p0), p0)
 
 
 def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams):

@@ -14,6 +14,17 @@ gradient is clamped to zero, the drain gradient at y=0 and the fill gradient
 at y=1: backlog cannot leave [0, capacity], as the forward sweep's walls
 carry no flux.
 
+The sweep runs power_opt's search and box comparison directly, not through
+maximize_rate_value, and computes what depends on beta alone once per sweep,
+vectorized over the time steps: the balance power, both boxes' end terms,
+beta^2 / 2, the EE power and its phi in each box (what the clamped walls and
+any other zero-gradient lane take) and the g table, in blocks of G_BLOCK
+steps so that memory does not grow with n_t.  A step then computes one
+difference per node pair: the fill lane at node j and the drain lane at
+node j + 1 both upwind onto it, so one search serves both, and both boxes
+are compared in one (2, n_q - 1) pass.  The result equals, bit for bit, a
+sweep that hands each step's 2 n_q lanes to maximize_rate_value.
+
 The forward sweep is a conservative finite-volume upwind transport on the
 same grid (half cells at the walls, zero-flux boundaries), sub-stepped
 internally where needed so density stays nonnegative; total mass is conserved
@@ -37,7 +48,7 @@ from .fields import (
     terminal_value,
 )
 from .phy import LN2, PhyParams, QueueParams
-from .power_opt import maximize_rate_value
+from .power_opt import NODE_FRAC, _box_best, _ee_power, _g_table, _phi, _up_crossing
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +56,8 @@ FP_TOL = 1e-4
 FP_MAX_ITERS = 200
 FP_DAMPING = 0.5
 EXISTENCE_TOL = 1e-12
+# time steps per block of the backward sweep's g table
+G_BLOCK = 64
 
 
 def _rate_coeffs(phy: PhyParams, queue: QueueParams):
@@ -67,9 +80,16 @@ def _beta_traj(interference, noise_norm, mean_sq_gain):
     interference = np.asarray(interference, dtype=float)
     if noise_norm <= 0:
         raise ConfigError("noise_norm must be positive")
+    if not 0 < mean_sq_gain < np.inf:
+        raise ConfigError("mean_sq_gain must be positive and finite")
     if interference.min() < 0:
         raise ConfigError("interference trajectory must be nonnegative")
-    return mean_sq_gain / (interference + noise_norm)
+    with np.errstate(over="ignore"):  # an overflow fails the test below
+        beta = mean_sq_gain / (interference + noise_norm)
+    if not np.all((beta > 0) & (beta < np.inf)):
+        raise ConfigError("interference trajectory gives a gain-to-noise ratio "
+                          "that is not positive and finite")
+    return beta
 
 
 def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
@@ -88,51 +108,68 @@ def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
     _check_cfl(grid, float(beta.max()), phy, queue)
 
     abar, rcoef = _rate_coeffs(phy, queue)
-    n_q, dq, dt = grid.n_q, grid.dq, grid.dt
-    value = np.empty((grid.n_t, n_q))
-    policy = np.empty((grid.n_t, n_q))
+    n_t, n_q, dq, dt = grid.n_t, grid.n_q, grid.dq, grid.dt
+    p0, p_max = phy.circuit_power_w, phy.max_power_w
+    value = np.empty((n_t, n_q))
+    policy = np.empty((n_t, n_q))
     value[-1] = terminal
 
-    # the (2 n_q,) gradients and bounds of both branches, fill then drain,
-    # refilled in place at each step: the clamped wall gradients (fill at
-    # y=1, drain at y=0) stay 0, and only the balance power moves the bounds
-    vgrads = np.zeros(2 * n_q)
-    lo = np.zeros(2 * n_q)
-    hi = np.full(2 * n_q, phy.max_power_w)
-    cols = np.arange(n_q)
-    bal_snr = np.expm1(abar / rcoef)
+    # every term that depends on beta alone, for the whole sweep.  The fill
+    # box [0, p_bal] and the drain box [p_bal, p_max] split at the balance
+    # power (rate = arrivals), as (n_t, 2, 1) columns against the lanes.  A
+    # subnormal beta sends p_bal and the EE power to inf, which clip to
+    # p_max; the search's discarded lanes divide by zero and take sqrt < 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_bal = np.minimum(np.expm1(abar / rcoef) / beta, p_max)
+        lo = np.stack([np.zeros(n_t), p_bal], axis=1)[:, :, None]
+        hi = np.stack([p_bal, np.full(n_t, p_max)], axis=1)[:, :, None]
+        b3 = beta[:, None, None]
+        log_hi = np.log1p(b3 * hi)
+        inv_hi = 1.0 / (hi + p0)
+        # the EE power and its phi in each box: the lanes with zero gradient,
+        # the clamped walls (fill at y=1, drain at y=0) among them, take these
+        p_ee = _ee_power(b3, lo, hi, p0)
+        phi_ee = _phi(p_ee, b3, 0.0, p0)
+        p_wall, phi_wall = p_ee[:, :, 0], phi_ee[:, :, 0]
+        hb2 = (0.5 * beta * beta).tolist()
+        dead = (p_bal >= p_max).tolist()  # no drain region anywhere in the box
+        betas = beta.tolist()
+        pn = p_max * NODE_FRAC
+        cols = np.arange(n_q)
 
-    def step(v_next, beta_i):
-        # one-sided differences of the known (later) slice: the fill branch
-        # takes the forward difference, the drain branch the backward one
-        diff = (v_next[1:] - v_next[:-1]) / dq
-        vgrads[:n_q - 1] = diff
-        vgrads[n_q + 1:] = diff
-
-        # balance power: rate equals arrivals, the drift sign switch
-        if beta_i > 0:
-            p_bal = min(bal_snr / beta_i, phy.max_power_w)
-        else:
-            p_bal = phy.max_power_w
-        hi[:n_q] = p_bal
-        lo[n_q:] = p_bal
-
-        # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the -vgrad*rate
-        # part of phi, so vgrad = rcoef*dV/dy and the arrival term remains
-        p_all, phi_all = maximize_rate_value(beta_i, rcoef * vgrads, lo, hi, phy)
-        ham = (phi_all + abar * vgrads).reshape(2, n_q)
-        p_all = p_all.reshape(2, n_q)
-        if p_bal >= phy.max_power_w:  # no drain region anywhere in the box
-            ham[1] = -np.inf
-        pick = np.argmax(ham, axis=0)
-        return p_all[pick, cols], ham[pick, cols]
-
-    # policy on the terminal slice, from the terminal gradient
-    policy[-1], _ = step(terminal, float(beta[-1]))
-    for i in range(grid.n_t - 2, -1, -1):
-        p_i, ham_i = step(value[i + 1], float(beta[i]))
-        value[i] = value[i + 1] + dt * ham_i
-        policy[i] = p_i
+        # a step reads the later slice; the terminal slice's policy reads
+        # itself
+        for stop in range(n_t, 0, -G_BLOCK):
+            start = max(stop - G_BLOCK, 0)
+            g = _g_table(beta[start:stop], pn, p0)
+            for i in range(stop - 1, start - 1, -1):
+                v_next = value[min(i + 1, n_t - 1)]
+                # the fill lane at j and the drain lane at j + 1 share the
+                # difference between them, so they share its search
+                diff = (v_next[1:] - v_next[:-1]) / dq
+                # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the
+                # -vgrad*rate part of phi, so vgrad = rcoef*dV/dy and the
+                # arrival term remains
+                vgrad = rcoef * diff
+                b = betas[i]
+                x, has_root = _up_crossing(g, i - start, vgrad * b, b, hb2[i], pn, p0)
+                p, phi = _box_best(x, has_root, b, vgrad, lo[i], hi[i], log_hi[i],
+                                   inv_hi[i], p0)
+                if not vgrad.all():
+                    flat = vgrad == 0.0
+                    p = np.where(flat, p_ee[i], p)
+                    phi = np.where(flat, phi_ee[i], phi)
+                ham = phi + abar * diff
+                # the 2 n_q lanes, fill then drain; the fill wall (y=1) and
+                # the drain wall (y=0) are the middle two
+                p = np.concatenate((p[0], p_wall[i], p[1])).reshape(2, n_q)
+                ham = np.concatenate((ham[0], phi_wall[i], ham[1])).reshape(2, n_q)
+                if dead[i]:
+                    ham[1] = -np.inf
+                pick = np.argmax(ham, axis=0)
+                policy[i] = p[pick, cols]
+                if i < n_t - 1:
+                    value[i] = v_next + dt * ham[pick, cols]
     if not np.isfinite(value).all():
         raise SchemeError("backward sweep produced non-finite values")
     return value, policy

@@ -76,6 +76,17 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+def test_non_utf8_inputs_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xff\xfe[solver]\nn_q = 21\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    metrics = tmp_path / "bom.csv"
+    metrics.write_bytes(b"\xff\xfemethod,ee_bits_per_j\nmfg,1\n")
+    assert main(["report", "--metrics", str(metrics), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("configuration error:") == 2
+
+
 def test_nonconvergence_exits_3(tmp_path):
     cfg, _ = write_cfg(tmp_path,
                        SOLVE_CFG.replace("[solver]", "[solver]\nmax_iters = 1"))
@@ -102,6 +113,12 @@ def test_validate_roundtrip_and_mismatches(tmp_path):
     blob = open(sol_path, "rb").read()
     truncated.write_bytes(blob[:-16])
     assert main(["validate", "--config", cfg, "--solution", str(truncated)]) == 2
+
+    # no residuals: the stored residual reads nan, which is not below tol
+    no_residuals = tmp_path / "no-residuals.mfg"
+    sol = dataclasses.replace(load_solution(sol_path), residuals=[])
+    save_solution(no_residuals, sol)
+    assert main(["validate", "--config", cfg, "--solution", str(no_residuals)]) == 4
 
 
 def test_simulate_with_saved_solution(tmp_path):

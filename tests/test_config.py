@@ -68,6 +68,10 @@ def test_missing_file_rejected(tmp_path):
     "[solver]\ndamping = 0\n",
     "[solver]\ndamping = 1.5\n",
     "[solver]\nmax_iters = 0\n",
+    "[solver]\nmean_sq_gain = 0\n",
+    "[solver]\nmean_sq_gain = -1\n",
+    "[solver]\nmean_sq_gain = inf\n",
+    "[solver]\nmean_sq_gain = nan\n",
     "[deployment]\nk = 0\n",
     "[deployment]\nisd_units = -1\n",
     "[simulate]\nn_replicates = 0\n",
@@ -83,6 +87,13 @@ def test_missing_file_rejected(tmp_path):
 def test_bad_values_rejected(tmp_path, body):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, body))
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe[phy]\nbandwidth_hz = 1e6\n")
+    with pytest.raises(ConfigError, match="malformed config file"):
+        load_config(path)
 
 
 def test_bool_parsing(tmp_path):

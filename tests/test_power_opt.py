@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from udnsim import GridSpec, PhyParams
-from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _hjb_power, _phi,
+from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _hjb_power, _phi,
                                _up_crossing, maximize_rate_value)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
@@ -178,11 +178,13 @@ def _g(p, beta, p0):
 
 
 def _has_root(beta, v, p0, p_max):
-    """Whether _up_crossing brackets a root, with the errstate its callers
-    give it."""
+    """Whether _up_crossing brackets a root for a scalar beta, with the
+    errstate its callers give it."""
+    pn = p_max * NODE_FRAC
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _up_crossing(np.asarray(beta, dtype=float), np.asarray(v, dtype=float),
-                            p0, p_max)[1]
+        g = _g_table(np.array([beta], dtype=float), pn, p0)
+        return _up_crossing(g, 0, np.asarray(v, dtype=float), beta, 0.5 * beta * beta,
+                            pn, p0)[1]
 
 
 def test_solver_shaped_calls_match_bisection_reference(phy, queue, rng):

@@ -65,11 +65,13 @@ def test_hjb_value_monotone_in_backlog(small_solution):
     assert dv.max() <= 1e-9  # more backlog is never better
 
 
-def _sweep_reference(grid, terminal, interference, phy, queue, noise_norm):
+def _sweep_reference(grid, terminal, interference, phy, queue, noise_norm,
+                     mean_sq_gain=1.0, optimizer=maximize_rate_value):
     """hjb_backward with each step's branch gradients and bounds built afresh
-    by concatenation, then handed to one maximize_rate_value call."""
+    by concatenation, then handed to one optimizer call (maximize_rate_value
+    or a reference with its contract)."""
     abar, rcoef = _rate_coeffs(phy, queue)
-    beta = _beta_traj(interference, noise_norm, 1.0)
+    beta = _beta_traj(interference, noise_norm, mean_sq_gain)
     n_q, dq = grid.n_q, grid.dq
     value = np.empty((grid.n_t, n_q))
     policy = np.empty((grid.n_t, n_q))
@@ -91,7 +93,7 @@ def _sweep_reference(grid, terminal, interference, phy, queue, noise_norm):
         vgrads = np.concatenate([grad_fill, grad_drain])
         lo = np.concatenate([np.zeros(n_q), np.full(n_q, p_bal)])
         hi = np.concatenate([np.full(n_q, p_bal), np.full(n_q, phy.max_power_w)])
-        p_all, phi_all = maximize_rate_value(beta_i, rcoef * vgrads, lo, hi, phy)
+        p_all, phi_all = optimizer(beta_i, rcoef * vgrads, lo, hi, phy)
         ham = (phi_all + abar * vgrads).reshape(2, n_q)
         p_all = p_all.reshape(2, n_q)
         if p_bal >= phy.max_power_w:
@@ -122,6 +124,67 @@ def test_hjb_matches_sweep_reference_bitwise(phy, queue, boundary, trajectory):
     ref_value, ref_policy = _sweep_reference(grid, terminal, interference, phy, queue, 0.1)
     assert np.array_equal(value, ref_value)
     assert np.array_equal(policy, ref_policy)
+
+
+def _balance_threshold(phy, queue):
+    """The beta at and below which p_bal reaches p_max (no drain region)."""
+    abar, rcoef = _rate_coeffs(phy, queue)
+    return np.expm1(abar / rcoef) / phy.max_power_w
+
+
+@pytest.mark.parametrize("case", ["interior_phy", "bench_grid", "dead_drain",
+                                  "uniform_flat", "two_nodes", "subnormal_gain"])
+def test_hjb_edge_cases_match_sweep_reference_bitwise(phy, interior_phy, queue, case):
+    # bench_grid: the 51 x 651 grid of bench/configs/reference.cfg; two_nodes:
+    # a single difference per step
+    grid = {"bench_grid": GridSpec(651, 51), "two_nodes": GridSpec(11, 2)}.get(
+        case, GridSpec(601, 21))
+    # uniform_flat: every interior gradient is exactly 0, so the zero-gradient
+    # lanes carry the whole sweep
+    terminal = terminal_value("uniform" if case == "uniform_flat" else "exponential",
+                              grid.queues)
+    model = interior_phy if case == "interior_phy" else phy
+    # subnormal_gain: p_bal and the EE power overflow to inf and clip to p_max
+    gain = 1e-310 if case == "subnormal_gain" else 1.0
+    noise = 0.1
+    interference = 0.4 * (1.0 + np.cos(5.0 * grid.times))
+    if case == "dead_drain":
+        # beta crosses the balance threshold both ways: the drain branch is
+        # empty (p_bal >= p_max) on part of the sweep
+        b_bal = _balance_threshold(phy, queue)
+        interference = 1.0 / (b_bal * np.exp(2.0 * np.sin(11.0 * grid.times))) - noise
+        beta = _beta_traj(interference, noise, gain)
+        assert 0 < (beta <= b_bal).sum() < grid.n_t
+    value, policy = hjb_backward(grid, terminal, interference, model, queue,
+                                 noise_norm=noise, mean_sq_gain=gain)
+    # the reference's scalar p_bal warns where the sweep's errstate is quiet
+    with np.errstate(over="ignore", divide="ignore"):
+        ref_value, ref_policy = _sweep_reference(grid, terminal, interference, model,
+                                                 queue, noise, gain)
+    if case == "uniform_flat":
+        assert np.all(np.diff(value, axis=1) == 0.0)
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(policy, ref_policy)
+
+
+def test_hjb_rejects_bad_gain(phy, queue):
+    # a gain-to-noise ratio must be positive and finite, or the CFL bound and
+    # the kernel read nan
+    grid = GridSpec(601, 21)
+    terminal = terminal_value("exponential", grid.queues)
+    flat = np.zeros(grid.n_t)
+    for gain in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="mean_sq_gain"):
+            hjb_backward(grid, terminal, flat, phy, queue, noise_norm=0.1, mean_sq_gain=gain)
+        with pytest.raises(ConfigError, match="mean_sq_gain"):
+            solve_mfg(grid, phy, queue, noise_norm=0.1, mean_sq_gain=gain)
+    for bad in (np.inf, np.nan):
+        traj = flat.copy()
+        traj[7] = bad
+        with pytest.raises(ConfigError, match="positive and finite"):
+            hjb_backward(grid, terminal, traj, phy, queue, noise_norm=0.1)
+    with pytest.raises(ConfigError, match="positive and finite"):
+        hjb_backward(grid, terminal, flat, phy, queue, noise_norm=1e-320)
 
 
 def test_drift_field_formula(phy, queue):
@@ -208,10 +271,27 @@ def test_solve_converges(small_solution, phy):
     sol.validate()
 
 
+def _bisection_sweep(monkeypatch):
+    """Make solve_mfg sweep with _sweep_reference around the scan-and-bisection
+    optimizer; returns the list its calls are counted in."""
+    calls = []
+
+    def optimizer(*args):
+        calls.append(1)
+        return _bisect_reference(*args)
+
+    def sweep(*args):
+        return _sweep_reference(*args, optimizer=optimizer)
+
+    monkeypatch.setattr("udnsim.solver.hjb_backward", sweep)
+    return calls
+
+
 def test_solve_matches_bisection_reference(small_solution, phy, queue, monkeypatch):
     # the same fixed point as with the scan-and-bisection optimizer
-    monkeypatch.setattr("udnsim.solver.maximize_rate_value", _bisect_reference)
+    calls = _bisection_sweep(monkeypatch)
     ref = solve_mfg(small_solution.grid, phy, queue, noise_norm=0.1)
+    assert len(calls) == ref.iterations * small_solution.grid.n_t
     assert small_solution.iterations == ref.iterations
     # a residual is max|i_new - I| / scale with i_new and I of size up to
     # scale: each carries a rounding error of about eps * scale, so the
@@ -229,8 +309,9 @@ def test_interior_solve_matches_bisection_reference(interior_phy, queue, monkeyp
     # an equilibrium whose policy is mostly interior
     grid = GridSpec(201, 11)
     sol = solve_mfg(grid, interior_phy, queue, noise_norm=0.05)
-    monkeypatch.setattr("udnsim.solver.maximize_rate_value", _bisect_reference)
+    calls = _bisection_sweep(monkeypatch)
     ref = solve_mfg(grid, interior_phy, queue, noise_norm=0.05)
+    assert len(calls) == ref.iterations * grid.n_t
     interior = (ref.policy > 1e-6) & (ref.policy < interior_phy.max_power_w - 1e-6)
     assert interior.mean() > 0.4
     assert sol.iterations == ref.iterations
