@@ -73,9 +73,9 @@ The running minimum of a row is g on the falling part and the node minimum
 past it, so the count c of its nodes with g >= v brackets the root in
 [p_(c-1), p_c], where psi <= 0 at the left node and psi > 0 at the right.
 The row does not rise, so where one row serves every lane the count is a
-binary search of it; otherwise each lane counts its own row.  c = 0 (v > beta / p0,
-psi(0) > 0) and c = N_NODES (v at or below the node minimum) have no root,
-and the better endpoint wins.  So lanes whose root pair lies inside one node
+binary search of it; otherwise each lane counts its own row.  c = 0
+(v > beta / p0, psi(0) > 0) and c = N_NODES (v at or below the node minimum)
+have no root, and the better endpoint wins.  So lanes whose root pair lies inside one node
 interval, with v between the node minimum and the true minimum, take the
 endpoints; the 25-point scan this replaced missed the same class at its own
 spacing.
@@ -130,8 +130,8 @@ import numpy as np
 
 from .phy import PhyParams
 
-# the g table of _g_table: its nodes as fractions of [0, max_power],
-# squares of evenly spaced ones, and the safeguarded steps from its linear
+# the nodes of _g_table as fractions of [0, max_power], squares of evenly
+# spaced ones, and the safeguarded steps _up_crossing takes from its linear
 # start (see the module docstring)
 N_NODES = 129
 NODE_FRAC = np.linspace(0.0, 1.0, N_NODES) ** 2

@@ -126,12 +126,6 @@ def test_hjb_matches_sweep_reference_bitwise(phy, queue, boundary, trajectory):
     assert np.array_equal(policy, ref_policy)
 
 
-def _balance_threshold(phy, queue):
-    """The beta at and below which p_bal reaches p_max (no drain region)."""
-    abar, rcoef = _rate_coeffs(phy, queue)
-    return np.expm1(abar / rcoef) / phy.max_power_w
-
-
 @pytest.mark.parametrize("case", ["interior_phy", "bench_grid", "dead_drain",
                                   "uniform_flat", "two_nodes", "subnormal_gain"])
 def test_hjb_edge_cases_match_sweep_reference_bitwise(phy, interior_phy, queue, case):
@@ -149,9 +143,10 @@ def test_hjb_edge_cases_match_sweep_reference_bitwise(phy, interior_phy, queue, 
     noise = 0.1
     interference = 0.4 * (1.0 + np.cos(5.0 * grid.times))
     if case == "dead_drain":
-        # beta crosses the balance threshold both ways: the drain branch is
-        # empty (p_bal >= p_max) on part of the sweep
-        b_bal = _balance_threshold(phy, queue)
+        # beta crosses the balance threshold b_bal both ways: the drain
+        # branch is empty (p_bal >= p_max) on part of the sweep
+        abar, rcoef = _rate_coeffs(phy, queue)
+        b_bal = np.expm1(abar / rcoef) / phy.max_power_w
         interference = 1.0 / (b_bal * np.exp(2.0 * np.sin(11.0 * grid.times))) - noise
         beta = _beta_traj(interference, noise, gain)
         assert 0 < (beta <= b_bal).sum() < grid.n_t
