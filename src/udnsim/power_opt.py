@@ -72,11 +72,9 @@ for the 1/beta scale of ln(1 + beta p) at large beta, to p_max / 64 at p_max.
 The running minimum of a row is g on the falling part and the node minimum
 past it, so the count c of its nodes with g >= v brackets the root in
 [p_(c-1), p_c], where psi <= 0 at the left node and psi > 0 at the right.
-The row does not rise, so where one row serves every lane the count is a
-binary search of it; otherwise each lane counts its own row.  c = 0
-(v > beta / p0, psi(0) > 0) and c = N_NODES (v at or below the node minimum)
-have no root, and the better endpoint wins.  So lanes whose root pair lies inside one node
-interval, with v between the node minimum and the true minimum, take the
+c = 0 (v > beta / p0, psi(0) > 0) and c = N_NODES (v at or below the node
+minimum) have no root, and the better endpoint wins.  So lanes whose root
+pair lies inside one node interval, with v between the node minimum and the true minimum, take the
 endpoints; the 25-point scan this replaced missed the same class at its own
 spacing.
 
@@ -104,27 +102,30 @@ to the root, so the root clipped to [lo, hi] (lo where there is none) is the
 best of lo and the root, and _box_best lets phi decide between it and hi,
 from ln(1 + beta hi) and 1 / (hi + p0) given to it.
 
-One search and one comparison serve both callers.  _up_crossing depends on
-beta, v, p0 and p_max, not on the box, and _box_best broadcasts the root
-against any number of boxes:
+What depends on beta and the box alone is kept apart from the gradients, in
+a BoxTerms: the clipped box, p* and its phi, the g table, beta^2 / 2,
+ln(1 + beta hi) and 1 / (hi + p0).  maximize_rate_value builds them per call
+(the last four only when some vgrad is nonzero), or takes them from
+step_terms, which builds them for a run of scalar betas in one vectorized
+pass.  solver.hjb_backward calls step_terms once per block of time steps,
+so each step's call runs only the search and the selection.
 
-- maximize_rate_value, the pointwise API, builds its table and the box-end
-  terms per call, at beta's own shape (_hjb_power).  It takes one pass over
-  the broadcast inputs instead of gathering each case's elements: p* at
-  beta's own shape clipped by broadcasting and phi at it, the search on
-  every element only when some vgrad is nonzero, then np.where picks p and
-  phi per element, the search's phi from its own comparison.
-- solver.hjb_backward builds every term that depends on beta alone once per
-  sweep: the tables in blocks of time steps, the box ends' terms, beta^2 / 2,
-  and p* and its phi in both boxes.  The fill lane at node j and the drain
-  lane at node j + 1 read the same difference of the value, so one search
-  per difference serves both, and both boxes are compared in one pass.
-
-Each element takes the same floating-point operations on either path, so the
-sweep equals a sweep of maximize_rate_value calls bit for bit.
+A call takes one pass over the broadcast inputs instead of gathering each
+case's elements: the search on every element (when some vgrad is nonzero),
+_box_best's comparison of its root with the box ends, then np.where gives
+p* and its phi to the elements with vgrad == 0, and lo and 0 to those with
+beta <= 0.  The search runs at the shape of v = vgrad beta, and _box_best
+broadcasts its root against the boxes: n gradients against (2, 1) boxes take
+n searches for the 2 n elements.  The backward sweep's fill lane at node j
+and drain lane at node j + 1 read the same difference of the value, so one
+search serves both.  Built per call or ahead, each element takes the same
+floating-point operations, so the sweep equals, bit for bit, a sweep that
+hands each step's 2 n_q lanes to maximize_rate_value.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,18 +198,15 @@ def _g_table(beta, pn, p0):
     return np.minimum.accumulate((b * s - (1.0 + bp) * np.log1p(bp)) / (s * s), axis=-1)
 
 
-def _up_crossing(g, row, v, beta, hb2, pn, p0):
+def _up_crossing(g, v, beta, hb2, pn, p0):
     """The up-crossing of psi on [0, p_max] at the shape of v: the bracket
-    that row g[row] of a _g_table on the nodes pn gives, its linear start
-    and N_STEPS safeguarded Cauchy steps; hb2 = beta^2 / 2.  Returns
-    (root, has_root); the root is meaningless where has_root is False."""
-    gr = g[row]
-    # the count of a row's nodes with g >= v; g does not rise along the
-    # nodes, so where one row serves every lane a binary search finds it
-    if gr.ndim == 1:
-        c = np.searchsorted(-gr, -v, side="right")
-    else:
-        c = np.count_nonzero(gr >= v[..., None], axis=-1)
+    that g, a _g_table on the nodes pn at beta's shape, gives each lane, its
+    linear start and N_STEPS safeguarded Cauchy steps; hb2 = beta^2 / 2.
+    Returns (root, has_root); the root is meaningless where has_root is
+    False."""
+    g = g.reshape(-1, N_NODES)
+    row = np.arange(g.shape[0]).reshape(np.shape(beta))
+    c = np.count_nonzero(g[row] >= v[..., None], axis=-1)
     has_root = (c > 0) & (c < N_NODES)
     k = np.minimum(np.maximum(c, 1), N_NODES - 1)
     km = k - 1
@@ -250,43 +248,93 @@ def _box_best(x, has_root, beta, vgrad, lo, hi, log_hi, inv_hi, p0):
     return np.where(up, hi, r), np.where(up, f_hi, f_r)
 
 
-def _hjb_power(beta, vgrad, lo, hi, p0, p_max):
-    """The table search with its table built for this call, at beta's own
-    shape; returns (p, phi at p) at the inputs' broadcast shape."""
-    pn = p_max * NODE_FRAC
-    g = _g_table(beta, pn, p0).reshape(-1, N_NODES)
-    row = np.arange(beta.size).reshape(beta.shape)
-    x, has_root = _up_crossing(g, row, vgrad * beta, beta, 0.5 * beta * beta, pn, p0)
-    return _box_best(x, has_root, beta, vgrad, lo, hi, np.log1p(beta * hi),
-                     1.0 / (hi + p0), p0)
+class BoxTerms(NamedTuple):
+    """What maximize_rate_value computes from beta and the box [lo, hi]
+    alone.  lo, hi, p_ee and phi_ee are at the broadcast shape of beta, lo
+    and hi; live and hb2 at beta's, and g at beta's plus a node axis.  The
+    last four are None in a call whose gradients are all zero."""
+
+    beta: np.ndarray
+    lo: np.ndarray  # lo and hi clipped to [0, p_max], hi >= lo
+    hi: np.ndarray
+    live: np.ndarray  # beta > 0
+    p_ee: np.ndarray  # p* clipped to [lo, hi]
+    phi_ee: np.ndarray  # phi at p_ee for vgrad = 0
+    g: np.ndarray | None  # _g_table
+    hb2: np.ndarray | None  # beta^2 / 2
+    log_hi: np.ndarray | None  # ln(1 + beta hi)
+    inv_hi: np.ndarray | None  # 1 / (hi + p0)
 
 
-def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams):
+def _ee_terms(beta, lo, hi, phy):
+    """The first six BoxTerms: the boxes and the EE power in them."""
+    p0, p_max = phy.circuit_power_w, phy.max_power_w
+    beta = np.asarray(beta, dtype=float)
+    lo = np.minimum(np.maximum(lo, 0.0), p_max)
+    hi = np.minimum(np.maximum(hi, lo), p_max)
+    p_ee = _ee_power(beta, lo, hi, p0)
+    return beta, lo, hi, beta > 0.0, p_ee, _phi(p_ee, beta, 0.0, p0)
+
+
+def _hjb_terms(beta, hi, phy):
+    """The last four BoxTerms, which only the table search reads."""
+    p0 = phy.circuit_power_w
+    return (_g_table(beta, phy.max_power_w * NODE_FRAC, p0), 0.5 * beta * beta,
+            np.log1p(beta * hi), 1.0 / (hi + p0))
+
+
+def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
+    """Every BoxTerms of each scalar beta[k] > 0 with the boxes lo[k],
+    hi[k], built in one pass over all of them: beta has shape (n,), lo and
+    hi (n, ...), for a caller that hands each to maximize_rate_value with
+    many gradients."""
+    # beta against the boxes; a subnormal beta takes p* past the largest
+    # double, and inf clips to hi as the true p* does
+    b = beta.reshape((-1,) + (1,) * (np.ndim(lo) - 1))
+    with np.errstate(over="ignore"):
+        ee = _ee_terms(b, lo, hi, phy)
+        t = BoxTerms(*ee, *_hjb_terms(ee[0], ee[2], phy))
+    # the fields at beta's shape back to scalars
+    one = (slice(None),) + (0,) * (np.ndim(lo) - 1)
+    return [BoxTerms._make(f) for f in zip(t.beta[one], t.lo, t.hi, t.live[one], t.p_ee,
+                                           t.phi_ee, t.g[one], t.hb2[one], t.log_hi,
+                                           t.inv_hi)]
+
+
+def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | None = None):
     """Vectorized argmax of phi over [lo, hi] elementwise.
 
     beta, vgrad, lo, hi broadcast together.  Elements with vgrad == 0 take
     the closed form, the others the table search; beta <= 0
     carries no rate and stays at lo with value 0.  Returns (p, phi_at_p).
 
+    terms: the BoxTerms of beta, lo and hi from step_terms, for a caller
+    that reuses them with other gradients; built in the call when None.
+
     One pass with no lane split, as the module docstring describes.
     """
     p0 = phy.circuit_power_w
-    beta = np.asarray(beta, dtype=float)
     vgrad = np.asarray(vgrad, dtype=float)
-    lo = np.minimum(np.maximum(lo, 0.0), phy.max_power_w)
-    hi = np.minimum(np.maximum(hi, lo), phy.max_power_w)
-    ee = vgrad == 0.0
-    live = beta > 0.0
+    search = vgrad.any()
     # both cases also run on elements they do not serve (beta = 0 divides
-    # by zero); np.where discards those results.  A subnormal beta takes p*
-    # past the largest double, and inf clips to hi as the true p* does
+    # by zero), and the search on lanes without a root; np.where discards
+    # those results.  A subnormal beta takes p* past the largest double, and
+    # inf clips to hi as the true p* does
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = np.where(ee, _ee_power(beta, lo, hi, p0), lo)
-        val = _phi(p, beta, vgrad, p0)
-        if vgrad.any():
-            p_hjb, val_hjb = _hjb_power(beta, vgrad, lo, hi, p0, phy.max_power_w)
-            p = np.where(ee, p, p_hjb)
-            val = np.where(ee, val, val_hjb)
-        p = np.where(live, p, lo)
-        val = np.where(live, val, 0.0)
+        if terms is None:
+            ee = _ee_terms(beta, lo, hi, phy)
+            terms = BoxTerms(*ee, *(_hjb_terms(ee[0], ee[2], phy) if search
+                                    else (None,) * 4))
+        t = terms
+        p, val = t.lo, 0.0
+        if search:
+            x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2,
+                                       phy.max_power_w * NODE_FRAC, p0)
+            p, val = _box_best(x, has_root, t.beta, vgrad, t.lo, t.hi, t.log_hi,
+                               t.inv_hi, p0)
+        ee = vgrad == 0.0
+        p = np.where(ee, t.p_ee, p)
+        val = np.where(ee, t.phi_ee, val)
+        p = np.where(t.live, p, t.lo)
+        val = np.where(t.live, val, 0.0)
     return p, val

@@ -14,16 +14,17 @@ gradient is clamped to zero, the drain gradient at y=0 and the fill gradient
 at y=1: backlog cannot leave [0, capacity], as the forward sweep's walls
 carry no flux.
 
-The sweep runs power_opt's search and box comparison directly, not through
-maximize_rate_value, and computes what depends on beta alone once per sweep,
-vectorized over the time steps: the balance power, both boxes' end terms,
-beta^2 / 2, the EE power and its phi in each box (what the clamped walls and
-any other zero-gradient lane take) and the g table, in blocks of G_BLOCK
-steps so that memory does not grow with n_t.  A step then computes one
-difference per node pair: the fill lane at node j and the drain lane at
-node j + 1 both upwind onto it, so one search serves both, and both boxes
-are compared in one (2, n_q - 1) pass.  The result equals, bit for bit, a
-sweep that hands each step's 2 n_q lanes to maximize_rate_value.
+Each step makes one maximize_rate_value call.  The balance power, and with
+it both boxes, is computed once per sweep for every step.  What depends on
+beta and the boxes alone (the EE power and its phi in each box, and the g
+table with its companion terms) comes from power_opt.step_terms, once per
+block of G_BLOCK time steps, so memory does not grow with n_t.  The
+call's n_q gradients are 0 and the n_q - 1 differences of the later value
+slice, against the fill and the drain box: the fill lane at node j and the
+drain lane at node j + 1 upwind onto the same difference, so one search
+serves both, and the zero lane gives both walls.  The result equals, bit for
+bit, a sweep that hands each step's 2 n_q lanes to maximize_rate_value with
+its terms built per call.
 
 The forward sweep is a conservative finite-volume upwind transport on the
 same grid (half cells at the walls, zero-flux boundaries), sub-stepped
@@ -48,7 +49,7 @@ from .fields import (
     terminal_value,
 )
 from .phy import LN2, PhyParams, QueueParams
-from .power_opt import NODE_FRAC, _box_best, _ee_power, _g_table, _phi, _up_crossing
+from .power_opt import maximize_rate_value, step_terms
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +57,7 @@ FP_TOL = 1e-4
 FP_MAX_ITERS = 200
 FP_DAMPING = 0.5
 EXISTENCE_TOL = 1e-12
-# time steps per block of the backward sweep's g table
+# time steps per block of the backward sweep's step_terms
 G_BLOCK = 64
 
 
@@ -109,67 +110,46 @@ def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
 
     abar, rcoef = _rate_coeffs(phy, queue)
     n_t, n_q, dq, dt = grid.n_t, grid.n_q, grid.dq, grid.dt
-    p0, p_max = phy.circuit_power_w, phy.max_power_w
+    p_max = phy.max_power_w
     value = np.empty((n_t, n_q))
     policy = np.empty((n_t, n_q))
     value[-1] = terminal
 
-    # every term that depends on beta alone, for the whole sweep.  The fill
-    # box [0, p_bal] and the drain box [p_bal, p_max] split at the balance
-    # power (rate = arrivals), as (n_t, 2, 1) columns against the lanes.  A
-    # subnormal beta sends p_bal and the EE power to inf, which clip to
-    # p_max; the search's discarded lanes divide by zero and take sqrt < 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # the fill box [0, p_bal] and the drain box [p_bal, p_max] split at the
+    # balance power (rate = arrivals), as (n_t, 2, 1) columns against the
+    # lanes; a subnormal beta sends p_bal to inf, which clips to p_max
+    with np.errstate(over="ignore"):
         p_bal = np.minimum(np.expm1(abar / rcoef) / beta, p_max)
-        lo = np.stack([np.zeros(n_t), p_bal], axis=1)[:, :, None]
-        hi = np.stack([p_bal, np.full(n_t, p_max)], axis=1)[:, :, None]
-        b3 = beta[:, None, None]
-        log_hi = np.log1p(b3 * hi)
-        inv_hi = 1.0 / (hi + p0)
-        # the EE power and its phi in each box: the lanes with zero gradient,
-        # the clamped walls (fill at y=1, drain at y=0) among them, take these
-        p_ee = _ee_power(b3, lo, hi, p0)
-        phi_ee = _phi(p_ee, b3, 0.0, p0)
-        p_wall, phi_wall = p_ee[:, :, 0], phi_ee[:, :, 0]
-        hb2 = (0.5 * beta * beta).tolist()
-        dead = (p_bal >= p_max).tolist()  # no drain region anywhere in the box
-        betas = beta.tolist()
-        pn = p_max * NODE_FRAC
-        cols = np.arange(n_q)
+    lo = np.stack([np.zeros(n_t), p_bal], axis=1)[:, :, None]
+    hi = np.stack([p_bal, np.full(n_t, p_max)], axis=1)[:, :, None]
+    dead = (p_bal >= p_max).tolist()  # no drain region anywhere in the box
+    # a step's n_q gradients: lane 0 is zero, lane k >= 1 the difference
+    # between nodes k - 1 and k.  The drain lane at node k reads lane k and
+    # the fill lane at node k lane k + 1; both walls read lane 0
+    grad = np.zeros(n_q)
+    lanes = np.concatenate([np.roll(np.arange(n_q), -1), n_q + np.arange(n_q)]).reshape(2, n_q)
+    cols = np.arange(n_q)
 
-        # a step reads the later slice; the terminal slice's policy reads
-        # itself
-        for stop in range(n_t, 0, -G_BLOCK):
-            start = max(stop - G_BLOCK, 0)
-            g = _g_table(beta[start:stop], pn, p0)
-            for i in range(stop - 1, start - 1, -1):
-                v_next = value[min(i + 1, n_t - 1)]
-                # the fill lane at j and the drain lane at j + 1 share the
-                # difference between them, so they share its search
-                diff = (v_next[1:] - v_next[:-1]) / dq
-                # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the
-                # -vgrad*rate part of phi, so vgrad = rcoef*dV/dy and the
-                # arrival term remains
-                vgrad = rcoef * diff
-                b = betas[i]
-                x, has_root = _up_crossing(g, i - start, vgrad * b, b, hb2[i], pn, p0)
-                p, phi = _box_best(x, has_root, b, vgrad, lo[i], hi[i], log_hi[i],
-                                   inv_hi[i], p0)
-                if not vgrad.all():
-                    flat = vgrad == 0.0
-                    p = np.where(flat, p_ee[i], p)
-                    phi = np.where(flat, phi_ee[i], phi)
-                ham = phi + abar * diff
-                # the 2 n_q lanes, fill then drain; the fill wall (y=1) and
-                # the drain wall (y=0) are the middle two
-                p = np.concatenate((p[0], p_wall[i], p[1])).reshape(2, n_q)
-                ham = np.concatenate((ham[0], phi_wall[i], ham[1])).reshape(2, n_q)
-                if dead[i]:
-                    ham[1] = -np.inf
-                pick = np.argmax(ham, axis=0)
-                policy[i] = p[pick, cols]
-                if i < n_t - 1:
-                    value[i] = v_next + dt * ham[pick, cols]
+    # a step reads the later slice; the terminal slice's policy reads itself
+    for stop in range(n_t, 0, -G_BLOCK):
+        start = max(stop - G_BLOCK, 0)
+        steps = step_terms(beta[start:stop], lo[start:stop], hi[start:stop], phy)
+        for i in range(stop - 1, start - 1, -1):
+            v_next = value[min(i + 1, n_t - 1)]
+            np.divide(v_next[1:] - v_next[:-1], dq, out=grad[1:])
+            # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the
+            # -vgrad*rate part of phi, so vgrad = rcoef*dV/dy and the arrival
+            # term remains
+            t = steps[i - start]
+            p, phi = maximize_rate_value(t.beta, rcoef * grad, t.lo, t.hi, phy, terms=t)
+            ham = (phi + abar * grad).take(lanes)
+            p = p.take(lanes)
+            if dead[i]:
+                ham[1] = -np.inf
+            pick = np.argmax(ham, axis=0)
+            policy[i] = p[pick, cols]
+            if i < n_t - 1:
+                value[i] = v_next + dt * ham[pick, cols]
     if not np.isfinite(value).all():
         raise SchemeError("backward sweep produced non-finite values")
     return value, policy

@@ -6,8 +6,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from udnsim import GridSpec, PhyParams
-from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _hjb_power, _phi,
-                               _up_crossing, maximize_rate_value)
+from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _phi, _up_crossing,
+                               maximize_rate_value, step_terms)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -79,8 +79,7 @@ def _lane_split_reference(beta, vgrad, lo, hi, phy):
         if ee.any():
             p[ee] = _ee_power(beta[ee], lo[ee], hi[ee], p0)
         if hjb.any():
-            p[hjb], _ = _hjb_power(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], p0,
-                                   phy.max_power_w)
+            p[hjb], _ = maximize_rate_value(beta[hjb], vgrad[hjb], lo[hjb], hi[hjb], phy)
         val = np.where(live, _phi(p, beta, vgrad, p0), 0.0)
     return p.reshape(shape), val.reshape(shape)
 
@@ -182,9 +181,9 @@ def _has_root(beta, v, p0, p_max):
     errstate its callers give it."""
     pn = p_max * NODE_FRAC
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = _g_table(np.array([beta], dtype=float), pn, p0)
-        return _up_crossing(g, 0, np.asarray(v, dtype=float), beta, 0.5 * beta * beta,
-                            pn, p0)[1]
+        g = _g_table(np.asarray(beta, dtype=float), pn, p0)
+        return _up_crossing(g, np.asarray(v, dtype=float), beta, 0.5 * beta * beta, pn,
+                            p0)[1]
 
 
 def test_solver_shaped_calls_match_bisection_reference(phy, queue, rng):
@@ -362,6 +361,29 @@ def test_one_pass_matches_lane_split_bitwise(phy, rng):
 
 
 EPS = np.finfo(float).eps
+
+
+def test_step_terms_match_terms_built_per_call_bitwise(phy, rng):
+    # step_terms builds a run of betas' terms in one pass; handed to a call,
+    # they give what the call builds itself, on gradients with zero,
+    # negative and positive lanes, on all-zero gradients and on boxes that
+    # clip (lo < 0, hi > p_max, hi < lo)
+    p_max = phy.max_power_w
+    beta = 10.0 ** rng.uniform(-3.0, 7.0, 40) / phy.circuit_power_w
+    lo = rng.uniform(-0.2, 1.0, (40, 2, 1)) * p_max
+    hi = rng.uniform(0.0, 1.2, (40, 2, 1)) * p_max
+    steps = step_terms(beta, lo, hi, phy)
+    assert len(steps) == beta.size
+    for k, t in enumerate(steps):
+        vgrad = -(10.0 ** rng.uniform(-4.0, 2.0, 17))
+        vgrad[rng.random(17) < 0.3] *= -0.1
+        vgrad[rng.random(17) < 0.2] = 0.0
+        for g in (vgrad, np.zeros(17)):
+            got = maximize_rate_value(t.beta, g, t.lo, t.hi, phy, terms=t)
+            want = maximize_rate_value(beta[k], g, lo[k], hi[k], phy)
+            assert got[0].shape == want[0].shape == (2, 17)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 def _ee_cases(rng, p0):
