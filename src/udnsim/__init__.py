@@ -10,14 +10,14 @@ from .fields import GridSpec, MfgSolution, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import maximize_rate_value
 from .scheduler import DppParams, SchedulerState, dpp_step
-from .simulate import EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
+from .simulate import Arm, EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import drift_field, fpk_forward, hjb_backward, mf_interference, solve_mfg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineState", "CflError", "ConfigError", "ConvergenceError",
+    "Arm", "BaselineState", "CflError", "ConfigError", "ConvergenceError",
     "Deployment", "DppParams", "EpisodeMetrics", "GridSpec",
     "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
     "QueueParams", "ReplicationSummary",

@@ -27,7 +27,7 @@ from .deployment import generate_deployment
 from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
 from .reporting import build_cdf, cdf_table, csv_to_dat, metrics_csv, sweep_report
-from .simulate import METRIC_FIELDS, run_episodes, summarize_replications
+from .simulate import METRIC_FIELDS, Arm, run_episodes, summarize_replications
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
 
@@ -110,20 +110,19 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
             f"noise_norm={dep.noise_norm!r}")
 
 
-def _run_method(cfg: RunConfig, method: str, sol: MfgSolution | None, deploys: list,
-                dpp=None) -> tuple:
-    """All replicates of one method as one batch: (metrics, summary)."""
+def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list) -> list:
+    """Every replicate of every arm as one lockstep batch: each arm's
+    (metrics, summary), in the order of arms."""
     sim = cfg.raw["simulate"]
-    metrics = run_episodes(
-        deploys, method, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
+    runs = run_episodes(
+        deploys, arms, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
         seed=sim["base_seed"], replicates=range(len(deploys)), solution=sol,
-        dpp=cfg.dpp if dpp is None else dpp,
         qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"],
         slots_per_period=sim["slots_per_period"],
         initial_backlog=sim["initial_backlog"],
         estimate_mode=sim["estimate_mode"],
         drain_window_slots=sim["drain_window_slots"])
-    return metrics, summarize_replications(metrics)
+    return [(metrics, summarize_replications(metrics)) for metrics in runs]
 
 
 def _summary_csv(results: dict) -> str:
@@ -152,6 +151,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Run the chosen methods on the config's replicates, all in one
+    lockstep batch, so every method sees the same deployments and the same
+    arrivals; write each method's metrics and the summary."""
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
     methods = ("mfg", "baseline") if args.method == "both" else (args.method,)
@@ -168,7 +170,8 @@ def cmd_simulate(args) -> int:
         sol = _calibrate_and_solve(cfg, deploys[0])
         save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
-    results = {method: _run_method(cfg, method, sol, deploys) for method in methods}
+    arms = [Arm(method, cfg.dpp) for method in methods]
+    results = dict(zip(methods, _run_arms(cfg, arms, sol, deploys)))
     for method, (metrics, _) in results.items():
         _write(os.path.join(outdir, f"metrics_{method}.csv"), metrics_csv(metrics))
     _write(os.path.join(outdir, "summary.csv"), _summary_csv(results))
@@ -180,9 +183,11 @@ def cmd_sweep(args) -> int:
 
     The replicates' deployments depend on the geometry (isd, k) alone, so
     each geometry draws them once.  The equilibrium depends on the geometry
-    and the terminal condition only; v enters the scheduler alone.  So one
-    solution is solved per distinct (isd, k, boundary) and shared by every
-    value that has it: a v sweep solves once.  The baseline reads neither v
+    and the terminal condition only; v enters the scheduler alone.  So the
+    values are grouped by (isd, k, boundary): each group solves once and
+    runs one lockstep batch, whose arms are the mfg policy at each of its
+    values and, in the first group of a geometry, the baseline.  A v sweep
+    therefore solves once and runs one batch.  The baseline reads neither v
     nor the terminal condition (its density start reads the solution's
     initial slice, which is rho0 whatever the boundary), so it runs once
     per (isd, k) and its rows repeat at every value that shares the geometry.
@@ -192,12 +197,9 @@ def cmd_sweep(args) -> int:
     key, values = cfg.sweep_values()
     dep_cfg = cfg.raw["deployment"]
 
-    deployments = {}
-    solutions = {}
-    baselines = {}
-    points = []
-    all_rows = []
-    for value in values:
+    # (isd, k) -> boundary -> [(index of the value, its scheduler parameters)]
+    groups = {}
+    for i, value in enumerate(values):
         isd, k = dep_cfg["isd_units"], dep_cfg["k"]
         boundary, dpp = None, cfg.dpp
         if key == "isd":
@@ -208,19 +210,25 @@ def cmd_sweep(args) -> int:
             boundary = value
         elif key == "v":
             dpp = replace(cfg.dpp, v_coeff=-abs(value))
-        site, geometry = (isd, k), (isd, k, boundary)
-        if site not in deployments:
-            deployments[site] = _deployments(cfg, isd, k)
-        deploys = deployments[site]
-        if geometry not in solutions:
-            solutions[geometry] = _calibrate_and_solve(cfg, deploys[0], boundary)
-        sol = solutions[geometry]
-        if site not in baselines:
-            baselines[site] = _run_method(cfg, "baseline", sol, deploys)
-        results = {"mfg": _run_method(cfg, "mfg", sol, deploys, dpp=dpp),
-                   "baseline": baselines[site]}
-        points.append((value, {m: r[1] for m, r in results.items()}))
-        for metrics, _ in results.values():
+        groups.setdefault((isd, k), {}).setdefault(boundary, []).append((i, dpp))
+
+    results = [None] * len(values)   # per value: {method: (metrics, summary)}
+    for (isd, k), by_boundary in groups.items():
+        deploys = _deployments(cfg, isd, k)
+        baseline = None
+        for boundary, members in by_boundary.items():
+            sol = _calibrate_and_solve(cfg, deploys[0], boundary)
+            arms = [Arm("mfg", dpp) for _, dpp in members]
+            runs = _run_arms(cfg, arms if baseline else arms + [Arm("baseline")], sol, deploys)
+            baseline = baseline or runs[-1]
+            for (i, _), mfg in zip(members, runs):
+                results[i] = {"mfg": mfg, "baseline": baseline}
+
+    points = []
+    all_rows = []
+    for value, by_method in zip(values, results):
+        points.append((value, {m: r[1] for m, r in by_method.items()}))
+        for metrics, _ in by_method.values():
             all_rows.extend(metrics)
         print(f"swept {key}={value}")
 

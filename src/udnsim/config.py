@@ -9,6 +9,7 @@ file.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,60 +33,68 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _float(text: str) -> float:
+    """A float key's value: any finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 # section -> key -> (parser, default); choices validated after parsing
 SCHEMA = {
     "phy": {
-        "bandwidth_hz": (float, 1e6),
-        "noise_dbm": (float, -70.0),
-        "max_power_w": (float, 1.0),
-        "circuit_power_w": (float, 1.0),
+        "bandwidth_hz": (_float, 1e6),
+        "noise_dbm": (_float, -70.0),
+        "max_power_w": (_float, 1.0),
+        "circuit_power_w": (_float, 1.0),
         # sbs_density and [solver] noise_norm feed no solve: each solve takes
         # eta and the noise from a deployment.  They stay because unknown keys
         # are rejected and bench/configs/reference.cfg still sets them.
-        "sbs_density": (float, 0.25),
+        "sbs_density": (_float, 0.25),
     },
     "traffic": {
-        "arrival_rate_bps": (float, 200e3),
-        "capacity_bits": (float, 2e6),
-        "slot_duration_s": (float, 0.01),
+        "arrival_rate_bps": (_float, 200e3),
+        "capacity_bits": (_float, 2e6),
+        "slot_duration_s": (_float, 0.01),
     },
     "pathloss": {
-        "ref_loss_db": (float, 140.7),
-        "exponent": (float, 3.67),
-        "shadowing_std_db": (float, 8.0),
-        "min_distance_m": (float, 3.0),
+        "ref_loss_db": (_float, 140.7),
+        "exponent": (_float, 3.67),
+        "shadowing_std_db": (_float, 8.0),
+        "min_distance_m": (_float, 3.0),
     },
     "solver": {
         "n_t": (int, 2601),
         "n_q": (int, 101),
-        "horizon_s": (float, 1.0),
+        "horizon_s": (_float, 1.0),
         "boundary": (str, "exponential"),
-        "damping": (float, 0.5),
-        "tol": (float, 1e-4),
+        "damping": (_float, 0.5),
+        "tol": (_float, 1e-4),
         "max_iters": (int, 200),
         "init": (str, "half"),
         # feeds no solve; see [phy] sbs_density
-        "noise_norm": (float, 0.03),
-        "mean_sq_gain": (float, 1.0),
-        "rho0_mean": (float, 0.5),
-        "rho0_variance": (float, 0.1),
+        "noise_norm": (_float, 0.03),
+        "mean_sq_gain": (_float, 1.0),
+        "rho0_mean": (_float, 0.5),
+        "rho0_variance": (_float, 0.1),
     },
     "scheduler": {
-        "v_coeff": (float, -1.0),
+        "v_coeff": (_float, -1.0),
         # one model only (the EE penalty; V = 0 drops it); the key stays
         # because unknown keys are rejected and bench/configs/reference.cfg
         # still sets it
         "gradient_model": (str, "linear_ee"),
-        "qos_min_rate_bps": (float, 200e3),
+        "qos_min_rate_bps": (_float, 200e3),
     },
     "deployment": {
-        "isd_units": (float, 3.5),
+        "isd_units": (_float, 3.5),
         "k": (int, 5),
-        "area_km2": (float, 0.5625),
-        "jitter_frac": (float, 0.15),
+        "area_km2": (_float, 0.5625),
+        "jitter_frac": (_float, 0.15),
         "fading": (_bool, True),
-        "cross_isolation_db": (float, 15.0),
-        "rician_k_db": (float, 10.0),
+        "cross_isolation_db": (_float, 15.0),
+        "rician_k_db": (_float, 10.0),
     },
     "simulate": {
         "n_periods": (int, 30),
@@ -142,11 +151,12 @@ class RunConfig:
                 if v not in BOUNDARY_KINDS:
                     raise ConfigError(f"unknown boundary {v!r} in sweep values")
             return key, items
-        caster = int if key == "k" else float
+        caster = int if key == "k" else _float
         try:
             return key, [caster(v) for v in items]
         except ValueError:
-            raise ConfigError(f"[sweep] values for {key!r} must be numbers: {text!r}") from None
+            raise ConfigError(
+                f"[sweep] values for {key!r} must be finite numbers: {text!r}") from None
 
 
 def _parse_file(path) -> dict:
@@ -215,8 +225,8 @@ def load_config(path=None) -> RunConfig:
     )
     if raw["solver"]["noise_norm"] <= 0:
         raise ConfigError("[solver] noise_norm must be positive")
-    if not 0 < raw["solver"]["mean_sq_gain"] < float("inf"):
-        raise ConfigError("[solver] mean_sq_gain must be positive and finite")
+    if raw["solver"]["mean_sq_gain"] <= 0:
+        raise ConfigError("[solver] mean_sq_gain must be positive")
     if raw["solver"]["tol"] <= 0 or raw["solver"]["max_iters"] < 1:
         raise ConfigError("[solver] tol must be positive and max_iters at least 1")
     if not 0 < raw["solver"]["damping"] <= 1:

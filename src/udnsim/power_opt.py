@@ -110,9 +110,12 @@ step_terms, which builds them for a run of scalar betas in one vectorized
 pass.  solver.hjb_backward calls step_terms once per block of time steps,
 so each step's call runs only the search and the selection.
 
-A call takes one pass over the broadcast inputs instead of gathering each
-case's elements: the search on every element (when some vgrad is nonzero),
-_box_best's comparison of its root with the box ends, then np.where gives
+A call whose gradients are all zero and that is given no terms (the
+baseline's myopic power) builds only the first six terms and returns p*
+and its phi, or lo and 0 where beta <= 0.  Any other call takes one pass
+over the broadcast inputs instead of gathering each case's elements: the
+search on every element (when some vgrad is nonzero), _box_best's
+comparison of its root with the box ends, then np.where gives
 p* and its phi to the elements with vgrad == 0, and lo and 0 to those with
 beta <= 0.  The search runs at the shape of v = vgrad beta, and _box_best
 broadcasts its root against the boxes: n gradients against (2, 1) boxes take
@@ -316,6 +319,17 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     p0 = phy.circuit_power_w
     vgrad = np.asarray(vgrad, dtype=float)
     search = vgrad.any()
+    if not search and terms is None:
+        # every gradient zero (the baseline's myopic power): the EE power
+        # alone, without the table terms or the vgrad == 0 selects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, lo, _, live, p_ee, phi_ee = _ee_terms(beta, lo, hi, phy)
+        p, val = np.where(live, p_ee, lo), np.where(live, phi_ee, 0.0)
+        # a gradient array wider than beta and the box widens the result
+        shape = np.broadcast_shapes(vgrad.shape, p.shape) if vgrad.ndim else p.shape
+        if shape != p.shape:
+            p, val = np.broadcast_to(p, shape).copy(), np.broadcast_to(val, shape).copy()
+        return p, val
     # both cases also run on elements they do not serve (beta = 0 divides
     # by zero), and the search on lanes without a root; np.where discards
     # those results.  A subnormal beta takes p* past the largest double, and

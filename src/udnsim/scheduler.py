@@ -31,13 +31,16 @@ class DppParams:
 
     More-negative V weighs the energy-efficiency penalty harder at the
     expense of backlog pressure; V sweeps of {-1, -10, -100} cover the
-    tradeoff study, and V = 0 drops the penalty.
+    tradeoff study, and V = 0 drops the penalty.  v_coeff may also be an
+    array that broadcasts against the scheduler's (..., k) arrays, such as
+    one V per lane of a batch as a (lanes, 1, 1) column.
     """
 
     v_coeff: float = -1.0
 
     def __post_init__(self):
-        if self.v_coeff > 0:
+        # not all(<= 0) also rejects nan
+        if not np.all(np.asarray(self.v_coeff) <= 0):
             raise ConfigError("v_coeff must be nonpositive")
 
 

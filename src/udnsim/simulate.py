@@ -7,27 +7,32 @@ fixed first, then every scheduled UE sees the interference of that joint
 choice.  Bits are integers end to end, so arrivals, service, drops and
 backlog balance exactly.
 
-The slot kernel runs R replicates in lockstep: R deployments of one
-(n_sbs, k) shape, each with its own normalized noise and its own traffic
-stream.  Per-UE state is one flat vector in which UE u of replicate r sits
-at r * n_ue + u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so
-reshaping it gives the (R, n_sbs, k) view that the period step works on.
-The UEs scheduled for a period are one (R, n_sbs) array of flat indices
-r * n_ue + b * k + local, which gathers and scatters every per-lane slot
-value with one index.  The cross gains of a period are an (R, n_sbs,
+The slot kernel runs L lanes in lockstep.  A lane is an (arm, replicate)
+pair: an arm is a method with its scheduler parameters, and a replicate is
+one of R deployments of one (n_sbs, k) shape, with its own normalized noise
+and its own traffic stream.  Lane a * R + r runs arm a on replicate r, the
+mfg arms first, so each method's lanes are one slice.  Each replicate's
+arrivals are drawn once per period and given to every arm, and every arm
+runs on the same gains.  Per-UE state is one flat vector in which UE u of
+lane l sits at l * n_ue + u, and the UEs of SBS b are u = b * k .. b * k +
+k - 1, so reshaping it gives the (L, n_sbs, k) view that the period step
+works on.  The UEs scheduled for a period are one (L, n_sbs) array of flat
+indices l * n_ue + b * k + local, which gathers and scatters every per-lane
+slot value with one index.  The cross gains of a period are an (L, n_sbs,
 n_sbs) stack whose row b holds the gains at b's scheduled UE, and the
 interference is one batched matrix-vector product over it.
 
 The kernel holds no physics of its own; it calls the tested functions
-once per slot or period on these batched arrays:
+once per slot or period on these batched arrays, each method on its own
+slice of lanes and everything else once over all of them:
 
 - every slot: ``phy.instantaneous_rate`` (in each deployment's normalized
   units) and ``phy.queue_step``; once per period ``phy.sample_arrivals``
-  draws the period's arrivals, one row per slot, which is the same stream
-  as one draw per slot;
+  draws each replicate's arrivals, one row per slot, which is the same
+  stream as one draw per slot;
 - mfg: ``fields.bilinear`` for the slot power, and once per period
   ``scheduler.expected_rate`` (the candidates' policy power and rate) and
-  ``scheduler.dpp_step``;
+  ``scheduler.dpp_step``, which reads one V per lane;
 - baseline: ``baseline.qos_floor_power`` and ``baseline.efficient_power``
   (the two halves of ``baseline.myopic_power``, fed one beta per slot) and
   ``baseline.drain_power`` for the slot power,
@@ -36,9 +41,9 @@ once per slot or period on these batched arrays:
   ``baseline.qos_floor_power``, ``baseline.efficient_power`` and
   ``baseline.pf_schedule``.
 
-Every replicate's metrics equal those of running it alone, bit for bit.
-Elementwise steps and the per-replicate matrix-vector products do not mix
-replicates, and float sums keep the order of a slot-by-slot loop: slot
+Every lane's metrics equal those of running its arm and replicate alone,
+bit for bit.  Elementwise steps and the per-lane matrix-vector products do
+not mix lanes, and float sums keep the order of a slot-by-slot loop: slot
 values go into per-period rows, and ``np.add.accumulate`` (which adds
 strictly in row order, unlike the pairwise ``sum``) folds them into the
 per-UE and per-episode totals.  Integer ledgers are exact in any order.
@@ -55,6 +60,7 @@ the full slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,29 +121,42 @@ def _fold_in_order(total: np.ndarray, index, rows: np.ndarray):
     total[index] = np.add.accumulate(acc, axis=0)[-1]
 
 
-def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
-                 queue: QueueParams, *, n_periods: int, seed: int, replicates,
-                 solution: MfgSolution | None = None, dpp: DppParams = DppParams(),
-                 qos_min_rate_bps: float | None = None, slots_per_period: int = 100,
-                 initial_backlog: str = "empty", estimate_mode: str = "arithmetic",
-                 drain_window_slots: int = 40) -> list[EpisodeMetrics]:
-    """Simulate one episode per deployment, all in lockstep, and return
-    their metrics in order.
+class Arm(NamedTuple):
+    """One policy of a batch: a method and its scheduler parameters, which
+    only the mfg method reads."""
+
+    method: str
+    dpp: DppParams = DppParams()
+
+
+def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueueParams,
+                 *, n_periods: int, seed: int, replicates,
+                 solution: MfgSolution | None = None, qos_min_rate_bps: float | None = None,
+                 slots_per_period: int = 100, initial_backlog: str = "empty",
+                 estimate_mode: str = "arithmetic",
+                 drain_window_slots: int = 40) -> list[list[EpisodeMetrics]]:
+    """Simulate every arm on every deployment, all in lockstep, and return
+    one list of metrics per arm, in the order of arms and deploys.
 
     deploys[i] runs as replicate replicates[i], whose traffic (and density
-    draw) comes from derived_rng(seed, replicates[i], 1); every deployment
-    must have the same n_sbs and k.  Each episode's metrics equal those of
-    running it alone.
+    draw) comes from derived_rng(seed, replicates[i], 1) and is drawn once
+    for all arms; every deployment must have the same n_sbs and k.  Every
+    arm shares the solution.  Each episode's metrics equal those of running
+    its arm and replicate alone.
 
     initial_backlog: 'empty' starts all queues at zero; 'density' samples
     each UE's backlog from the solution's initial density (mean-field
     consistency checks want the simulated population to start where the
     solver's density starts).
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "mfg" and solution is None:
-        raise ConfigError("the mfg method needs a solved policy")
+    arms = list(arms)
+    if not arms:
+        raise ConfigError("a batch needs at least one arm")
+    for arm in arms:
+        if arm.method not in METHODS:
+            raise ConfigError(f"unknown method {arm.method!r}")
+        if arm.method == "mfg" and solution is None:
+            raise ConfigError("the mfg method needs a solved policy")
     if estimate_mode not in ESTIMATE_MODES:
         raise ConfigError(f"unknown estimate mode {estimate_mode!r}")
     if drain_window_slots < 1:
@@ -154,85 +173,107 @@ def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
         qos_min_rate_bps = queue.arrival_rate_bps
 
     n_rep, n_ue, spp = len(deploys), n_sbs * k, slots_per_period
+    # lane a * n_rep + r runs arm order[a] on replicate r: the mfg arms come
+    # first, so each method's lanes are one slice
+    order = sorted(range(len(arms)), key=lambda a: arms[a].method != "mfg")
+    n_lane = len(arms) * n_rep
+    n_mfg = n_rep * sum(arm.method == "mfg" for arm in arms)
+    n_base = n_lane - n_mfg
+    mfg, base = slice(0, n_mfg), slice(n_mfg, n_lane)
     serving_gain = np.stack([d.serving_gains() for d in deploys]).reshape(n_rep, n_sbs, k)
     gains = np.concatenate([d.gains for d in deploys])       # (n_rep * n_ue, n_sbs)
-    noise = np.array([d.noise_norm for d in deploys])[:, None]
+    noise = np.tile([d.noise_norm for d in deploys], len(arms))[:, None]
     cap = int(queue.capacity_bits)
     dt = queue.slot_duration_s
-    # flat index of UE (b, 0) of replicate r, shape (n_rep, n_sbs)
-    lane_base = np.arange(n_rep)[:, None] * n_ue + np.arange(n_sbs) * k
+    # flat index of UE (b, 0) of lane l, shape (n_lane, n_sbs)
+    lane_base = np.arange(n_lane)[:, None] * n_ue + np.arange(n_sbs) * k
 
     traffic = [derived_rng(seed, r, 1) for r in replicates]
     if initial_backlog == "density":
         if solution is None:
             raise ConfigError("density-initialized backlog needs a solution")
         queues = np.concatenate([_sample_initial_backlog(solution, n_ue, cap, rng)
-                                 for rng in traffic])
+                                 for rng in traffic] * len(arms))
     elif initial_backlog == "empty":
-        queues = np.zeros(n_rep * n_ue, dtype=np.int64)
+        queues = np.zeros(n_lane * n_ue, dtype=np.int64)
     else:
         raise ConfigError("initial_backlog must be 'empty' or 'density'")
-    backlog_start = queues.reshape(n_rep, n_ue).sum(axis=1)
+    backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
 
-    if method == "mfg":
-        dpp_state = SchedulerState.fresh((n_rep, n_sbs, k))
-    else:
-        pf_state = BaselineState.fresh((n_rep, n_sbs, k))
-        achieved = np.zeros(n_rep * n_ue)
+    if n_mfg:
+        dpp_state = SchedulerState.fresh((n_mfg, n_sbs, k))
+        mfg_gain = np.tile(serving_gain, (n_mfg // n_rep, 1, 1))
+        # one V per lane, a column against (lanes, n_sbs, k)
+        v = np.repeat([arms[a].dpp.v_coeff for a in order[:n_mfg // n_rep]], n_rep)
+        dpp = DppParams(v_coeff=v[:, None, None])
+    if n_base:
+        pf_state = BaselineState.fresh((n_base, n_sbs, k))
+        base_gain = np.tile(serving_gain, (n_base // n_rep, 1, 1))
+        base_noise = noise[base]
+        achieved = np.zeros(n_lane * n_ue)
+        base_achieved = achieved.reshape(n_lane, n_sbs, k)[base]
 
-    arrived = np.zeros(n_rep, dtype=np.int64)
-    delivered = np.zeros(n_rep, dtype=np.int64)
-    infeasible = np.zeros(n_rep, dtype=np.int64)
-    dropped_per_ue = np.zeros(n_rep * n_ue, dtype=np.int64)
-    sched_rate_hz = np.zeros(n_rep * n_ue)                  # per-Hz achieved rate sum
-    sched_power = np.zeros(n_rep * n_ue)                    # power sum while scheduled
-    sched_periods = np.zeros(n_rep * n_ue, dtype=np.int64)  # periods scheduled
-    served = np.zeros(n_rep * n_ue, dtype=np.int64)         # nonzero on lanes only
+    arrived = np.zeros(n_lane, dtype=np.int64)
+    delivered = np.zeros(n_lane, dtype=np.int64)
+    infeasible = np.zeros(n_lane, dtype=np.int64)
+    dropped_per_ue = np.zeros(n_lane * n_ue, dtype=np.int64)
+    sched_rate_hz = np.zeros(n_lane * n_ue)                  # per-Hz achieved rate sum
+    sched_power = np.zeros(n_lane * n_ue)                    # power sum while scheduled
+    sched_periods = np.zeros(n_lane * n_ue, dtype=np.int64)  # periods scheduled
+    served = np.zeros(n_lane * n_ue, dtype=np.int64)         # nonzero on lanes only
+    local = np.empty((n_lane, n_sbs), dtype=np.intp)         # scheduled UE per SBS
     # per-slot values: one row per slot of the period, or of the episode
-    power_rows = np.empty((spp, n_rep, n_sbs))
-    interference_rows = np.empty((spp, n_rep, n_sbs))
-    served_rows = np.empty((spp, n_rep, n_sbs), dtype=np.int64)
-    infeasible_rows = np.zeros((spp, n_rep, n_sbs), dtype=bool)
-    radiated = np.empty((n_periods * spp, n_rep))
-    interference_mean = np.empty((n_periods * spp, n_rep))
+    power_rows = np.empty((spp, n_lane, n_sbs))
+    interference_rows = np.empty((spp, n_lane, n_sbs))
+    served_rows = np.empty((spp, n_lane, n_sbs), dtype=np.int64)
+    infeasible_rows = np.zeros((spp, n_lane, n_sbs), dtype=bool)
+    radiated = np.empty((n_periods * spp, n_lane))
+    interference_mean = np.empty((n_periods * spp, n_lane))
 
     for period in range(n_periods):
         # --- slow timescale: pick one UE per SBS for the whole period
-        cells = queues.reshape(n_rep, n_sbs, k)
-        if method == "mfg":
-            q_norm = cells / cap
-            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, serving_gain, phy)
-            local = dpp_step(dpp_state, cells, r_bps, p_cand, phy, dpp)
-        else:
-            beta = serving_gain / (pf_state.interference_est[..., None] + noise[..., None])
+        cells = queues.reshape(n_lane, n_sbs, k)
+        if n_mfg:
+            q_norm = cells[mfg] / cap
+            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, mfg_gain, phy)
+            local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
+        if n_base:
+            beta = base_gain / (pf_state.interference_est[..., None] + base_noise[..., None])
             p_cand = efficient_power(beta, qos_floor_power(beta, qos_min_rate_bps, phy)[0], phy)
             # beta = gain / (interference + noise) is an SINR per Watt, so
             # the rate takes it as the gain over a unit noise floor
             cand = instantaneous_rate(p_cand, beta, 0.0, phy, 1.0)
-            local = pf_schedule(cand, pf_state.rate_avg)
+            local[base] = pf_schedule(cand, pf_state.rate_avg)
         lanes = lane_base + local
         sched_periods[lanes] += 1
-        g_cross = gains[lanes]                   # (R, B, B): row b = gains at b's UE
+        g_cross = gains[lanes % (n_rep * n_ue)]  # (L, B, B): row b = gains at b's UE
         g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
-        arrivals = np.stack([sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic],
-                            axis=1).reshape(spp, n_rep * n_ue)
+        # each replicate's arrivals, drawn once and given to every arm
+        draws = [sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic]
+        arrivals = np.stack(draws * len(arms), axis=1).reshape(spp, n_lane * n_ue)
+        if n_base:
+            base_lanes, base_g_own = lanes[base], g_own[base]
 
         # --- fast timescale
         for s in range(spp):
             own_bits = queues[lanes]
-            if method == "mfg":
-                powers = bilinear(solution.grid, solution.policy, s * dt, own_bits / cap)
-            else:
-                beta = g_own / (pf_state.interference_est + noise)
-                floor_w, infeasible_rows[s] = qos_floor_power(beta, qos_min_rate_bps, phy)
-                powers = efficient_power(beta, floor_w, phy)
+            # every scheduled SBS radiates its power for the full slot
+            powers = power_rows[s]
+            if n_mfg:
+                powers[mfg] = bilinear(solution.grid, solution.policy, s * dt,
+                                       own_bits[mfg] / cap)
+            if n_base:
+                beta = base_g_own / (pf_state.interference_est + base_noise)
+                floor_w, infeasible_rows[s, base] = qos_floor_power(beta, qos_min_rate_bps, phy)
+                p_ee = efficient_power(beta, floor_w, phy)
                 # PF averaging tracks the rate the channel would support at the
                 # myopic power, not the buffer-limited served rate; otherwise a
                 # freshly drained UE looks starved and the rotation collapses.
-                pot_rate = instantaneous_rate(powers, beta, 0.0, phy, 1.0)
-                powers = drain_power(powers, beta, own_bits,
-                                     queues.reshape(n_rep, n_sbs, k).sum(axis=2),
-                                     (spp - s) * dt, drain_window_slots * dt, phy, floor_w)
+                pot_rate = instantaneous_rate(p_ee, beta, 0.0, phy, 1.0)
+                powers[base] = drain_power(
+                    p_ee, beta, own_bits[base],
+                    queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
+                    (spp - s) * dt, drain_window_slots * dt, phy, floor_w)
 
             interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
                                        out=interference_rows[s])
@@ -242,22 +283,21 @@ def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
                                        (rate * dt).astype(np.int64), out=served_rows[s])
             queues, dropped = queue_step(queues, slot_arrivals, served, queue)
             dropped_per_ue += dropped
-            # every scheduled SBS radiates its power for the full slot
-            power_rows[s] = powers
 
-            if method == "baseline":
+            if n_base:
                 pf_state.interference_est, pf_state.meas_count = update_interference_estimate(
-                    pf_state.interference_est, pf_state.meas_count, interference, estimate_mode)
-                achieved[lanes] = pot_rate
-                update_rate_averages(pf_state, achieved.reshape(n_rep, n_sbs, k))
+                    pf_state.interference_est, pf_state.meas_count, interference[base],
+                    estimate_mode)
+                achieved[base_lanes] = pot_rate
+                update_rate_averages(pf_state, base_achieved)
 
         served[lanes] = 0
-        if method == "baseline":
-            achieved[lanes] = 0
+        if n_base:
+            achieved[base_lanes] = 0
         slots = slice(period * spp, (period + 1) * spp)
         radiated[slots] = power_rows.sum(axis=2)
         interference_mean[slots] = interference_rows.mean(axis=2)
-        arrived += arrivals.reshape(spp, n_rep, n_ue).sum(axis=(0, 2))
+        arrived += arrivals.reshape(spp, n_lane, n_ue).sum(axis=(0, 2))
         delivered += served_rows.sum(axis=(0, 2))
         infeasible += infeasible_rows.sum(axis=(0, 2))
         _fold_in_order(sched_rate_hz, lanes, served_rows / (dt * phy.bandwidth_hz))
@@ -271,27 +311,28 @@ def run_episodes(deploys: list[Deployment], method: str, phy: PhyParams,
     share = sched_periods / n_periods
     mean_rate = np.where(sched_slots > 0, sched_rate_hz / np.maximum(sched_slots, 1), 0.0)
     mean_pow = np.where(sched_slots > 0, sched_power / np.maximum(sched_slots, 1), 0.0)
-    utility = (share * mean_rate / (mean_pow + phy.circuit_power_w)).reshape(n_rep, n_ue)
+    utility = (share * mean_rate / (mean_pow + phy.circuit_power_w)).reshape(n_lane, n_ue)
     utility = utility.sum(axis=1) / n_sbs
-    dropped_per_ue = dropped_per_ue.reshape(n_rep, n_ue)
+    dropped_per_ue = dropped_per_ue.reshape(n_lane, n_ue)
     dropped_total = dropped_per_ue.sum(axis=1)
     outage = (dropped_per_ue > 0).mean(axis=1)
-    backlog_delta = queues.reshape(n_rep, n_ue).sum(axis=1) - backlog_start
+    backlog_delta = queues.reshape(n_lane, n_ue).sum(axis=1) - backlog_start
 
-    out = []
-    for r in range(n_rep):
-        arrived_r, delivered_r, dropped_r = int(arrived[r]), int(delivered[r]), int(dropped_total[r])
-        energy_r = float(energy[r])
-        out.append(EpisodeMetrics(
-            method=method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
-            arrived_bits=arrived_r, delivered_bits=delivered_r, dropped_bits=dropped_r,
-            backlog_delta_bits=int(backlog_delta[r]), energy_j=energy_r,
-            ee_bits_per_j=delivered_r / energy_r if energy_r > 0 else 0.0,
-            outage_fraction=float(outage[r]),
-            dropped_ratio=dropped_r / arrived_r if arrived_r > 0 else 0.0,
-            mean_power_w=float(power_sum[r]) / (n_slots_total * n_sbs),
-            interference_mean=float(interference_sum[r]) / n_slots_total,
-            utility=float(utility[r]), infeasible_slots=int(infeasible[r]),
+    out = [[] for _ in arms]
+    for lane in range(n_lane):
+        arm = order[lane // n_rep]
+        arrived_l, delivered_l = int(arrived[lane]), int(delivered[lane])
+        dropped_l, energy_l = int(dropped_total[lane]), float(energy[lane])
+        out[arm].append(EpisodeMetrics(
+            method=arms[arm].method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
+            arrived_bits=arrived_l, delivered_bits=delivered_l, dropped_bits=dropped_l,
+            backlog_delta_bits=int(backlog_delta[lane]), energy_j=energy_l,
+            ee_bits_per_j=delivered_l / energy_l if energy_l > 0 else 0.0,
+            outage_fraction=float(outage[lane]),
+            dropped_ratio=dropped_l / arrived_l if arrived_l > 0 else 0.0,
+            mean_power_w=float(power_sum[lane]) / (n_slots_total * n_sbs),
+            interference_mean=float(interference_sum[lane]) / n_slots_total,
+            utility=float(utility[lane]), infeasible_slots=int(infeasible[lane]),
         ))
     return out
 
@@ -303,13 +344,13 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
                 estimate_mode: str = "arithmetic", drain_window_slots: int = 40,
                 replicate: int = 0) -> EpisodeMetrics:
     """Simulate one episode (replicate `replicate`) and return its metrics;
-    run_episodes on one deployment."""
+    run_episodes with one arm on one deployment."""
     return run_episodes(
-        [deploy], method, phy, queue, n_periods=n_periods, seed=seed,
-        replicates=[replicate], solution=solution, dpp=dpp,
+        [deploy], [Arm(method, dpp)], phy, queue, n_periods=n_periods, seed=seed,
+        replicates=[replicate], solution=solution,
         qos_min_rate_bps=qos_min_rate_bps, slots_per_period=slots_per_period,
         initial_backlog=initial_backlog, estimate_mode=estimate_mode,
-        drain_window_slots=drain_window_slots)[0]
+        drain_window_slots=drain_window_slots)[0][0]
 
 
 METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",

@@ -184,21 +184,25 @@ def fpk_forward(grid: GridSpec, rho0, policy, interference, phy: PhyParams,
     rho[0] = rho0
     mass0 = float(density_mass(grid, rho0))
 
+    # face velocities between nodes, one row per step, and their upwind parts
+    u = 0.5 * (drift[:-1, :-1] + drift[:-1, 1:])
+    u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
+    # positivity needs dt_sub * |outflow| <= half-width wall cells; a row
+    # whose largest speed is 0 or nan takes one sub-step, and an infinite
+    # one fails in int() below
+    umax = np.abs(u).max(axis=1)
+    n_sub = np.where(umax > 0, np.maximum(np.ceil(4.0 * dt * umax / dq), 1.0), 1.0)
+    # walls carry no flux, so backlog pools at y=0 (empty queue) and y=1
+    # (full queue): the flux sits between two zeros, and its differences
+    # are each node's divergence
+    flux = np.zeros(grid.n_q + 1)
     for i in range(grid.n_t - 1):
-        # face velocities between nodes; walls carry no flux so backlog
-        # pools at y=0 (empty queue) and y=1 (full queue)
-        u = 0.5 * (drift[i, :-1] + drift[i, 1:])
-        umax = float(np.abs(u).max()) if u.size else 0.0
-        # positivity needs dt_sub * |outflow| <= half-width wall cells
-        n_sub = max(1, int(np.ceil(4.0 * dt * umax / dq))) if umax > 0 else 1
-        dts = dt / n_sub
+        n = int(n_sub[i])
+        dts = dt / n
         cur = rho[i]
-        for _ in range(n_sub):
-            flux = np.maximum(u, 0.0) * cur[:-1] + np.minimum(u, 0.0) * cur[1:]
-            div = np.zeros_like(cur)
-            div[:-1] += flux
-            div[1:] -= flux
-            cur = cur - dts * div / w
+        for _ in range(n):
+            np.add(u_pos[i] * cur[:-1], u_neg[i] * cur[1:], out=flux[1:-1])
+            cur = cur - dts * np.diff(flux) / w
         rho[i + 1] = cur
 
     if rho.min() < DENSITY_FLOOR:

@@ -264,13 +264,14 @@ def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solv
 
 
 def record_episodes(monkeypatch):
-    """Wrap the CLI's run_episodes; returns the list of (method, deploys)."""
+    """Wrap the CLI's run_episodes; returns one (methods of its arms,
+    deploys) per call."""
     run = udnsim.cli.run_episodes
     calls = []
 
-    def recording(deploys, method, *args, **kwargs):
-        calls.append((method, deploys))
-        return run(deploys, method, *args, **kwargs)
+    def recording(deploys, arms, *args, **kwargs):
+        calls.append(([arm.method for arm in arms], deploys))
+        return run(deploys, arms, *args, **kwargs)
 
     monkeypatch.setattr(udnsim.cli, "run_episodes", recording)
     return calls
@@ -289,16 +290,15 @@ def count_deployments(monkeypatch):
 
 
 def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
-    """Both methods run on the same deployment objects, drawn once; the
-    calibration solve reuses replicate 0's."""
+    """Both methods run as arms of one batch on the same deployments, drawn
+    once; the calibration solve reuses replicate 0's."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, _ = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", cfg]) == 0
-    assert [method for method, _ in calls] == ["mfg", "baseline"]
-    (_, mfg), (_, base) = calls
-    assert len(mfg) == 2
-    assert all(a is b for a, b in zip(mfg, base))  # paired deployments across methods
+    [(methods, deploys)] = calls  # one call: paired deployments across methods
+    assert methods == ["mfg", "baseline"]
+    assert len(deploys) == 2
     assert seeds == [(0, 0), (1, 0)]
 
 
@@ -306,15 +306,53 @@ def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
                          [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4)])
 def test_sweep_runs_baseline_once_per_geometry(tmp_path, monkeypatch, key, values,
                                                mfg_runs, baseline_runs, draws):
+    """One batch per geometry, holding the mfg arm of each of its values
+    and the baseline once."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
     assert main(["sweep", "--config", cfg]) == 0
-    methods = [method for method, _ in calls]
+    assert len(calls) == baseline_runs  # one call per geometry
+    assert all(methods.count("baseline") == 1 for methods, _ in calls)
+    methods = [m for arms, _ in calls for m in arms]
     assert (methods.count("mfg"), methods.count("baseline")) == (mfg_runs, baseline_runs)
     assert len(seeds) == draws
     rows = open(os.path.join(out, "sweep_metrics.csv")).read().strip().split("\n")
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
+
+
+def test_v_sweep_rows_equal_simulate_at_each_v(tmp_path):
+    """A v sweep runs every value in one batch; each value's rows are the
+    rows `udnsim simulate` writes with v_coeff = -v, and the baseline's."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = v\nvalues = 1, 1000\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    lines = Path(out, "sweep_metrics.csv").read_text().splitlines()
+    header, rows = lines[0], lines[1:]
+    assert len(rows) == 2 * 2 * 2  # 2 values x 2 methods x 2 replicates
+    mfg_rows = []
+    for i, v in enumerate((1, 1000)):
+        sim_cfg, sim_out = write_cfg(tmp_path, SIM_CFG + f"[scheduler]\nv_coeff = {-v}\n",
+                                     name=f"v{v}.cfg", out=tmp_path / f"v{v}")
+        assert main(["simulate", "--config", sim_cfg]) == 0
+        want = []
+        for method in ("mfg", "baseline"):
+            text = Path(sim_out, f"metrics_{method}.csv").read_text().splitlines()
+            assert text[0] == header
+            want += text[1:]
+        assert rows[4 * i:4 * i + 4] == want
+        mfg_rows.append(want[:2])
+    assert mfg_rows[0] != mfg_rows[1]  # v reaches the schedule
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", "[scheduler]\nv_coeff = nan\n"),
+    ("sweep", "[sweep]\nkey = v\nvalues = nan\n"),
+    ("sweep", "[sweep]\nkey = isd\nvalues = nan\n"),
+])
+def test_non_finite_values_exit_2(tmp_path, capsys, command, extra):
+    cfg, _ = write_cfg(tmp_path, SIM_CFG + extra)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
 
 
 def test_zero_slots_per_period_exits_2(tmp_path):

@@ -72,6 +72,11 @@ def test_missing_file_rejected(tmp_path):
     "[solver]\nmean_sq_gain = -1\n",
     "[solver]\nmean_sq_gain = inf\n",
     "[solver]\nmean_sq_gain = nan\n",
+    "[scheduler]\nv_coeff = nan\n",               # every float key is finite
+    "[scheduler]\nv_coeff = -inf\n",
+    "[phy]\nmax_power_w = inf\n",
+    "[traffic]\narrival_rate_bps = nan\n",
+    "[deployment]\nisd_units = nan\n",
     "[deployment]\nk = 0\n",
     "[deployment]\nisd_units = -1\n",
     "[simulate]\nn_replicates = 0\n",
@@ -136,4 +141,12 @@ def test_sweep_values_errors(tmp_path):
         cfg.sweep_values()
     cfg = load_config(write(tmp_path, "[sweep]\nkey = boundary\nvalues = exponential, weird\n"))
     with pytest.raises(ConfigError):
+        cfg.sweep_values()
+
+
+@pytest.mark.parametrize("key, values", [("v", "1, nan"), ("v", "inf"), ("isd", "nan"),
+                                         ("isd", "12.5, -inf"), ("k", "nan")])
+def test_non_finite_sweep_values_rejected(tmp_path, key, values):
+    cfg = load_config(write(tmp_path, f"[sweep]\nkey = {key}\nvalues = {values}\n"))
+    with pytest.raises(ConfigError, match="finite numbers"):
         cfg.sweep_values()

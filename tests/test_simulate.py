@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from udnsim import (ConfigError, Deployment, EpisodeMetrics, PhyParams,
+from udnsim import (Arm, ConfigError, Deployment, DppParams, EpisodeMetrics, PhyParams,
                     QueueParams, generate_deployment, run_episode, run_episodes)
 from udnsim.simulate import (METRIC_FIELDS, _fold_in_order, _sample_initial_backlog,
                              derived_rng, summarize_replications)
@@ -142,12 +142,33 @@ def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode
     queue = QueueParams(capacity_bits=60_000)
     kw = dict(n_periods=3, seed=2024, solution=small_solution, slots_per_period=15,
               estimate_mode=estimate_mode, initial_backlog=start)
-    batch = run_episodes(deploys, method, phy, queue, replicates=[2, 0, 5], **kw)
+    [batch] = run_episodes(deploys, [Arm(method)], phy, queue, replicates=[2, 0, 5], **kw)
     alone = [run_episode(d, method, phy, queue, replicate=r, **kw)
              for d, r in zip(deploys, (2, 0, 5))]
     assert batch == alone
     assert all(m.dropped_bits > 0 for m in batch)
     assert len({m.delivered_bits for m in batch}) == 3
+
+
+@pytest.mark.parametrize("start", ["empty", "density"])
+@pytest.mark.parametrize("estimate_mode", ["arithmetic", "exponential"])
+def test_arms_batch_equals_each_arm_alone(phy, small_solution, estimate_mode, start):
+    """Two mfg arms at different V and the baseline share one lockstep
+    batch (the baseline between them, so the lanes are reordered), and each
+    (arm, replicate) lane gets exactly the metrics of running it alone."""
+    deploys = [generate_deployment(12.5, 2, phy, seed=s) for s in (99, 100, 101)]
+    queue = QueueParams(capacity_bits=60_000)
+    kw = dict(n_periods=3, seed=2024, solution=small_solution, slots_per_period=15,
+              estimate_mode=estimate_mode, initial_backlog=start)
+    arms = [Arm("mfg", DppParams(-1.0)), Arm("baseline"), Arm("mfg", DppParams(-1e5))]
+    batch = run_episodes(deploys, arms, phy, queue, replicates=[2, 0, 5], **kw)
+    assert len(batch) == len(arms)
+    for arm, metrics in zip(arms, batch):
+        alone = [run_episode(d, arm.method, phy, queue, dpp=arm.dpp, replicate=r, **kw)
+                 for d, r in zip(deploys, (2, 0, 5))]
+        assert metrics == alone
+    # the arms differ, so a lane that read another arm's state would show
+    assert len({tuple(metrics_tuple(m) for m in metrics) for metrics in batch}) == 3
 
 
 def test_fold_in_order_matches_slot_loop(rng):
@@ -169,19 +190,24 @@ def test_fold_in_order_matches_slot_loop(rng):
 
 def test_batch_validation(small_deploy, phy, queue):
     kw = dict(seed=0, replicates=[0])
+    base = [Arm("baseline")]
     with pytest.raises(ConfigError):
-        run_episodes([small_deploy], "baseline", phy, queue, n_periods=0, **kw)
+        run_episodes([small_deploy], base, phy, queue, n_periods=0, **kw)
     with pytest.raises(ConfigError):
-        run_episodes([small_deploy], "baseline", phy, queue, n_periods=1,
+        run_episodes([small_deploy], base, phy, queue, n_periods=1,
                      slots_per_period=0, **kw)
     with pytest.raises(ConfigError):
         run_episode(small_deploy, "baseline", phy, queue, n_periods=1, seed=0,
                     slots_per_period=0)
     with pytest.raises(ConfigError):  # one replicate index per deployment
-        run_episodes([small_deploy] * 2, "baseline", phy, queue, n_periods=1, **kw)
+        run_episodes([small_deploy] * 2, base, phy, queue, n_periods=1, **kw)
     with pytest.raises(ConfigError):  # one shape per batch
         run_episodes([small_deploy, synthetic_deployment(2, 2, gain_scale=0.5)],
-                     "baseline", phy, queue, n_periods=1, seed=0, replicates=[0, 1])
+                     base, phy, queue, n_periods=1, seed=0, replicates=[0, 1])
+    with pytest.raises(ConfigError):  # at least one arm
+        run_episodes([small_deploy], [], phy, queue, n_periods=1, **kw)
+    with pytest.raises(ConfigError):  # every arm is checked, not only the first
+        run_episodes([small_deploy], base + [Arm("mfg")], phy, queue, n_periods=1, **kw)
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 1000])
