@@ -232,6 +232,46 @@ def test_fpk_pools_at_wall(phy, queue):
     assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-10
 
 
+def _fpk_reference(grid, rho0, drift):
+    """The transport loop with each row's face velocities, sub-step count
+    and divergence built inside the time step."""
+    w = grid.cell_widths()
+    rho = np.empty((grid.n_t, grid.n_q))
+    rho[0] = rho0
+    for i in range(grid.n_t - 1):
+        u = 0.5 * (drift[i, :-1] + drift[i, 1:])
+        umax = float(np.abs(u).max())
+        n_sub = max(1, int(np.ceil(4.0 * grid.dt * umax / grid.dq))) if umax > 0 else 1
+        dts = grid.dt / n_sub
+        cur = rho[i]
+        for _ in range(n_sub):
+            flux = np.maximum(u, 0.0) * cur[:-1] + np.minimum(u, 0.0) * cur[1:]
+            div = np.zeros_like(cur)
+            div[:-1] += flux
+            div[1:] -= flux
+            cur = cur - dts * div / w
+        rho[i + 1] = cur
+    return np.clip(rho, 0.0, None)
+
+
+@pytest.mark.parametrize("nan_row", [None, 150])
+def test_fpk_matches_per_row_reference_bitwise(phy, queue, rng, monkeypatch, nan_row):
+    """Drift rows of both signs, rows at rest, rows that need up to eight
+    sub-steps and a row with a nan speed (one sub-step; the density turns
+    nan from there on)."""
+    grid = GridSpec(201, 21)
+    drift = rng.uniform(-1.0, 1.0, (grid.n_t, grid.n_q)) * rng.uniform(0.0, 20.0, (grid.n_t, 1))
+    drift[::7] = 0.0
+    if nan_row is not None:
+        drift[nan_row, 4] = np.nan
+    monkeypatch.setattr("udnsim.solver.drift_field", lambda *args, **kwargs: drift)
+    rho0 = initial_density(grid)
+    rho = fpk_forward(grid, rho0, np.zeros((grid.n_t, grid.n_q)), np.full(grid.n_t, 0.1),
+                      phy, queue, noise_norm=0.1)
+    assert np.array_equal(rho, _fpk_reference(grid, rho0, drift), equal_nan=True)
+    assert np.isnan(rho).any() == (nan_row is not None)
+
+
 def test_fpk_input_validation(phy, queue):
     grid = GridSpec(601, 21)
     interference = np.full(grid.n_t, 0.1)
