@@ -180,7 +180,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     n_mfg = n_rep * sum(arm.method == "mfg" for arm in arms)
     n_base = n_lane - n_mfg
     mfg, base = slice(0, n_mfg), slice(n_mfg, n_lane)
-    serving_gain = np.stack([d.serving_gains() for d in deploys]).reshape(n_rep, n_sbs, k)
+    serving_gain = np.tile(np.stack([d.serving_gains() for d in deploys]),
+                           (len(arms), 1)).reshape(n_lane, n_sbs, k)
     gains = np.concatenate([d.gains for d in deploys])       # (n_rep * n_ue, n_sbs)
     noise = np.tile([d.noise_norm for d in deploys], len(arms))[:, None]
     cap = int(queue.capacity_bits)
@@ -202,13 +203,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
     if n_mfg:
         dpp_state = SchedulerState.fresh((n_mfg, n_sbs, k))
-        mfg_gain = np.tile(serving_gain, (n_mfg // n_rep, 1, 1))
         # one V per lane, a column against (lanes, n_sbs, k)
         v = np.repeat([arms[a].dpp.v_coeff for a in order[:n_mfg // n_rep]], n_rep)
         dpp = DppParams(v_coeff=v[:, None, None])
     if n_base:
         pf_state = BaselineState.fresh((n_base, n_sbs, k))
-        base_gain = np.tile(serving_gain, (n_base // n_rep, 1, 1))
         base_noise = noise[base]
         achieved = np.zeros(n_lane * n_ue)
         base_achieved = achieved.reshape(n_lane, n_sbs, k)[base]
@@ -235,10 +234,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         cells = queues.reshape(n_lane, n_sbs, k)
         if n_mfg:
             q_norm = cells[mfg] / cap
-            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, mfg_gain, phy)
+            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, serving_gain[mfg], phy)
             local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
         if n_base:
-            beta = base_gain / (pf_state.interference_est[..., None] + base_noise[..., None])
+            beta = serving_gain[base] / (pf_state.interference_est[..., None]
+                                         + base_noise[..., None])
             p_cand = efficient_power(beta, qos_floor_power(beta, qos_min_rate_bps, phy)[0], phy)
             # beta = gain / (interference + noise) is an SINR per Watt, so
             # the rate takes it as the gain over a unit noise floor
