@@ -191,6 +191,7 @@ def cmd_sweep(args) -> int:
     nor the terminal condition (its density start reads the solution's
     initial slice, which is rho0 whatever the boundary), so it runs once
     per (isd, k) and its rows repeat at every value that shares the geometry.
+    Each value prints `swept key=value` when its group's batch returns.
     """
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
@@ -223,6 +224,7 @@ def cmd_sweep(args) -> int:
             baseline = baseline or runs[-1]
             for (i, _), mfg in zip(members, runs):
                 results[i] = {"mfg": mfg, "baseline": baseline}
+                print(f"swept {key}={values[i]}")
 
     points = []
     all_rows = []
@@ -230,7 +232,6 @@ def cmd_sweep(args) -> int:
         points.append((value, {m: r[1] for m, r in by_method.items()}))
         for metrics, _ in by_method.values():
             all_rows.extend(metrics)
-        print(f"swept {key}={value}")
 
     _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(all_rows))
     for metric in args.metrics:

@@ -319,17 +319,6 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     p0 = phy.circuit_power_w
     vgrad = np.asarray(vgrad, dtype=float)
     search = vgrad.any()
-    if not search and terms is None:
-        # every gradient zero (the baseline's myopic power): the EE power
-        # alone, without the table terms or the vgrad == 0 selects
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            _, lo, _, live, p_ee, phi_ee = _ee_terms(beta, lo, hi, phy)
-        p, val = np.where(live, p_ee, lo), np.where(live, phi_ee, 0.0)
-        # a gradient array wider than beta and the box widens the result
-        shape = np.broadcast_shapes(vgrad.shape, p.shape) if vgrad.ndim else p.shape
-        if shape != p.shape:
-            p, val = np.broadcast_to(p, shape).copy(), np.broadcast_to(val, shape).copy()
-        return p, val
     # both cases also run on elements they do not serve (beta = 0 divides
     # by zero), and the search on lanes without a root; np.where discards
     # those results.  A subnormal beta takes p* past the largest double, and
@@ -340,15 +329,19 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
             terms = BoxTerms(*ee, *(_hjb_terms(ee[0], ee[2], phy) if search
                                     else (None,) * 4))
         t = terms
-        p, val = t.lo, 0.0
         if search:
             x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2,
                                        phy.max_power_w * NODE_FRAC, p0)
             p, val = _box_best(x, has_root, t.beta, vgrad, t.lo, t.hi, t.log_hi,
                                t.inv_hi, p0)
-        ee = vgrad == 0.0
-        p = np.where(ee, t.p_ee, p)
-        val = np.where(ee, t.phi_ee, val)
+            ee = vgrad == 0.0
+            p = np.where(ee, t.p_ee, p)
+            val = np.where(ee, t.phi_ee, val)
+        else:
+            # every gradient zero (the baseline's myopic power): the EE
+            # power alone, at the shape a wider vgrad gives
+            shape = np.broadcast_shapes(vgrad.shape, np.shape(t.p_ee))
+            p, val = np.broadcast_to(t.p_ee, shape), np.broadcast_to(t.phi_ee, shape)
         p = np.where(t.live, p, t.lo)
         val = np.where(t.live, val, 0.0)
     return p, val

@@ -12,15 +12,18 @@ pair: an arm is a method with its scheduler parameters, and a replicate is
 one of R deployments of one (n_sbs, k) shape, with its own normalized noise
 and its own traffic stream.  Lane a * R + r runs arm a on replicate r, the
 mfg arms first, so each method's lanes are one slice.  Each replicate's
-arrivals are drawn once per period and given to every arm, and every arm
-runs on the same gains.  Per-UE state is one flat vector in which UE u of
-lane l sits at l * n_ue + u, and the UEs of SBS b are u = b * k .. b * k +
-k - 1, so reshaping it gives the (L, n_sbs, k) view that the period step
-works on.  The UEs scheduled for a period are one (L, n_sbs) array of flat
-indices l * n_ue + b * k + local, which gathers and scatters every per-lane
-slot value with one index.  The cross gains of a period are an (L, n_sbs,
-n_sbs) stack whose row b holds the gains at b's scheduled UE, and the
-interference is one batched matrix-vector product over it.
+arrivals are drawn once per period into one (slots, R * n_ue) block, held
+once and broadcast to every arm, and every arm runs on the same gains.
+Per-UE state is one flat vector in which UE u of lane l sits at l * n_ue +
+u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so reshaping it
+gives the (L, n_sbs, k) view that the period step works on; the queues are
+kept as its (arms, R * n_ue) view, against which a slot's arrival row
+broadcasts.  The UEs scheduled for a period are one (L, n_sbs) array of
+flat indices l * n_ue + b * k + local, which gathers and scatters every
+per-lane slot value with one index, and modulo R * n_ue they index the
+replicate's own arrivals and gains.  The cross gains of a period are an
+(L, n_sbs, n_sbs) stack whose row b holds the gains at b's scheduled UE,
+and the interference is one batched matrix-vector product over it.
 
 The kernel holds no physics of its own; it calls the tested functions
 once per slot or period on these batched arrays, each method on its own
@@ -173,17 +176,18 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         qos_min_rate_bps = queue.arrival_rate_bps
 
     n_rep, n_ue, spp = len(deploys), n_sbs * k, slots_per_period
+    n_arm, n_rep_ue = len(arms), n_rep * n_ue
     # lane a * n_rep + r runs arm order[a] on replicate r: the mfg arms come
     # first, so each method's lanes are one slice
-    order = sorted(range(len(arms)), key=lambda a: arms[a].method != "mfg")
-    n_lane = len(arms) * n_rep
+    order = sorted(range(n_arm), key=lambda a: arms[a].method != "mfg")
+    n_lane = n_arm * n_rep
     n_mfg = n_rep * sum(arm.method == "mfg" for arm in arms)
     n_base = n_lane - n_mfg
     mfg, base = slice(0, n_mfg), slice(n_mfg, n_lane)
     serving_gain = np.tile(np.stack([d.serving_gains() for d in deploys]),
-                           (len(arms), 1)).reshape(n_lane, n_sbs, k)
-    gains = np.concatenate([d.gains for d in deploys])       # (n_rep * n_ue, n_sbs)
-    noise = np.tile([d.noise_norm for d in deploys], len(arms))[:, None]
+                           (n_arm, 1)).reshape(n_lane, n_sbs, k)
+    gains = np.concatenate([d.gains for d in deploys])       # (n_rep_ue, n_sbs)
+    noise = np.tile([d.noise_norm for d in deploys], n_arm)[:, None]
     cap = int(queue.capacity_bits)
     dt = queue.slot_duration_s
     # flat index of UE (b, 0) of lane l, shape (n_lane, n_sbs)
@@ -193,10 +197,10 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     if initial_backlog == "density":
         if solution is None:
             raise ConfigError("density-initialized backlog needs a solution")
-        queues = np.concatenate([_sample_initial_backlog(solution, n_ue, cap, rng)
-                                 for rng in traffic] * len(arms))
+        queues = np.tile(np.concatenate([_sample_initial_backlog(solution, n_ue, cap, rng)
+                                         for rng in traffic]), (n_arm, 1))
     elif initial_backlog == "empty":
-        queues = np.zeros(n_lane * n_ue, dtype=np.int64)
+        queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     else:
         raise ConfigError("initial_backlog must be 'empty' or 'density'")
     backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
@@ -215,11 +219,12 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     arrived = np.zeros(n_lane, dtype=np.int64)
     delivered = np.zeros(n_lane, dtype=np.int64)
     infeasible = np.zeros(n_lane, dtype=np.int64)
-    dropped_per_ue = np.zeros(n_lane * n_ue, dtype=np.int64)
+    dropped_per_ue = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     sched_rate_hz = np.zeros(n_lane * n_ue)                  # per-Hz achieved rate sum
     sched_power = np.zeros(n_lane * n_ue)                    # power sum while scheduled
     sched_periods = np.zeros(n_lane * n_ue, dtype=np.int64)  # periods scheduled
     served = np.zeros(n_lane * n_ue, dtype=np.int64)         # nonzero on lanes only
+    served_by_arm = served.reshape(n_arm, n_rep_ue)
     local = np.empty((n_lane, n_sbs), dtype=np.intp)         # scheduled UE per SBS
     # per-slot values: one row per slot of the period, or of the episode
     power_rows = np.empty((spp, n_lane, n_sbs))
@@ -246,17 +251,18 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             local[base] = pf_schedule(cand, pf_state.rate_avg)
         lanes = lane_base + local
         sched_periods[lanes] += 1
-        g_cross = gains[lanes % (n_rep * n_ue)]  # (L, B, B): row b = gains at b's UE
+        rep_lanes = lanes % n_rep_ue  # the same UEs in the replicate's own numbering
+        g_cross = gains[rep_lanes]  # (L, B, B): row b = gains at b's UE
         g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
-        # each replicate's arrivals, drawn once and given to every arm
-        draws = [sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic]
-        arrivals = np.stack(draws * len(arms), axis=1).reshape(spp, n_lane * n_ue)
+        # each replicate's arrivals, drawn once and broadcast to every arm
+        arrivals = np.concatenate([sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic],
+                                  axis=1)
         if n_base:
             base_lanes, base_g_own = lanes[base], g_own[base]
 
         # --- fast timescale
         for s in range(spp):
-            own_bits = queues[lanes]
+            own_bits = queues.take(lanes)
             # every scheduled SBS radiates its power for the full slot
             powers = power_rows[s]
             if n_mfg:
@@ -279,9 +285,10 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                                        out=interference_rows[s])
             rate = instantaneous_rate(powers, g_own, interference, phy, noise)
             slot_arrivals = arrivals[s]
-            served[lanes] = np.minimum(own_bits + slot_arrivals[lanes],
+            served[lanes] = np.minimum(own_bits + slot_arrivals[rep_lanes],
                                        (rate * dt).astype(np.int64), out=served_rows[s])
-            queues, dropped = queue_step(queues, slot_arrivals, served, queue)
+            # (arms, replicate UEs) against the replicates' arrivals
+            queues, dropped = queue_step(queues, slot_arrivals, served_by_arm, queue)
             dropped_per_ue += dropped
 
             if n_base:
@@ -297,7 +304,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         slots = slice(period * spp, (period + 1) * spp)
         radiated[slots] = power_rows.sum(axis=2)
         interference_mean[slots] = interference_rows.mean(axis=2)
-        arrived += arrivals.reshape(spp, n_lane, n_ue).sum(axis=(0, 2))
+        arrived += np.tile(arrivals.reshape(spp, n_rep, n_ue).sum(axis=(0, 2)), n_arm)
         delivered += served_rows.sum(axis=(0, 2))
         infeasible += infeasible_rows.sum(axis=(0, 2))
         _fold_in_order(sched_rate_hz, lanes, served_rows / (dt * phy.bandwidth_hz))

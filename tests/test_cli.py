@@ -321,6 +321,23 @@ def test_sweep_runs_baseline_once_per_geometry(tmp_path, monkeypatch, key, value
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
 
 
+def test_sweep_reports_each_value_as_its_batch_returns(tmp_path, monkeypatch, capsys):
+    """A value's `swept` line is printed before the next geometry's batch
+    starts, not after the whole sweep."""
+    run = udnsim.cli.run_episodes
+    printed = []
+
+    def reading(*args, **kwargs):
+        printed.append(capsys.readouterr().out)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(udnsim.cli, "run_episodes", reading)
+    cfg, _ = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = k\nvalues = 1, 2\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    assert printed == ["", "swept k=1\n"]
+    assert capsys.readouterr().out.startswith("swept k=2\nwrote ")
+
+
 def test_v_sweep_rows_equal_simulate_at_each_v(tmp_path):
     """A v sweep runs every value in one batch; each value's rows are the
     rows `udnsim simulate` writes with v_coeff = -v, and the baseline's."""
