@@ -117,11 +117,15 @@ def _sample_initial_backlog(solution: MfgSolution, n_ue: int, cap: int,
     return (np.interp(u, cdf, grid.queues) * cap).astype(np.int64)
 
 
-def _fold_in_order(total: np.ndarray, index, rows: np.ndarray):
-    """total[index] += rows[0]; total[index] += rows[1]; ... in row order,
-    so the float sums round as a slot-by-slot loop rounds them."""
-    acc = np.concatenate((total[index][None], rows))
-    total[index] = np.add.accumulate(acc, axis=0)[-1]
+def _fold_in_order(total: np.ndarray, index, rows: np.ndarray, divisor: float = 1.0):
+    """total[index] += rows[0] / divisor; total[index] += rows[1] / divisor;
+    ... in row order, so the float sums round as a slot-by-slot loop rounds
+    them.  The running sums fill one buffer of the rows' size."""
+    acc = np.empty((len(rows) + 1,) + rows.shape[1:])
+    acc[0] = total[index]
+    np.divide(rows, divisor, out=acc[1:])
+    np.add.accumulate(acc, axis=0, out=acc)
+    total[index] = acc[-1]
 
 
 class Arm(NamedTuple):
@@ -233,6 +237,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     infeasible_rows = np.zeros((spp, n_lane, n_sbs), dtype=bool)
     radiated = np.empty((n_periods * spp, n_lane))
     interference_mean = np.empty((n_periods * spp, n_lane))
+    # per-period inputs, refilled in place: the cross gains, row b of lane l
+    # holding the gains at b's scheduled UE, and each replicate's arrivals
+    g_cross = np.empty((n_lane, n_sbs, n_sbs))
+    arrivals = np.empty((spp, n_rep_ue), dtype=np.int64)
+    arrival_blocks = arrivals.reshape(spp, n_rep, n_ue)
 
     for period in range(n_periods):
         # --- slow timescale: pick one UE per SBS for the whole period
@@ -252,11 +261,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         lanes = lane_base + local
         sched_periods[lanes] += 1
         rep_lanes = lanes % n_rep_ue  # the same UEs in the replicate's own numbering
-        g_cross = gains[rep_lanes]  # (L, B, B): row b = gains at b's UE
+        gains.take(rep_lanes, axis=0, out=g_cross)
         g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
         # each replicate's arrivals, drawn once and broadcast to every arm
-        arrivals = np.concatenate([sample_arrivals(rng, queue, (spp, n_ue)) for rng in traffic],
-                                  axis=1)
+        for r, rng in enumerate(traffic):
+            arrival_blocks[:, r] = sample_arrivals(rng, queue, (spp, n_ue))
         if n_base:
             base_lanes, base_g_own = lanes[base], g_own[base]
 
@@ -304,10 +313,10 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         slots = slice(period * spp, (period + 1) * spp)
         radiated[slots] = power_rows.sum(axis=2)
         interference_mean[slots] = interference_rows.mean(axis=2)
-        arrived += np.tile(arrivals.reshape(spp, n_rep, n_ue).sum(axis=(0, 2)), n_arm)
+        arrived += np.tile(arrival_blocks.sum(axis=(0, 2)), n_arm)
         delivered += served_rows.sum(axis=(0, 2))
         infeasible += infeasible_rows.sum(axis=(0, 2))
-        _fold_in_order(sched_rate_hz, lanes, served_rows / (dt * phy.bandwidth_hz))
+        _fold_in_order(sched_rate_hz, lanes, served_rows, dt * phy.bandwidth_hz)
         _fold_in_order(sched_power, lanes, power_rows)
 
     n_slots_total = n_periods * spp
