@@ -339,9 +339,13 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
             val = np.where(ee, t.phi_ee, val)
         else:
             # every gradient zero (the baseline's myopic power): the EE
-            # power alone, at the shape a wider vgrad gives
-            shape = np.broadcast_shapes(vgrad.shape, np.shape(t.p_ee))
-            p, val = np.broadcast_to(t.p_ee, shape), np.broadcast_to(t.phi_ee, shape)
+            # power alone.  A gradient array may be wider than the box and
+            # widens the result; a scalar one (the slot kernel's per-slot
+            # call) skips that shape work
+            p, val = t.p_ee, t.phi_ee
+            if vgrad.ndim:
+                shape = np.broadcast_shapes(vgrad.shape, np.shape(p))
+                p, val = np.broadcast_to(p, shape), np.broadcast_to(val, shape)
         p = np.where(t.live, p, t.lo)
         val = np.where(t.live, val, 0.0)
     return p, val
