@@ -1,7 +1,7 @@
 """udnsim: mean-field power control and queue-aware scheduling for
 ultra-dense small-cell networks."""
 
-from .baseline import BaselineState, myopic_power, pf_schedule, update_interference_estimate
+from .baseline import BaselineState, myopic_power, pf_schedule
 from .config import RunConfig, load_config
 from .deployment import Deployment, generate_deployment, grid_side
 from .errors import (CflError, ConfigError, ConvergenceError, InvariantError,
@@ -26,5 +26,5 @@ __all__ = [
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",
     "load_config", "load_solution", "maximize_rate_value", "mf_interference",
     "myopic_power", "pf_schedule", "run_episode", "run_episodes",
-    "save_solution", "solve_mfg", "terminal_value", "update_interference_estimate",
+    "save_solution", "solve_mfg", "terminal_value",
 ]

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .phy import LN2, PhyParams
+from .phy import LN2, PhyParams, instantaneous_rate
 from .power_opt import maximize_rate_value
 
 PF_FLOOR = 1e-6
 ESTIMATE_MODES = ("arithmetic", "exponential")
+# weight of the newest measurement in the exponential interference estimate
+ALPHA = 0.05
 # beta floor of the power-from-rate inversions: a dead link needs unbounded
 # power, so its QoS floor is infeasible and its drain keeps the myopic power
 BETA_FLOOR = 1e-300
@@ -29,17 +31,39 @@ NEED_CAP = 40.0
 @dataclass
 class BaselineState:
     """PF rate averages (one per UE, shape (..., k)) and the interference
-    estimate (one per SBS, shape (...)) carried across slots."""
+    estimate (one per SBS, shape (...)) carried across slots; both are
+    running means over the same `slots` observed so far."""
 
     rate_avg: np.ndarray
     interference_est: np.ndarray
-    rate_slots: int = 0
-    meas_count: int = 0
+    slots: int = 0
 
     @classmethod
     def fresh(cls, shape):
         rate_avg = np.zeros(shape)
         return cls(rate_avg=rate_avg, interference_est=np.zeros(rate_avg.shape[:-1]))
+
+    def observe(self, interference, achieved_bps, mode: str = "arithmetic"):
+        """Fold one slot into the state: the interference each SBS measured
+        and the rate each UE achieved (0 when idle).
+
+        The rate averages are arithmetic running means.  The interference
+        estimate starts at the first measurement; then 'arithmetic' keeps
+        the exact running mean and 'exponential' takes (1 - ALPHA) est +
+        ALPHA m.
+        """
+        if mode not in ESTIMATE_MODES:
+            raise ConfigError(f"unknown estimate mode {mode!r}")
+        n = self.slots
+        est = self.interference_est
+        if n == 0:
+            self.interference_est = np.array(interference, dtype=float)
+        elif mode == "arithmetic":
+            self.interference_est = est + (interference - est) / (n + 1)
+        else:
+            self.interference_est = (1.0 - ALPHA) * est + ALPHA * interference
+        self.rate_avg = (self.rate_avg * n + np.asarray(achieved_bps, dtype=float)) / (n + 1)
+        self.slots = n + 1
 
 
 def pf_schedule(rate_vec, rate_avg):
@@ -51,42 +75,25 @@ def pf_schedule(rate_vec, rate_avg):
     return int(pick) if pick.ndim == 0 else pick
 
 
-def qos_floor_power(beta, qos_min_rate_bps, phy: PhyParams):
-    """Lowest power meeting the QoS rate at channel quality beta, capped at
-    max power.  Returns (floor_w, infeasible): infeasible where even max
-    power falls short of the floor (always on a dead link with a floor)."""
+def myopic_power(beta, qos_min_rate_bps, phy: PhyParams):
+    """Instantaneous EE maximizer subject to a minimum-rate floor, at channel
+    quality beta = gain / (interference + noise), elementwise.
+
+    Returns (power_w, rate_bps, floor_w, infeasible).  floor_w is the lowest
+    power that meets qos_min_rate_bps, capped at max power; power_w is the
+    EE argmax over [floor_w, max power] and rate_bps the Shannon rate it
+    gives.  Where even max power falls short of the floor, the SBS transmits
+    at max power and infeasible is set.  A dead link (beta <= 0) stays
+    silent without a floor and is infeasible with one.
+    """
     with np.errstate(over="ignore"):
         p_lo = np.expm1(qos_min_rate_bps * LN2 / phy.bandwidth_hz) / np.maximum(beta, BETA_FLOOR)
-    return np.minimum(p_lo, phy.max_power_w), p_lo > phy.max_power_w
-
-
-def efficient_power(beta, floor_w, phy: PhyParams):
-    """The EE argmax over [floor_w, max power] at channel quality beta; an
-    infeasible lane (floor_w at max power) searches [max power, max power]."""
-    return maximize_rate_value(beta, 0.0, floor_w, phy.max_power_w, phy)[0]
-
-
-def myopic_power(gain, interference_w, noise_w, phy: PhyParams,
-                 qos_min_rate_bps: float = 0.0):
-    """Instantaneous EE maximizer subject to a minimum-rate floor.
-
-    Returns (power_w, infeasible), elementwise over array inputs.  The QoS
-    floor fixes the lowest power that meets qos_min_rate_bps at the
-    estimated interference; when even max power cannot, the SBS transmits
-    at max power and flags infeasibility.  A dead link (beta <= 0) stays
-    silent without a floor and is infeasible with one.  It is
-    qos_floor_power and efficient_power at beta = gain / (interference +
-    noise); the simulator calls those two itself, with one beta per slot.
-    """
-    interference_w = np.asarray(interference_w, dtype=float)
-    if np.any(interference_w < 0) or noise_w <= 0:
-        raise ConfigError("interference must be nonnegative and noise positive")
-    beta = np.asarray(gain, dtype=float) / (interference_w + noise_w)
-    floor_w, infeasible = qos_floor_power(beta, qos_min_rate_bps, phy)
-    p = efficient_power(beta, floor_w, phy)
-    if p.ndim == 0:
-        return float(p), bool(infeasible)
-    return p, infeasible
+    floor_w = np.minimum(p_lo, phy.max_power_w)
+    power_w = maximize_rate_value(beta, 0.0, floor_w, phy.max_power_w, phy)[0]
+    # beta is an SINR per Watt, so the rate takes it as the gain over a
+    # unit noise floor
+    rate_bps = instantaneous_rate(power_w, beta, 0.0, phy, 1.0)
+    return power_w, rate_bps, floor_w, p_lo > phy.max_power_w
 
 
 def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
@@ -102,9 +109,9 @@ def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
     saturate once the scheduled queue (own_bits) is cleared while Joules
     keep rising, so the efficient move is to spread own_bits over the
     horizon_s left in the turn at the cheapest sufficient power, capped at
-    power_w as the turn closes.  The QoS floor floor_w (from
-    qos_floor_power; 0 without a floor) holds regardless, so an infeasible
-    link stays at the max power that myopic_power gave it.
+    power_w as the turn closes.  The QoS floor floor_w (from myopic_power;
+    0 without a floor) holds regardless, so an infeasible link stays at the
+    max power that myopic_power gave it.
     """
     beta_pos = np.maximum(beta, BETA_FLOOR)
     need_cell = np.asarray(cell_bits, dtype=float) * LN2 / (phy.bandwidth_hz * window_s)
@@ -114,27 +121,3 @@ def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
     drain = np.minimum(np.maximum(p_own, floor_w), power_w)
     return np.where(p_emerg > power_w, power_w, drain)
 
-
-def update_interference_estimate(estimate, count, measurement,
-                                 mode: str = "arithmetic", alpha: float = 0.05):
-    """Fold one interference measurement into the running estimate,
-    elementwise over arrays that share one measurement count.
-
-    arithmetic: exact running mean; exponential: (1-alpha) est + alpha m.
-    Both start at the first measurement.  Returns (estimate, count).
-    """
-    if mode not in ESTIMATE_MODES:
-        raise ConfigError(f"unknown estimate mode {mode!r}")
-    if count == 0:
-        first = np.array(measurement, dtype=float)
-        return (float(first) if first.ndim == 0 else first), 1
-    if mode == "arithmetic":
-        return estimate + (measurement - estimate) / (count + 1), count + 1
-    return (1.0 - alpha) * estimate + alpha * measurement, count + 1
-
-
-def update_rate_averages(state: BaselineState, achieved_bps):
-    """Per-slot arithmetic running mean of achieved rates (0 when idle)."""
-    n = state.rate_slots
-    state.rate_avg = (state.rate_avg * n + np.asarray(achieved_bps, dtype=float)) / (n + 1)
-    state.rate_slots = n + 1

@@ -8,8 +8,8 @@ Every solve calibrates from replicate 0's deployment: the coupling strength
 eta and the normalized noise are that network's, so `solve`, `simulate` and
 `sweep` produce the same equilibrium for the same config.  A stored solution
 is accepted (`validate`, `simulate --solution`) only when it is that
-equilibrium: same grid, terminal condition and calibration, converged below
-the config's tolerance.
+equilibrium: same grid, terminal condition, calibration, power cap and
+mean-square gain, converged below the config's tolerance.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
             f"solution calibration eta={sol.eta!r}, noise_norm={sol.noise_norm!r} "
             f"does not match replicate 0's deployment eta={dep.eta!r}, "
             f"noise_norm={dep.noise_norm!r}")
+    p_max, msg = cfg.phy.max_power_w, cfg.raw["solver"]["mean_sq_gain"]
+    if (sol.max_power_w, sol.mean_sq_gain) != (p_max, msg):
+        raise InvariantError(
+            f"solution max_power_w={sol.max_power_w!r}, mean_sq_gain={sol.mean_sq_gain!r} "
+            f"does not match config max_power_w={p_max!r}, mean_sq_gain={msg!r}")
 
 
 def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list) -> list:

@@ -36,12 +36,9 @@ slice of lanes and everything else once over all of them:
 - mfg: ``fields.bilinear`` for the slot power, and once per period
   ``scheduler.expected_rate`` (the candidates' policy power and rate) and
   ``scheduler.dpp_step``, which reads one V per lane;
-- baseline: ``baseline.qos_floor_power`` and ``baseline.efficient_power``
-  (the two halves of ``baseline.myopic_power``, fed one beta per slot) and
-  ``baseline.drain_power`` for the slot power,
-  ``baseline.update_interference_estimate`` and
-  ``baseline.update_rate_averages`` after it, and once per period
-  ``baseline.qos_floor_power``, ``baseline.efficient_power`` and
+- baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
+  slot power and ``BaselineState.observe`` after it, and once per period
+  ``baseline.myopic_power`` (the candidates' rates) and
   ``baseline.pf_schedule``.
 
 Every lane's metrics equal those of running its arm and replicate alone,
@@ -67,9 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import (ESTIMATE_MODES, BaselineState, drain_power, efficient_power,
-                       pf_schedule, qos_floor_power, update_interference_estimate,
-                       update_rate_averages)
+from .baseline import ESTIMATE_MODES, BaselineState, drain_power, myopic_power, pf_schedule
 from .deployment import Deployment
 from .errors import ConfigError
 from .fields import MfgSolution, bilinear
@@ -253,10 +248,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         if n_base:
             beta = serving_gain[base] / (pf_state.interference_est[..., None]
                                          + base_noise[..., None])
-            p_cand = efficient_power(beta, qos_floor_power(beta, qos_min_rate_bps, phy)[0], phy)
-            # beta = gain / (interference + noise) is an SINR per Watt, so
-            # the rate takes it as the gain over a unit noise floor
-            cand = instantaneous_rate(p_cand, beta, 0.0, phy, 1.0)
+            cand = myopic_power(beta, qos_min_rate_bps, phy)[1]
             local[base] = pf_schedule(cand, pf_state.rate_avg)
         lanes = lane_base + local
         sched_periods[lanes] += 1
@@ -279,12 +271,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                                        own_bits[mfg] / cap)
             if n_base:
                 beta = base_g_own / (pf_state.interference_est + base_noise)
-                floor_w, infeasible_rows[s, base] = qos_floor_power(beta, qos_min_rate_bps, phy)
-                p_ee = efficient_power(beta, floor_w, phy)
                 # PF averaging tracks the rate the channel would support at the
                 # myopic power, not the buffer-limited served rate; otherwise a
                 # freshly drained UE looks starved and the rotation collapses.
-                pot_rate = instantaneous_rate(p_ee, beta, 0.0, phy, 1.0)
+                p_ee, pot_rate, floor_w, infeasible_rows[s, base] = myopic_power(
+                    beta, qos_min_rate_bps, phy)
                 powers[base] = drain_power(
                     p_ee, beta, own_bits[base],
                     queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
@@ -301,11 +292,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             dropped_per_ue += dropped
 
             if n_base:
-                pf_state.interference_est, pf_state.meas_count = update_interference_estimate(
-                    pf_state.interference_est, pf_state.meas_count, interference[base],
-                    estimate_mode)
                 achieved[base_lanes] = pot_rate
-                update_rate_averages(pf_state, base_achieved)
+                pf_state.observe(interference[base], base_achieved, estimate_mode)
 
         served[lanes] = 0
         if n_base:

@@ -48,7 +48,7 @@ def test_solve_writes_solution_and_log(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 0
     sol = load_solution(os.path.join(out, "solution.mfg"))
     assert sol.grid.n_t == 601 and sol.grid.n_q == 21
-    log = open(os.path.join(out, "solution.log")).read().strip().split("\n")
+    log = Path(out, "solution.log").read_text().strip().split("\n")
     assert len(log) == sol.iterations
     assert float(log[-1].split()[1]) == pytest.approx(sol.residual, rel=1e-5)
     assert "converged" in capsys.readouterr().out
@@ -110,7 +110,7 @@ def test_validate_roundtrip_and_mismatches(tmp_path):
     assert main(["validate", "--config", lin_cfg, "--solution", sol_path]) == 4
 
     truncated = tmp_path / "broken.mfg"
-    blob = open(sol_path, "rb").read()
+    blob = Path(sol_path).read_bytes()
     truncated.write_bytes(blob[:-16])
     assert main(["validate", "--config", cfg, "--solution", str(truncated)]) == 2
 
@@ -128,9 +128,9 @@ def test_simulate_with_saved_solution(tmp_path):
                  "summary.csv"):
         assert os.path.exists(os.path.join(out, name)), name
 
-    lines = open(os.path.join(out, "metrics_mfg.csv")).read().strip().split("\n")
+    lines = Path(out, "metrics_mfg.csv").read_text().strip().split("\n")
     assert len(lines) == 3  # header + 2 replicates
-    summary = open(os.path.join(out, "summary.csv")).read()
+    summary = Path(out, "summary.csv").read_text()
     assert summary.startswith("method,metric,n,mean,ci_lo,ci_hi\n")
     assert "baseline,ee_bits_per_j,2," in summary
 
@@ -141,7 +141,7 @@ def test_simulate_with_saved_solution(tmp_path):
     assert main(["simulate", "--config", cfg2, "--method", "mfg",
                  "--solution", sol_path]) == 0
     assert not (reuse_out / "metrics_baseline.csv").exists()
-    assert (open(os.path.join(out, "metrics_mfg.csv")).read()
+    assert (Path(out, "metrics_mfg.csv").read_text()
             == (reuse_out / "metrics_mfg.csv").read_text())
 
 
@@ -168,8 +168,8 @@ def test_baseline_with_density_backlog_solves_as_both_does(tmp_path):
     assert main(["simulate", "--config", cfg, "--method", "baseline"]) == 0
     assert main(["simulate", "--config", both_cfg]) == 0
     for name in ("solution.mfg", "metrics_baseline.csv"):
-        assert (open(os.path.join(out, name), "rb").read()
-                == open(os.path.join(both_out, name), "rb").read()), name
+        assert (Path(out, name).read_bytes()
+                == Path(both_out, name).read_bytes()), name
 
 
 def test_unreadable_solution_path_exits_2(tmp_path):
@@ -192,9 +192,9 @@ def test_solve_then_simulate_matches_simulate(tmp_path):
     assert main(["simulate", "--config", reuse_cfg, "--method", "mfg",
                  "--solution", solved]) == 0
     assert main(["simulate", "--config", cfg]) == 0
-    assert open(solved, "rb").read() == open(os.path.join(out, "solution.mfg"), "rb").read()
+    assert Path(solved).read_bytes() == Path(out, "solution.mfg").read_bytes()
     assert ((reuse_out / "metrics_mfg.csv").read_bytes()
-            == open(os.path.join(out, "metrics_mfg.csv"), "rb").read())
+            == Path(out, "metrics_mfg.csv").read_bytes())
 
 
 def test_miscalibrated_solution_exits_4(tmp_path):
@@ -226,6 +226,28 @@ def test_miscalibrated_solution_exits_4(tmp_path):
         assert main(["validate", "--config", cfg, "--solution", path]) == 4
 
 
+def test_solution_for_another_power_cap_exits_4(tmp_path):
+    """A solution solved under another power cap or mean-square gain shares
+    the config's grid, terminal condition and calibration, yet is another
+    equilibrium: `validate` and `simulate --solution` reject it."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG)
+    assert main(["solve", "--config", cfg]) == 0
+    sol_path = os.path.join(out, "solution.mfg")
+    assert main(["validate", "--config", cfg, "--solution", sol_path]) == 0
+    capped_out = tmp_path / "capped"
+    capped_cfg, _ = write_cfg(tmp_path, SIM_CFG + "[phy]\nmax_power_w = 0.25\n",
+                              name="capped.cfg", out=capped_out)
+    assert main(["validate", "--config", capped_cfg, "--solution", sol_path]) == 4
+    assert main(["simulate", "--config", capped_cfg, "--method", "mfg",
+                 "--solution", sol_path]) == 4
+    assert not (capped_out / "metrics_mfg.csv").exists()
+    gain_cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("[solver]", "[solver]\nmean_sq_gain = 2.0"),
+                            name="gain.cfg", out=tmp_path / "gain")
+    assert main(["validate", "--config", gain_cfg, "--solution", sol_path]) == 4
+    assert main(["simulate", "--config", gain_cfg, "--method", "mfg",
+                 "--solution", sol_path]) == 4
+
+
 def test_sweep_outputs_and_determinism(tmp_path):
     sweep_tail = "[sweep]\nkey = k\nvalues = 1, 2\n"
     names = ("sweep_metrics.csv", "sweep_ee_bits_per_j.csv",
@@ -235,7 +257,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
         cfg, out = write_cfg(tmp_path, SIM_CFG + sweep_tail,
                              name=f"sweep-{run}.cfg", out=tmp_path / f"out-{run}")
         assert main(["sweep", "--config", cfg]) == 0
-        blobs.append({n: open(os.path.join(out, n), "rb").read() for n in names})
+        blobs.append({n: Path(out, n).read_bytes() for n in names})
     assert blobs[0] == blobs[1]
 
     table = blobs[0]["sweep_ee_bits_per_j.csv"].decode()
@@ -259,7 +281,7 @@ def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solv
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
     assert main(["sweep", "--config", cfg]) == 0
     assert len(calls) == solves
-    table = open(os.path.join(out, "sweep_ee_bits_per_j.csv")).read()
+    table = Path(out, "sweep_ee_bits_per_j.csv").read_text()
     assert len(table.strip().split("\n")) == 1 + len(values.split(","))
 
 
@@ -317,7 +339,7 @@ def test_sweep_runs_baseline_once_per_geometry(tmp_path, monkeypatch, key, value
     methods = [m for arms, _ in calls for m in arms]
     assert (methods.count("mfg"), methods.count("baseline")) == (mfg_runs, baseline_runs)
     assert len(seeds) == draws
-    rows = open(os.path.join(out, "sweep_metrics.csv")).read().strip().split("\n")
+    rows = Path(out, "sweep_metrics.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
 
 
@@ -390,9 +412,9 @@ def test_report_from_metrics(tmp_path):
     rep = str(tmp_path / "rep")
     assert main(["report", "--metrics", metrics, "--metric", "mean_power_w",
                  "--out", rep]) == 0
-    cdf_text = open(os.path.join(rep, "cdf_mean_power_w_baseline.csv")).read()
+    cdf_text = Path(rep, "cdf_mean_power_w_baseline.csv").read_text()
     assert cdf_text.startswith("value,cum_fraction\n")
-    rep_text = open(os.path.join(rep, "report_mean_power_w.csv")).read()
+    rep_text = Path(rep, "report_mean_power_w.csv").read_text()
     assert rep_text.startswith("method,n,mean,median\n")
     assert rep_text.count("\n") == 2
 

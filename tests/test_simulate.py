@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from udnsim import (Arm, ConfigError, Deployment, DppParams, EpisodeMetrics, PhyParams,
-                    QueueParams, generate_deployment, run_episode, run_episodes)
+import udnsim.simulate
+from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
+                    PhyParams, QueueParams, generate_deployment, run_episode, run_episodes)
 from udnsim.simulate import (METRIC_FIELDS, _fold_in_order, _sample_initial_backlog,
                              derived_rng, summarize_replications)
 
@@ -169,6 +170,28 @@ def test_arms_batch_equals_each_arm_alone(phy, small_solution, estimate_mode, st
         assert metrics == alone
     # the arms differ, so a lane that read another arm's state would show
     assert len({tuple(metrics_tuple(m) for m in metrics) for metrics in batch}) == 3
+
+
+def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, monkeypatch):
+    """The slot kernel's baseline takes its power from baseline.myopic_power,
+    once per period for the PF candidates and once per slot, and folds each
+    slot into its state with one BaselineState.observe."""
+    calls = {"myopic_power": 0, "observe": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(udnsim.simulate, "myopic_power",
+                        counted("myopic_power", udnsim.simulate.myopic_power))
+    monkeypatch.setattr(BaselineState, "observe", counted("observe", BaselineState.observe))
+    n_periods, spp = 3, 7
+    run_episodes([small_deploy] * 2, [Arm("baseline")], phy, queue, n_periods=n_periods,
+                 seed=5, replicates=[0, 1], slots_per_period=spp)
+    assert calls == {"myopic_power": n_periods + n_periods * spp,
+                     "observe": n_periods * spp}
 
 
 def test_fold_in_order_matches_slot_loop(rng):
