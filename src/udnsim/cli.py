@@ -7,9 +7,9 @@ not converge, 4 when a solution or scheme invariant fails.
 Every solve calibrates from replicate 0's deployment: the coupling strength
 eta and the normalized noise are that network's, so `solve`, `simulate` and
 `sweep` produce the same equilibrium for the same config.  A stored solution
-is accepted (`validate`, `simulate --solution`) only when it is that
-equilibrium: same grid, terminal condition, calibration, power cap and
-mean-square gain, converged below the config's tolerance.
+is accepted (`validate`, `simulate --solution`) only when solved under every
+input `_solve_inputs` lists for the config, each equal bit for bit, and
+converged below the config's tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .deployment import generate_deployment
 from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
 from .reporting import build_cdf, cdf_table, csv_to_dat, metrics_csv, sweep_report
-from .simulate import METRIC_FIELDS, Arm, run_episodes, summarize_replications
+from .simulate import METRIC_FIELDS, Arm, derived_rng, run_episodes, summarize_replications
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
 
@@ -44,15 +44,14 @@ def _write(path: str, text: str):
 
 
 def _deployment(cfg: RunConfig, isd_units: float, k: int, i: int):
-    """Replicate i's deployment of one geometry, drawn from
-    SeedSequence(base_seed, spawn_key=(i, 0)), so every method, every swept
-    value that shares the geometry and every solve runs on the same networks."""
+    """Replicate i's deployment of one geometry, drawn from derived_rng's
+    stream 0, so every method, every swept value that shares the geometry
+    and every solve runs on the same networks."""
     d = cfg.raw["deployment"]
-    seed = np.random.SeedSequence(cfg.raw["simulate"]["base_seed"], spawn_key=(i, 0))
-    return generate_deployment(isd_units, k, cfg.phy, cfg.pathloss, seed=seed,
+    return generate_deployment(isd_units, k, cfg.phy, cfg.pathloss,
+                               seed=derived_rng(cfg.raw["simulate"]["base_seed"], i, 0),
                                area_km2=d["area_km2"], jitter_frac=d["jitter_frac"],
-                               fading=d["fading"],
-                               cross_isolation_db=d["cross_isolation_db"],
+                               fading=d["fading"], cross_isolation_db=d["cross_isolation_db"],
                                rician_k_db=d["rician_k_db"])
 
 
@@ -68,51 +67,44 @@ def _reference_deployment(cfg: RunConfig):
     return _deployment(cfg, d["isd_units"], d["k"], 0)
 
 
-def _calibrate_and_solve(cfg: RunConfig, dep, boundary: str | None = None) -> MfgSolution:
-    """The one equilibrium solve: the coupling strength and the normalized
-    noise come from a reference deployment (replicate 0's); the terminal
-    condition is the config's unless a sweep passes its own."""
+def _solve_inputs(cfg: RunConfig, dep, boundary: str | None = None) -> dict:
+    """Everything the config's equilibrium is solved under, as solve_mfg's
+    keyword arguments: the coupling strength and the normalized noise come
+    from a reference deployment (replicate 0's); the terminal condition is
+    the config's unless a sweep passes its own."""
     s = cfg.raw["solver"]
-    rho0 = initial_density(cfg.grid, s["rho0_mean"], s["rho0_variance"])
-    return solve_mfg(
-        cfg.grid, replace(cfg.phy, sbs_density=dep.eta), cfg.queue,
-        cfg.boundary if boundary is None else boundary,
-        noise_norm=dep.noise_norm, mean_sq_gain=s["mean_sq_gain"], rho0=rho0,
-        damping=s["damping"], tol=s["tol"], max_iters=s["max_iters"], init=s["init"],
-    )
+    return dict(grid=cfg.grid, phy=replace(cfg.phy, sbs_density=dep.eta), queue=cfg.queue,
+                boundary=cfg.boundary if boundary is None else boundary,
+                noise_norm=dep.noise_norm, mean_sq_gain=s["mean_sq_gain"],
+                rho0=initial_density(cfg.grid, s["rho0_mean"], s["rho0_variance"]))
+
+
+def _calibrate_and_solve(cfg: RunConfig, dep, boundary: str | None = None) -> MfgSolution:
+    """The one equilibrium solve, under `_solve_inputs(cfg, dep, boundary)`."""
+    s = cfg.raw["solver"]
+    return solve_mfg(**_solve_inputs(cfg, dep, boundary), damping=s["damping"],
+                     tol=s["tol"], max_iters=s["max_iters"], init=s["init"])
 
 
 def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
     """Raise InvariantError unless a stored solution is valid and is the
-    equilibrium `_calibrate_and_solve(cfg, dep)` solves.  The calibration is
-    compared exactly: the solution header round-trips floats bit for bit."""
+    equilibrium `_calibrate_and_solve(cfg, dep)` solves.  Every input is
+    compared exactly, the initial density with density[0] and the terminal
+    condition with value[-1]: the solution file round-trips bits."""
     sol.validate()
-    g = sol.grid
-    if g != cfg.grid:
-        raise InvariantError(
-            f"solution grid {g.n_t}x{g.n_q} over {g.horizon_s} s does not match "
-            f"config {cfg.grid.n_t}x{cfg.grid.n_q} over {cfg.grid.horizon_s} s")
-    if sol.boundary != cfg.boundary:
-        raise InvariantError(
-            f"solution terminal condition {sol.boundary!r} does not match "
-            f"config {cfg.boundary!r}")
-    expected = terminal_value(sol.boundary, g.queues)
-    if not np.allclose(sol.value[-1], expected, rtol=0, atol=1e-9):
+    for name, want in _solve_inputs(cfg, dep).items():
+        if name == "rho0":
+            if not np.array_equal(sol.density[0], want):
+                raise InvariantError("solution initial density does not match the config's rho0")
+        elif getattr(sol, name) != want:
+            raise InvariantError(f"solution {name}={getattr(sol, name)!r} does not match "
+                                 f"{want!r}, the config's with replicate 0's calibration")
+    if not np.array_equal(sol.value[-1], terminal_value(sol.boundary, sol.grid.queues)):
         raise InvariantError("stored terminal values do not match their kind")
     # not below: an empty residual list reads nan
     if not sol.residual < cfg.raw["solver"]["tol"]:
         raise InvariantError(
             f"stored residual {sol.residual:.3e} is not below the config tolerance")
-    if (sol.eta, sol.noise_norm) != (dep.eta, dep.noise_norm):
-        raise InvariantError(
-            f"solution calibration eta={sol.eta!r}, noise_norm={sol.noise_norm!r} "
-            f"does not match replicate 0's deployment eta={dep.eta!r}, "
-            f"noise_norm={dep.noise_norm!r}")
-    p_max, msg = cfg.phy.max_power_w, cfg.raw["solver"]["mean_sq_gain"]
-    if (sol.max_power_w, sol.mean_sq_gain) != (p_max, msg):
-        raise InvariantError(
-            f"solution max_power_w={sol.max_power_w!r}, mean_sq_gain={sol.mean_sq_gain!r} "
-            f"does not match config max_power_w={p_max!r}, mean_sq_gain={msg!r}")
 
 
 def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list) -> list:

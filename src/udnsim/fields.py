@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvariantError
+from .phy import PhyParams, QueueParams
 
 BOUNDARY_KINDS = ("exponential", "uniform", "linear")
 
@@ -129,7 +130,10 @@ def interp_trajectory(grid: GridSpec, traj: np.ndarray, t):
 
 @dataclass
 class MfgSolution:
-    """Converged equilibrium bundle for one scheduling period."""
+    """Converged equilibrium bundle for one scheduling period, with every
+    input it was solved under: grid, phy (sbs_density is the calibrated eta),
+    queue, boundary, noise_norm and mean_sq_gain; density[0] is the initial
+    density and value[-1] the terminal condition, both as given."""
 
     grid: GridSpec
     value: np.ndarray         # (n_t, n_q)
@@ -138,11 +142,11 @@ class MfgSolution:
     interference: np.ndarray  # (n_t,), normalized Watts
     iterations: int
     residuals: list = field(default_factory=list)
-    eta: float = 0.0
+    phy: PhyParams = PhyParams()
+    queue: QueueParams = QueueParams()
     noise_norm: float = 0.0
     mean_sq_gain: float = 1.0
     boundary: str = "exponential"
-    max_power_w: float = 1.0
 
     @property
     def residual(self) -> float:
@@ -163,7 +167,7 @@ class MfgSolution:
         err = np.abs(density_mass(self.grid, self.density) - 1.0).max()
         if err > MASS_TOL:
             raise InvariantError(f"density mass drifts by {err:.3e} (> {MASS_TOL})")
-        if self.policy.min() < 0.0 or self.policy.max() > self.max_power_w + 1e-12:
+        if self.policy.min() < 0.0 or self.policy.max() > self.phy.max_power_w + 1e-12:
             raise InvariantError("policy leaves the [0, max_power] box")
         if self.interference.shape != (self.grid.n_t,):
             raise InvariantError("interference trajectory length does not match grid")

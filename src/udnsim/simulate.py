@@ -96,7 +96,8 @@ class EpisodeMetrics:
 
 
 def derived_rng(seed, replicate: int, stream: int) -> np.random.Generator:
-    """Deterministic child stream: (base seed, replicate index, stream tag)."""
+    """Deterministic child stream: (base seed, replicate index, stream tag).
+    Stream 0 draws a replicate's deployment, stream 1 its traffic."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate, stream)))
 
 

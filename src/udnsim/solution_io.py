@@ -1,22 +1,27 @@
 """Solution file serialization.
 
-Format: a text magic line ``UDNSIM-MFG <version>``, one JSON header line with
-the grid and solver metadata, then four little-endian float64 blocks in this
-order: value field, density field, power policy (each n_t*n_q row-major) and
-the interference trajectory (n_t).  Round-trips are bit-exact.
+Format: a text magic line ``UDNSIM-MFG <version>``, one JSON header line,
+then four little-endian float64 blocks in this order: value field, density
+field, power policy (each n_t*n_q row-major) and the interference trajectory
+(n_t).  Round-trips are bit-exact.  The version-2 header holds the grid, the
+iteration count, the residuals and the solve's other inputs: phy and queue
+(their fields as dicts, rebuilt through the constructors), noise_norm,
+mean_sq_gain and boundary.  Version-1 files lack most inputs: solve again.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import GridSpec, MfgSolution
+from .phy import PhyParams, QueueParams
 
 MAGIC = "UDNSIM-MFG"
-VERSION = 1
+VERSION = 2
 
 
 def save_solution(path, sol: MfgSolution):
@@ -24,11 +29,11 @@ def save_solution(path, sol: MfgSolution):
         "n_t": sol.grid.n_t,
         "n_q": sol.grid.n_q,
         "horizon_s": sol.grid.horizon_s,
-        "eta": sol.eta,
+        "phy": asdict(sol.phy),
+        "queue": asdict(sol.queue),
         "noise_norm": sol.noise_norm,
         "mean_sq_gain": sol.mean_sq_gain,
         "boundary": sol.boundary,
-        "max_power_w": sol.max_power_w,
         "iterations": sol.iterations,
         "residuals": sol.residuals,
     }
@@ -56,10 +61,10 @@ def load_solution(path) -> MfgSolution:
             header = json.loads(f.readline().decode("ascii"))
             grid = GridSpec(header["n_t"], header["n_q"], header["horizon_s"])
             meta = dict(iterations=header["iterations"], residuals=list(header["residuals"]),
-                        eta=header["eta"], noise_norm=header["noise_norm"],
-                        mean_sq_gain=header["mean_sq_gain"], boundary=header["boundary"],
-                        max_power_w=header["max_power_w"])
-        except (ValueError, KeyError, TypeError) as exc:
+                        phy=PhyParams(**header["phy"]), queue=QueueParams(**header["queue"]),
+                        noise_norm=header["noise_norm"], mean_sq_gain=header["mean_sq_gain"],
+                        boundary=header["boundary"])
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ConfigError(f"{path}: corrupt solution header ({exc!r})") from exc
         n = grid.n_t * grid.n_q
         raw = np.frombuffer(f.read(), dtype="<f8")

@@ -274,11 +274,9 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
             if bad:
                 log.warning("stationarity uniqueness diagnostic failed at %d grid nodes", bad)
             return MfgSolution(
-                grid=grid, value=value, density=rho, policy=policy,
-                interference=i_new, iterations=iteration, residuals=residuals,
-                eta=eta, noise_norm=noise_norm, mean_sq_gain=mean_sq_gain,
-                boundary=boundary, max_power_w=phy.max_power_w,
-            )
+                grid=grid, value=value, density=rho, policy=policy, interference=i_new,
+                iterations=iteration, residuals=residuals, phy=phy, queue=queue,
+                noise_norm=noise_norm, mean_sq_gain=mean_sq_gain, boundary=boundary)
         # Oscillating iterates shrink the step; calm ones recover toward the
         # configured damping.
         if len(residuals) > 1 and residual > residuals[-2]:

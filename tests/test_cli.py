@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,10 @@ def test_validate_roundtrip_and_mismatches(tmp_path):
     blob = Path(sol_path).read_bytes()
     truncated.write_bytes(blob[:-16])
     assert main(["validate", "--config", cfg, "--solution", str(truncated)]) == 2
+    # format 1 names too few solve inputs: refused, to be solved again
+    version_1 = tmp_path / "v1.mfg"
+    version_1.write_bytes(blob.replace(b"UDNSIM-MFG 2\n", b"UDNSIM-MFG 1\n", 1))
+    assert main(["validate", "--config", cfg, "--solution", str(version_1)]) == 2
 
     # no residuals: the stored residual reads nan, which is not below tol
     no_residuals = tmp_path / "no-residuals.mfg"
@@ -212,7 +217,8 @@ def test_miscalibrated_solution_exits_4(tmp_path):
     foreign_path = str(other_out / "solution.mfg")
     own, foreign = load_solution(own_path), load_solution(foreign_path)
     assert (foreign.grid, foreign.boundary) == (own.grid, own.boundary)
-    assert foreign.eta != own.eta and foreign.noise_norm != own.noise_norm
+    assert foreign.phy.sbs_density != own.phy.sbs_density
+    assert foreign.noise_norm != own.noise_norm
 
     assert main(["validate", "--config", cfg, "--solution", own_path]) == 0
     assert main(["validate", "--config", cfg, "--solution", foreign_path]) == 4
@@ -220,9 +226,11 @@ def test_miscalibrated_solution_exits_4(tmp_path):
                  "--solution", foreign_path]) == 4
     assert not os.path.exists(os.path.join(out, "metrics_mfg.csv"))
     # each calibration value is compared on its own
-    for name in ("eta", "noise_norm"):
+    for name, changed in [
+            ("sbs_density", {"phy": foreign.phy}),
+            ("noise_norm", {"noise_norm": foreign.noise_norm})]:
         path = str(tmp_path / f"{name}.mfg")
-        save_solution(path, dataclasses.replace(own, **{name: getattr(foreign, name)}))
+        save_solution(path, dataclasses.replace(own, **changed))
         assert main(["validate", "--config", cfg, "--solution", path]) == 4
 
 
@@ -246,6 +254,58 @@ def test_solution_for_another_power_cap_exits_4(tmp_path):
     assert main(["validate", "--config", gain_cfg, "--solution", sol_path]) == 4
     assert main(["simulate", "--config", gain_cfg, "--method", "mfg",
                  "--solution", sol_path]) == 4
+
+
+@pytest.fixture(scope="module")
+def sim_solution(tmp_path_factory):
+    """The SIM_CFG equilibrium, solved once: the solution file's path."""
+    tmp = tmp_path_factory.mktemp("sim-solution")
+    cfg, out = write_cfg(tmp, SIM_CFG)
+    assert main(["solve", "--config", cfg]) == 0
+    return os.path.join(out, "solution.mfg")
+
+
+def sim_cfg_with(section, line):
+    """SIM_CFG with the key line `line` set in the given section."""
+    text = re.sub(rf"^{line.split(' = ')[0]} = .*\n", "", SIM_CFG, flags=re.M)
+    head = f"[{section}]"
+    if head in text:
+        return text.replace(head, f"{head}\n{line}", 1)
+    return text + f"{head}\n{line}\n"
+
+
+@pytest.mark.parametrize("section, line", [
+    ("phy", "circuit_power_w = 0.5"),
+    ("phy", "bandwidth_hz = 2e6"),
+    ("traffic", "arrival_rate_bps = 100e3"),
+    ("traffic", "capacity_bits = 4e6"),
+    ("traffic", "slot_duration_s = 0.005"),
+    ("solver", "rho0_mean = 0.3"),
+    ("solver", "rho0_variance = 0.05"),
+], ids=lambda v: v.split(" = ")[0])
+def test_solution_under_other_solve_input_exits_4(tmp_path, sim_solution, section, line):
+    """Each edit changes an input the equilibrium is solved under, so the
+    stored solution is another equilibrium: `validate` and `simulate
+    --solution` reject it, and no metrics are written."""
+    cfg, out = write_cfg(tmp_path, sim_cfg_with(section, line))
+    assert main(["validate", "--config", cfg, "--solution", sim_solution]) == 4
+    assert main(["simulate", "--config", cfg, "--method", "mfg",
+                 "--solution", sim_solution]) == 4
+    assert not list(Path(out).glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, line", [
+    ("solver", "damping = 0.5"),
+    ("solver", "max_iters = 50"),
+    ("scheduler", "v_coeff = -5.0"),
+    ("simulate", "n_periods = 3"),
+], ids=lambda v: v.split(" = ")[0])
+def test_solution_under_other_run_setting_validates(tmp_path, sim_solution, section, line):
+    """Edits to what the equilibrium is not solved under (the iteration's
+    damping and budget, the scheduler, the episode length) leave the
+    stored solution valid."""
+    cfg, _ = write_cfg(tmp_path, sim_cfg_with(section, line))
+    assert main(["validate", "--config", cfg, "--solution", sim_solution]) == 0
 
 
 def test_sweep_outputs_and_determinism(tmp_path):
@@ -304,7 +364,7 @@ def count_deployments(monkeypatch):
     seeds = []
 
     def counting(*args, seed, **kwargs):
-        seeds.append(seed.spawn_key)
+        seeds.append(seed.bit_generator.seed_seq.spawn_key)
         return draw(*args, seed=seed, **kwargs)
 
     monkeypatch.setattr(udnsim.cli, "generate_deployment", counting)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from udnsim import (ConfigError, GridSpec, InvariantError, MfgSolution, initial_density,
-                    terminal_value)
+from udnsim import (ConfigError, GridSpec, InvariantError, MfgSolution, PhyParams,
+                    initial_density, terminal_value)
 from udnsim.fields import bilinear, density_from_samples, density_mass, interp_trajectory
 
 
@@ -128,7 +128,7 @@ def test_field_validation():
     rho = np.tile(initial_density(grid), (4, 1))
     good = MfgSolution(grid=grid, value=np.zeros((4, 6)), density=rho,
                        policy=np.full((4, 6), 0.5), interference=np.zeros(4),
-                       iterations=1, max_power_w=1.0)
+                       iterations=1, phy=PhyParams(max_power_w=1.0))
     good.validate()
     negative = rho.copy()
     negative[0, 0] = -1e-6

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,8 @@ def test_expected_rate_formula(phy):
         density=np.ones((3, 3)),
         policy=np.full((3, 3), 0.5),
         interference=np.full(3, 0.2),
-        iterations=1, residuals=[0.0], eta=0.25, noise_norm=0.05,
+        iterations=1, residuals=[0.0], phy=dataclasses.replace(phy, sbs_density=0.25),
+        noise_norm=0.05,
     )
     p, r = expected_rate(sol, 0.4, 0.7, 2.0, phy)
     assert p == 0.5

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,11 @@ def test_round_trip_is_bit_exact(tmp_path, small_solution):
         assert np.array_equal(a, b)  # exact, not approximate
     assert back.iterations == small_solution.iterations
     assert back.residuals == pytest.approx(small_solution.residuals)
-    assert back.eta == small_solution.eta
+    assert back.phy == small_solution.phy
+    assert back.queue == small_solution.queue
     assert back.noise_norm == small_solution.noise_norm
     assert back.mean_sq_gain == small_solution.mean_sq_gain
     assert back.boundary == small_solution.boundary
-    assert back.max_power_w == small_solution.max_power_w
     back.validate()
 
 
@@ -63,8 +65,10 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
 @pytest.mark.parametrize("old, new", [
     (f"{MAGIC} {VERSION}\n", f"{MAGIC} x\n"),     # version not an integer
     ('{"boundary"', '{boundary'),                  # header line not JSON
-    ('"eta": ', '"etc": '),                        # header lacks a key
-], ids=["version", "json", "key"])
+    ('"queue": ', '"queuf": '),                    # header lacks a key
+    ('"phy": {', '"phy": {"wattage": 1.0, '),      # phy field the class lacks
+    ('"capacity_bits": 2000000.0', '"capacity_bits": 0.0'),  # queue value out of range
+], ids=["version", "json", "key", "phy-key", "queue-value"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)
@@ -72,4 +76,22 @@ def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     assert old.encode() in blob
     path.write_bytes(blob.replace(old.encode(), new.encode(), 1))
     with pytest.raises(ConfigError):
+        load_solution(path)
+
+
+def test_version_1_rejected(tmp_path, small_solution):
+    """A version-1 file (its header has eta and max_power_w, no phy or
+    queue) names too few of its solve's inputs to be checked: it is refused
+    as an unsupported version, to be solved again."""
+    sol = small_solution
+    header = {"n_t": sol.grid.n_t, "n_q": sol.grid.n_q, "horizon_s": sol.grid.horizon_s,
+              "eta": sol.phy.sbs_density, "noise_norm": sol.noise_norm,
+              "mean_sq_gain": sol.mean_sq_gain, "boundary": sol.boundary,
+              "max_power_w": sol.phy.max_power_w, "iterations": sol.iterations,
+              "residuals": sol.residuals}
+    blocks = (sol.value, sol.density, sol.policy, sol.interference)
+    path = tmp_path / "v1.mfg"
+    path.write_bytes(f"{MAGIC} 1\n{json.dumps(header, sort_keys=True)}\n".encode("ascii")
+                     + b"".join(np.asarray(b, dtype="<f8").tobytes() for b in blocks))
+    with pytest.raises(ConfigError, match="unsupported solution format version 1"):
         load_solution(path)
