@@ -12,7 +12,8 @@ from .power_opt import maximize_rate_value
 from .scheduler import DppParams, SchedulerState, dpp_step
 from .simulate import Arm, EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
-from .solver import drift_field, fpk_forward, hjb_backward, mf_interference, solve_mfg
+from .solver import (beta_trajectory, drift_field, fpk_forward, hjb_backward,
+                     mf_interference, solve_mfg)
 
 __version__ = "0.1.0"
 
@@ -22,7 +23,7 @@ __all__ = [
     "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
     "QueueParams", "ReplicationSummary",
     "RunConfig", "SchedulerState", "SchemeError", "UdnsimError",
-    "__version__", "dpp_step", "drift_field", "fpk_forward",
+    "__version__", "beta_trajectory", "dpp_step", "drift_field", "fpk_forward",
     "generate_deployment", "grid_side", "hjb_backward", "initial_density",
     "load_config", "load_solution", "maximize_rate_value", "mf_interference",
     "myopic_power", "pf_schedule", "run_episode", "run_episodes",

@@ -237,6 +237,10 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError("[simulate] needs at least one period and one replicate")
     if raw["simulate"]["slots_per_period"] < 1:
         raise ConfigError("[simulate] slots_per_period must be at least 1")
+    period_s = raw["simulate"]["slots_per_period"] * cfg.queue.slot_duration_s
+    if not math.isclose(period_s, cfg.grid.horizon_s, rel_tol=1e-9):
+        raise ConfigError(f"the simulated period (slots_per_period x slot_duration_s = "
+                          f"{period_s:g} s) must equal the solved one, [solver] horizon_s")
     if raw["simulate"]["drain_window_slots"] < 1:
         raise ConfigError("[simulate] drain_window_slots must be at least 1")
     if raw["scheduler"]["qos_min_rate_bps"] < 0:

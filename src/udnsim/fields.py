@@ -122,12 +122,6 @@ def bilinear(grid: GridSpec, values: np.ndarray, t, q_norm):
     return (1 - at) * ((1 - ay) * v00 + ay * v01) + at * ((1 - ay) * v10 + ay * v11)
 
 
-def interp_trajectory(grid: GridSpec, traj: np.ndarray, t):
-    """Linear interpolation of a per-slice scalar trajectory (e.g. mean-field
-    interference) at time t."""
-    return np.interp(np.clip(t, 0.0, grid.horizon_s), grid.times, traj)
-
-
 @dataclass
 class MfgSolution:
     """Converged equilibrium bundle for one scheduling period, with every

@@ -3,8 +3,8 @@
 Link rates follow the interference-limited Shannon form
 ``r = bandwidth * log2(1 + p * gain / (interference + noise))``; biased-up
 transmit power ``p + circuit_power`` is the energy actually drawn, and the
-instantaneous energy efficiency is their ratio.  Queues hold bits, evolve once
-per slot, and drop only at the capacity wall.
+instantaneous energy efficiency is their ratio.  Queues hold bits, are served
+once per slot up to what the link offers, and drop at the capacity wall only.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class PhyParams:
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
             raise ConfigError("bandwidth_hz must be positive")
+        if not math.isfinite(self.noise_dbm):
+            raise ConfigError("noise_dbm must be finite")
         if self.max_power_w <= 0:
             raise ConfigError("max_power_w must be positive")
         if self.circuit_power_w <= 0:
@@ -89,21 +91,22 @@ def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w=No
     return phy.bandwidth_hz * np.log1p(sinr) / LN2
 
 
-def queue_step(q_bits, arrival_bits, served_bits, queue: QueueParams):
-    """One slot of queue dynamics.
+def queue_step(q_bits, arrival_bits, offered_bits, queue: QueueParams):
+    """One slot of queue dynamics under offered_bits (>= 0) of service.
 
-    Returns (q_next, dropped): service floors at an empty queue, arrivals
-    beyond capacity are dropped, so
-    ``q_next = min(cap, max(0, q + arrivals - served))`` and
-    ``dropped = max(0, max(0, q + arrivals - served) - cap)``.
+    Returns (q_next, served, dropped): ``served = min(q + arrivals, offered)``
+    and arrivals beyond capacity are dropped, so
+    ``q_next = min(cap, q + arrivals - served)`` and
+    ``dropped = max(0, q + arrivals - served - cap)``.
     """
-    q = np.asarray(q_bits)
-    after = np.maximum(q + np.asarray(arrival_bits) - np.asarray(served_bits), 0)
+    total = np.asarray(q_bits) + np.asarray(arrival_bits)
+    served = np.minimum(total, offered_bits)
+    after = total - served
     cap = queue.capacity_bits
     if isinstance(after, np.ndarray) and after.dtype.kind in "iu":
         cap = int(cap)
     dropped = np.maximum(after - cap, 0)
-    return after - dropped, dropped
+    return after - dropped, served, dropped
 
 
 def sample_arrivals(rng: np.random.Generator, queue: QueueParams, n=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import MfgSolution, bilinear, interp_trajectory
+from .fields import MfgSolution, bilinear
 from .phy import PhyParams, instantaneous_rate
 
 
@@ -55,13 +55,13 @@ class SchedulerState:
         return cls(virtual=np.zeros(shape))
 
 
-def expected_rate(sol: MfgSolution, t_in_period, q_norm, gain, phy: PhyParams):
-    """(power W, rate bits/s) of a candidate UE if scheduled now: the
-    equilibrium policy is looked up bilinearly at (t, q_norm) and combined
-    with the UE's own normalized gain and the mean-field interference."""
-    p = bilinear(sol.grid, sol.policy, t_in_period, q_norm)
-    i_t = interp_trajectory(sol.grid, sol.interference, t_in_period)
-    return p, instantaneous_rate(p, gain, i_t, phy, sol.noise_norm)
+def expected_rate(sol: MfgSolution, q_norm, gain, phy: PhyParams):
+    """(power W, rate bits/s) of a candidate UE if scheduled at the period
+    start: the equilibrium policy at t = 0 is looked up bilinearly at q_norm
+    and combined with the UE's own normalized gain and the mean-field
+    interference of the first slice."""
+    p = bilinear(sol.grid, sol.policy, 0.0, q_norm)
+    return p, instantaneous_rate(p, gain, sol.interference[0], phy, sol.noise_norm)
 
 
 def dpp_step(state: SchedulerState, backlog_bits, rate_bps, power_w,

@@ -30,12 +30,13 @@ once per slot or period on these batched arrays, each method on its own
 slice of lanes and everything else once over all of them:
 
 - every slot: ``phy.instantaneous_rate`` (in each deployment's normalized
-  units) and ``phy.queue_step``; once per period ``phy.sample_arrivals``
-  draws each replicate's arrivals, one row per slot, which is the same
-  stream as one draw per slot;
+  units) and ``phy.queue_step``, which serves the bits a link offers,
+  floor(rate * dt) for a scheduled UE and 0 for the others; once per period
+  ``phy.sample_arrivals`` draws each replicate's arrivals, one row per
+  slot, the same stream as one draw per slot;
 - mfg: ``fields.bilinear`` for the slot power, and once per period
-  ``scheduler.expected_rate`` (the candidates' policy power and rate) and
-  ``scheduler.dpp_step``, which reads one V per lane;
+  ``scheduler.expected_rate`` (the candidates' policy power and rate at
+  the period start) and ``scheduler.dpp_step``, which reads one V per lane;
 - baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
   slot power and ``BaselineState.observe`` after it, and once per period
   ``baseline.myopic_power`` (the candidates' rates) and
@@ -223,8 +224,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     sched_rate_hz = np.zeros(n_lane * n_ue)                  # per-Hz achieved rate sum
     sched_power = np.zeros(n_lane * n_ue)                    # power sum while scheduled
     sched_periods = np.zeros(n_lane * n_ue, dtype=np.int64)  # periods scheduled
-    served = np.zeros(n_lane * n_ue, dtype=np.int64)         # nonzero on lanes only
-    served_by_arm = served.reshape(n_arm, n_rep_ue)
+    offered = np.zeros(n_lane * n_ue, dtype=np.int64)        # nonzero on lanes only
+    offered_by_arm = offered.reshape(n_arm, n_rep_ue)
     local = np.empty((n_lane, n_sbs), dtype=np.intp)         # scheduled UE per SBS
     # per-slot values: one row per slot of the period, or of the episode
     power_rows = np.empty((spp, n_lane, n_sbs))
@@ -244,7 +245,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         cells = queues.reshape(n_lane, n_sbs, k)
         if n_mfg:
             q_norm = cells[mfg] / cap
-            p_cand, r_bps = expected_rate(solution, 0.0, q_norm, serving_gain[mfg], phy)
+            p_cand, r_bps = expected_rate(solution, q_norm, serving_gain[mfg], phy)
             local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
         if n_base:
             beta = serving_gain[base] / (pf_state.interference_est[..., None]
@@ -285,18 +286,17 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
                                        out=interference_rows[s])
             rate = instantaneous_rate(powers, g_own, interference, phy, noise)
-            slot_arrivals = arrivals[s]
-            served[lanes] = np.minimum(own_bits + slot_arrivals[rep_lanes],
-                                       (rate * dt).astype(np.int64), out=served_rows[s])
+            offered[lanes] = (rate * dt).astype(np.int64)
             # (arms, replicate UEs) against the replicates' arrivals
-            queues, dropped = queue_step(queues, slot_arrivals, served_by_arm, queue)
+            queues, served, dropped = queue_step(queues, arrivals[s], offered_by_arm, queue)
+            served.take(lanes, out=served_rows[s])
             dropped_per_ue += dropped
 
             if n_base:
                 achieved[base_lanes] = pot_rate
                 pf_state.observe(interference[base], base_achieved, estimate_mode)
 
-        served[lanes] = 0
+        offered[lanes] = 0
         if n_base:
             achieved[base_lanes] = 0
         slots = slice(period * spp, (period + 1) * spp)

@@ -4,9 +4,9 @@ Format: a text magic line ``UDNSIM-MFG <version>``, one JSON header line,
 then four little-endian float64 blocks in this order: value field, density
 field, power policy (each n_t*n_q row-major) and the interference trajectory
 (n_t).  Round-trips are bit-exact.  The version-2 header holds the grid, the
-iteration count, the residuals and the solve's other inputs: phy and queue
-(their fields as dicts, rebuilt through the constructors), noise_norm,
-mean_sq_gain and boundary.  Version-1 files lack most inputs: solve again.
+iteration count, the residuals and the solve's other inputs, each checked as
+the solve checks it: phy and queue (dicts, rebuilt through the constructors),
+noise_norm, mean_sq_gain and boundary.  Version 1 lacks most: solve again.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError
-from .fields import GridSpec, MfgSolution
+from .fields import GridSpec, MfgSolution, terminal_value
 from .phy import PhyParams, QueueParams
+from .solver import beta_trajectory
 
 MAGIC = "UDNSIM-MFG"
 VERSION = 2
@@ -64,6 +65,8 @@ def load_solution(path) -> MfgSolution:
                         phy=PhyParams(**header["phy"]), queue=QueueParams(**header["queue"]),
                         noise_norm=header["noise_norm"], mean_sq_gain=header["mean_sq_gain"],
                         boundary=header["boundary"])
+            beta_trajectory(0.0, meta["noise_norm"], meta["mean_sq_gain"])
+            terminal_value(meta["boundary"], grid.queues)
         except (ValueError, KeyError, TypeError, ConfigError) as exc:
             raise ConfigError(f"{path}: corrupt solution header ({exc!r})") from exc
         n = grid.n_t * grid.n_q

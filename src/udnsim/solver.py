@@ -26,10 +26,13 @@ serves both, and the zero lane gives both walls.  The result equals, bit for
 bit, a sweep that hands each step's 2 n_q lanes to maximize_rate_value with
 its terms built per call.
 
-The forward sweep is a conservative finite-volume upwind transport on the
-same grid (half cells at the walls, zero-flux boundaries), sub-stepped
-internally where needed so density stays nonnegative; total mass is conserved
-to machine precision by construction.
+The forward sweep is a conservative finite-volume upwind transport of a
+drift field on the same grid (half cells at the walls, zero-flux
+boundaries); mass is conserved to machine precision by construction.  Its
+sub-steps move at most a quarter cell, which keeps any finite drift's
+density nonnegative, so only the backward sweep checks a CFL bound.
+solve_mfg builds beta_trajectory once per fixed-point iteration for the
+sweep, the drift of its policy and the uniqueness diagnostic.
 """
 
 from __future__ import annotations
@@ -68,16 +71,9 @@ def _rate_coeffs(phy: PhyParams, queue: QueueParams):
     return abar, rcoef
 
 
-def _check_cfl(grid: GridSpec, beta_max: float, phy: PhyParams, queue: QueueParams):
-    """Worst-case advection speed over the whole power box must fit the grid."""
-    abar, rcoef = _rate_coeffs(phy, queue)
-    speed = max(abar, rcoef * np.log1p(beta_max * phy.max_power_w) - abar)
-    if speed * grid.dt > grid.dq * (1.0 + 1e-12):
-        raise CflError(speed, grid.dt, grid.dq)
-    return speed
-
-
-def _beta_traj(interference, noise_norm, mean_sq_gain):
+def beta_trajectory(interference, noise_norm, mean_sq_gain):
+    """Gain-to-noise ratio mean_sq_gain / (interference + noise_norm) per
+    slice; ConfigError unless it is positive and finite."""
     interference = np.asarray(interference, dtype=float)
     if noise_norm <= 0:
         raise ConfigError("noise_norm must be positive")
@@ -93,22 +89,25 @@ def _beta_traj(interference, noise_norm, mean_sq_gain):
     return beta
 
 
-def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
-                 queue: QueueParams, noise_norm: float, mean_sq_gain: float = 1.0):
+def hjb_backward(grid: GridSpec, terminal, beta, phy: PhyParams, queue: QueueParams):
     """Backward sweep; returns (value, policy) as (n_t, n_q) arrays.
 
     terminal: value at the period end, shape (n_q,).
-    interference: per-slice mean-field interference, shape (n_t,).
+    beta: per-slice gain-to-noise ratio, shape (n_t,) (beta_trajectory).
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (grid.n_q,):
         raise ConfigError("terminal slice length does not match grid")
-    beta = _beta_traj(interference, noise_norm, mean_sq_gain)
-    if beta.shape != (grid.n_t,):
-        raise ConfigError("interference trajectory length does not match grid")
-    _check_cfl(grid, float(beta.max()), phy, queue)
-
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (grid.n_t,) or not np.all((beta > 0) & (beta < np.inf)):
+        raise ConfigError("gain-to-noise trajectory must be positive and finite, "
+                          "one value per time node")
+    # the worst-case advection speed over the whole power box must fit the grid
     abar, rcoef = _rate_coeffs(phy, queue)
+    speed = max(abar, rcoef * np.log1p(float(beta.max()) * phy.max_power_w) - abar)
+    if speed * grid.dt > grid.dq * (1.0 + 1e-12):
+        raise CflError(speed, grid.dt, grid.dq)
+
     n_t, n_q, dq, dt = grid.n_t, grid.n_q, grid.dq, grid.dt
     p_max = phy.max_power_w
     value = np.empty((n_t, n_q))
@@ -155,18 +154,17 @@ def hjb_backward(grid: GridSpec, terminal, interference, phy: PhyParams,
     return value, policy
 
 
-def drift_field(grid: GridSpec, policy, interference, phy: PhyParams,
-                queue: QueueParams, noise_norm: float, mean_sq_gain: float = 1.0):
-    """Normalized queue drift (n_t, n_q) realized by a power policy."""
+def drift_field(policy, beta, phy: PhyParams, queue: QueueParams):
+    """Normalized queue drift (n_t, n_q) realized by a power policy
+    (n_t, n_q) against the gain-to-noise trajectory beta (n_t,)."""
     abar, rcoef = _rate_coeffs(phy, queue)
-    beta = _beta_traj(interference, noise_norm, mean_sq_gain)
-    return abar - rcoef * np.log1p(beta[:, None] * policy)
+    return abar - rcoef * np.log1p(np.asarray(beta)[:, None] * policy)
 
 
-def fpk_forward(grid: GridSpec, rho0, policy, interference, phy: PhyParams,
-                queue: QueueParams, noise_norm: float, mean_sq_gain: float = 1.0):
-    """Forward transport of the backlog density under a power policy.
+def fpk_forward(grid: GridSpec, rho0, drift):
+    """Forward transport of the backlog density along a queue drift field.
 
+    drift: finite (n_t, n_q) field, such as drift_field of a policy.
     Returns the (n_t, n_q) density field with rho0 reproduced at slice 0.
     """
     rho0 = np.asarray(rho0, dtype=float)
@@ -174,10 +172,10 @@ def fpk_forward(grid: GridSpec, rho0, policy, interference, phy: PhyParams,
         raise ConfigError("initial density length does not match grid")
     if rho0.min() < 0:
         raise ConfigError("initial density must be nonnegative")
-    beta = _beta_traj(interference, noise_norm, mean_sq_gain)
-    _check_cfl(grid, float(beta.max()), phy, queue)
+    drift = np.asarray(drift, dtype=float)
+    if drift.shape != (grid.n_t, grid.n_q) or not np.isfinite(drift).all():
+        raise ConfigError("drift must be a finite field on the grid")
 
-    drift = drift_field(grid, policy, interference, phy, queue, noise_norm, mean_sq_gain)
     w = grid.cell_widths()
     dq, dt = grid.dq, grid.dt
     rho = np.empty((grid.n_t, grid.n_q))
@@ -187,11 +185,10 @@ def fpk_forward(grid: GridSpec, rho0, policy, interference, phy: PhyParams,
     # face velocities between nodes, one row per step, and their upwind parts
     u = 0.5 * (drift[:-1, :-1] + drift[:-1, 1:])
     u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
-    # positivity needs dt_sub * |outflow| <= half-width wall cells; a row
-    # whose largest speed is 0 or nan takes one sub-step, and an infinite
-    # one fails in int() below
-    umax = np.abs(u).max(axis=1)
-    n_sub = np.where(umax > 0, np.maximum(np.ceil(4.0 * dt * umax / dq), 1.0), 1.0)
+    # positivity needs dt_sub * |outflow| <= half-width wall cells, which
+    # the sub-step count ensures for any finite drift; a row at rest takes
+    # one sub-step
+    n_sub = np.maximum(np.ceil(4.0 * dt * np.abs(u).max(axis=1) / dq), 1.0)
     # walls carry no flux, so backlog pools at y=0 (empty queue) and y=1
     # (full queue): the flux sits between two zeros, and its differences
     # are each node's divergence
@@ -260,16 +257,14 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     prev_x = None
     prev_r = None
     for iteration in range(1, max_iters + 1):
-        value, policy = hjb_backward(grid, terminal, interference, phy, queue,
-                                     noise_norm, mean_sq_gain)
-        rho = fpk_forward(grid, rho0, policy, interference, phy, queue,
-                          noise_norm, mean_sq_gain)
+        beta = beta_trajectory(interference, noise_norm, mean_sq_gain)
+        value, policy = hjb_backward(grid, terminal, beta, phy, queue)
+        rho = fpk_forward(grid, rho0, drift_field(policy, beta, phy, queue))
         i_new = mf_interference(grid, policy, rho, eta, mean_sq_gain)
         scale = max(noise_norm, float(np.abs(i_new).max()))
         residual = float(np.abs(i_new - interference).max() / scale)
         residuals.append(residual)
         if residual < tol:
-            beta = _beta_traj(interference, noise_norm, mean_sq_gain)
             bad = _existence_violations(grid, value, policy, beta, phy, queue)
             if bad:
                 log.warning("stationarity uniqueness diagnostic failed at %d grid nodes", bad)

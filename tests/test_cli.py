@@ -24,6 +24,7 @@ SIM_CFG = """
 [solver]
 n_t = 301
 n_q = 11
+horizon_s = 0.1
 [deployment]
 isd_units = 37.5
 k = 2
@@ -265,9 +266,10 @@ def sim_solution(tmp_path_factory):
     return os.path.join(out, "solution.mfg")
 
 
-def sim_cfg_with(section, line):
-    """SIM_CFG with the key line `line` set in the given section."""
-    text = re.sub(rf"^{line.split(' = ')[0]} = .*\n", "", SIM_CFG, flags=re.M)
+def sim_cfg_with(section, line, text=SIM_CFG):
+    """A config text (SIM_CFG by default) with the key line `line` set in
+    the given section."""
+    text = re.sub(rf"^{line.split(' = ')[0]} = .*\n", "", text, flags=re.M)
     head = f"[{section}]"
     if head in text:
         return text.replace(head, f"{head}\n{line}", 1)
@@ -287,11 +289,29 @@ def test_solution_under_other_solve_input_exits_4(tmp_path, sim_solution, sectio
     """Each edit changes an input the equilibrium is solved under, so the
     stored solution is another equilibrium: `validate` and `simulate
     --solution` reject it, and no metrics are written."""
-    cfg, out = write_cfg(tmp_path, sim_cfg_with(section, line))
+    text = sim_cfg_with(section, line)
+    if line.startswith("slot_duration_s"):
+        # 20 slots of 5 ms keep the simulated period the solved 0.1 s
+        text = sim_cfg_with("simulate", "slots_per_period = 20", text)
+    cfg, out = write_cfg(tmp_path, text)
     assert main(["validate", "--config", cfg, "--solution", sim_solution]) == 4
     assert main(["simulate", "--config", cfg, "--method", "mfg",
                  "--solution", sim_solution]) == 4
     assert not list(Path(out).glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, line", [
+    ("simulate", "slots_per_period = 20"),
+    ("traffic", "slot_duration_s = 0.005"),
+    ("solver", "horizon_s = 0.2"),
+], ids=lambda v: v.split(" = ")[0])
+def test_simulated_period_other_than_solved_exits_2(tmp_path, section, line, capsys):
+    """The simulator reads the policy of one solved period at each slot, so
+    slots_per_period x slot_duration_s must equal the solved horizon_s."""
+    cfg, out = write_cfg(tmp_path, sim_cfg_with(section, line))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "horizon_s" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("section, line", [

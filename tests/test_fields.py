@@ -6,7 +6,7 @@ import pytest
 
 from udnsim import (ConfigError, GridSpec, InvariantError, MfgSolution, PhyParams,
                     initial_density, terminal_value)
-from udnsim.fields import bilinear, density_from_samples, density_mass, interp_trajectory
+from udnsim.fields import bilinear, density_from_samples, density_mass
 
 
 def test_grid_spacing():
@@ -107,14 +107,6 @@ def test_bilinear_matches_array_formula_bitwise(rng):
             ref = _bilinear_reference(grid, values, t, q)
             assert np.shape(got) == np.shape(ref)
             assert np.array_equal(got, ref), (t, q)
-
-
-def test_interp_trajectory():
-    grid = GridSpec(5, 3, 1.0)
-    traj = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-    assert interp_trajectory(grid, traj, 0.0) == 0.0
-    assert interp_trajectory(grid, traj, 0.375) == pytest.approx(2.5)
-    assert interp_trajectory(grid, traj, 5.0) == 16.0
 
 
 def _nan_at_origin(field):

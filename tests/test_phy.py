@@ -51,19 +51,25 @@ def test_rate_monotone_in_interference(phy):
 
 
 def test_queue_step_balance(queue):
-    q = np.array([0, 100, int(queue.capacity_bits)], dtype=np.int64)
-    arrivals = np.array([50, 10, 100], dtype=np.int64)
-    served = np.array([80, 200, 0], dtype=np.int64)
-    q_next, dropped = queue_step(q, arrivals, served, queue)
-    # service floors at empty, drops only past the wall
-    assert q_next.tolist() == [0, 0, int(queue.capacity_bits)]
-    assert dropped.tolist() == [0, 0, 100]
-    assert q_next.dtype.kind == "i"
+    cap = int(queue.capacity_bits)
+    q = np.array([0, 100, cap, 1000], dtype=np.int64)
+    arrivals = np.array([50, 10, 100, 10], dtype=np.int64)
+    offered = np.array([80, 200, 0, 300], dtype=np.int64)
+    q_next, served, dropped = queue_step(q, arrivals, offered, queue)
+    # service is what the buffer holds of the offer, drops only past the wall
+    assert served.tolist() == [50, 110, 0, 300]
+    assert q_next.tolist() == [0, 0, cap, 710]
+    assert dropped.tolist() == [0, 0, 100, 0]
+    assert (q + arrivals).tolist() == (q_next + served + dropped).tolist()
+    assert q_next.dtype.kind == "i" and served.dtype.kind == "i"
 
 
 def test_queue_step_scalar(queue):
-    q_next, dropped = queue_step(10.0, 5.0, 3.0, queue)
-    assert q_next == 12.0 and dropped == 0.0
+    q_next, served, dropped = queue_step(10.0, 5.0, 3.0, queue)
+    assert q_next == 12.0 and served == 3.0 and dropped == 0.0
+    # an offer beyond the buffer serves the buffer
+    q_next, served, dropped = queue_step(10.0, 5.0, 30.0, queue)
+    assert q_next == 0.0 and served == 15.0 and dropped == 0.0
 
 
 def test_sample_arrivals_mean(queue, rng):

@@ -156,11 +156,12 @@ def test_expected_rate_formula(phy):
         value=np.zeros((3, 3)),
         density=np.ones((3, 3)),
         policy=np.full((3, 3), 0.5),
-        interference=np.full(3, 0.2),
+        interference=np.array([0.2, 0.9, 0.5]),
         iterations=1, residuals=[0.0], phy=dataclasses.replace(phy, sbs_density=0.25),
         noise_norm=0.05,
     )
-    p, r = expected_rate(sol, 0.4, 0.7, 2.0, phy)
+    # the period start reads the first interference slice
+    p, r = expected_rate(sol, 0.7, 2.0, phy)
     assert p == 0.5
     sinr = 0.5 * 2.0 / 0.25
     assert r == pytest.approx(phy.bandwidth_hz * np.log1p(sinr) / LN2, rel=1e-12)

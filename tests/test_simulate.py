@@ -175,8 +175,9 @@ def test_arms_batch_equals_each_arm_alone(phy, small_solution, estimate_mode, st
 def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, monkeypatch):
     """The slot kernel's baseline takes its power from baseline.myopic_power,
     once per period for the PF candidates and once per slot, and folds each
-    slot into its state with one BaselineState.observe."""
-    calls = {"myopic_power": 0, "observe": 0}
+    slot into its state with one BaselineState.observe; every lane's queues
+    move by one phy.queue_step per slot."""
+    calls = {"myopic_power": 0, "observe": 0, "queue_step": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -187,11 +188,13 @@ def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, mon
     monkeypatch.setattr(udnsim.simulate, "myopic_power",
                         counted("myopic_power", udnsim.simulate.myopic_power))
     monkeypatch.setattr(BaselineState, "observe", counted("observe", BaselineState.observe))
+    monkeypatch.setattr(udnsim.simulate, "queue_step",
+                        counted("queue_step", udnsim.simulate.queue_step))
     n_periods, spp = 3, 7
     run_episodes([small_deploy] * 2, [Arm("baseline")], phy, queue, n_periods=n_periods,
                  seed=5, replicates=[0, 1], slots_per_period=spp)
     assert calls == {"myopic_power": n_periods + n_periods * spp,
-                     "observe": n_periods * spp}
+                     "observe": n_periods * spp, "queue_step": n_periods * spp}
 
 
 def test_fold_in_order_matches_slot_loop(rng):

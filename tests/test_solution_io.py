@@ -68,7 +68,13 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     ('"queue": ', '"queuf": '),                    # header lacks a key
     ('"phy": {', '"phy": {"wattage": 1.0, '),      # phy field the class lacks
     ('"capacity_bits": 2000000.0', '"capacity_bits": 0.0'),  # queue value out of range
-], ids=["version", "json", "key", "phy-key", "queue-value"])
+    ('"noise_dbm": -70.0', '"noise_dbm": "loud"'),  # phy value not a number
+    ('"noise_norm": 0.1', '"noise_norm": "low"'),   # solve scalar not a number
+    ('"mean_sq_gain": 1.0', '"mean_sq_gain": "one"'),
+    ('"noise_norm": 0.1', '"noise_norm": -0.1'),    # solve scalar out of range
+    ('"boundary": "exponential"', '"boundary": "parabolic"'),  # unknown kind
+], ids=["version", "json", "key", "phy-key", "queue-value", "noise-dbm-type",
+        "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)

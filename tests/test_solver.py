@@ -7,7 +7,7 @@ from udnsim import (CflError, ConfigError, ConvergenceError, GridSpec, PhyParams
                     mf_interference, solve_mfg, terminal_value)
 from udnsim.fields import density_mass
 from udnsim.power_opt import _phi, maximize_rate_value
-from udnsim.solver import _beta_traj, _rate_coeffs, drift_field
+from udnsim.solver import _rate_coeffs, beta_trajectory, drift_field
 from test_power_opt import _bisect_reference
 
 
@@ -21,10 +21,9 @@ def ee_max(beta, p0, p_max):
 
 def test_cfl_guard(phy, queue):
     grid = GridSpec(101, 101)  # dt = dq = 0.01: too coarse in time for beta ~ 33
-    flat = np.full(grid.n_t, 0.0)
+    beta = beta_trajectory(np.zeros(grid.n_t), 0.03, 1.0)
     with pytest.raises(CflError) as err:
-        hjb_backward(grid, terminal_value("uniform", grid.queues), flat, phy,
-                     queue, noise_norm=0.03)
+        hjb_backward(grid, terminal_value("uniform", grid.queues), beta, phy, queue)
     assert isinstance(err.value, ConfigError)
     assert "dt" in str(err.value) and "speed" in str(err.value)
 
@@ -32,14 +31,15 @@ def test_cfl_guard(phy, queue):
 def test_hjb_input_validation(phy, queue):
     grid = GridSpec(601, 21)
     flat = np.zeros(grid.n_t)
+    beta = beta_trajectory(flat, 0.1, 1.0)
     with pytest.raises(ConfigError):
-        hjb_backward(grid, np.zeros(grid.n_q + 1), flat, phy, queue, noise_norm=0.1)
+        hjb_backward(grid, np.zeros(grid.n_q + 1), beta, phy, queue)
     with pytest.raises(ConfigError):
-        hjb_backward(grid, np.zeros(grid.n_q), flat[:-1], phy, queue, noise_norm=0.1)
+        hjb_backward(grid, np.zeros(grid.n_q), beta[:-1], phy, queue)
     with pytest.raises(ConfigError):
-        hjb_backward(grid, np.zeros(grid.n_q), flat - 1.0, phy, queue, noise_norm=0.1)
+        beta_trajectory(flat - 1.0, 0.1, 1.0)
     with pytest.raises(ConfigError):
-        hjb_backward(grid, np.zeros(grid.n_q), flat, phy, queue, noise_norm=0.0)
+        beta_trajectory(flat, 0.0, 1.0)
 
 
 def test_hjb_uniform_terminal_is_exact(phy, queue):
@@ -50,7 +50,7 @@ def test_hjb_uniform_terminal_is_exact(phy, queue):
     interference = np.full(grid.n_t, 0.1)
     noise = 0.05
     value, policy = hjb_backward(grid, terminal_value("uniform", grid.queues),
-                                 interference, phy, queue, noise_norm=noise)
+                                 beta_trajectory(interference, noise, 1.0), phy, queue)
     beta = 1.0 / (0.1 + noise)
     p_star = ee_max(beta, phy.circuit_power_w, phy.max_power_w)
     h_star = _phi(p_star, beta, 0.0, phy.circuit_power_w)
@@ -65,13 +65,11 @@ def test_hjb_value_monotone_in_backlog(small_solution):
     assert dv.max() <= 1e-9  # more backlog is never better
 
 
-def _sweep_reference(grid, terminal, interference, phy, queue, noise_norm,
-                     mean_sq_gain=1.0, optimizer=maximize_rate_value):
+def _sweep_reference(grid, terminal, beta, phy, queue, optimizer=maximize_rate_value):
     """hjb_backward with each step's branch gradients and bounds built afresh
     by concatenation, then handed to one optimizer call (maximize_rate_value
     or a reference with its contract)."""
     abar, rcoef = _rate_coeffs(phy, queue)
-    beta = _beta_traj(interference, noise_norm, mean_sq_gain)
     n_q, dq = grid.n_q, grid.dq
     value = np.empty((grid.n_t, n_q))
     policy = np.empty((grid.n_t, n_q))
@@ -120,8 +118,9 @@ def test_hjb_matches_sweep_reference_bitwise(phy, queue, boundary, trajectory):
     if trajectory == "varying":
         interference = 4.0 * (1.0 + np.sin(9.0 * grid.times))
     terminal = terminal_value(boundary, grid.queues)
-    value, policy = hjb_backward(grid, terminal, interference, phy, queue, noise_norm=0.1)
-    ref_value, ref_policy = _sweep_reference(grid, terminal, interference, phy, queue, 0.1)
+    beta = beta_trajectory(interference, 0.1, 1.0)
+    value, policy = hjb_backward(grid, terminal, beta, phy, queue)
+    ref_value, ref_policy = _sweep_reference(grid, terminal, beta, phy, queue)
     assert np.array_equal(value, ref_value)
     assert np.array_equal(policy, ref_policy)
 
@@ -148,14 +147,13 @@ def test_hjb_edge_cases_match_sweep_reference_bitwise(phy, interior_phy, queue, 
         abar, rcoef = _rate_coeffs(phy, queue)
         b_bal = np.expm1(abar / rcoef) / phy.max_power_w
         interference = 1.0 / (b_bal * np.exp(2.0 * np.sin(11.0 * grid.times))) - noise
-        beta = _beta_traj(interference, noise, gain)
+    beta = beta_trajectory(interference, noise, gain)
+    if case == "dead_drain":
         assert 0 < (beta <= b_bal).sum() < grid.n_t
-    value, policy = hjb_backward(grid, terminal, interference, model, queue,
-                                 noise_norm=noise, mean_sq_gain=gain)
+    value, policy = hjb_backward(grid, terminal, beta, model, queue)
     # the reference's scalar p_bal warns where the sweep's errstate is quiet
     with np.errstate(over="ignore", divide="ignore"):
-        ref_value, ref_policy = _sweep_reference(grid, terminal, interference, model,
-                                                 queue, noise, gain)
+        ref_value, ref_policy = _sweep_reference(grid, terminal, beta, model, queue)
     if case == "uniform_flat":
         assert np.all(np.diff(value, axis=1) == 0.0)
     assert np.array_equal(value, ref_value)
@@ -170,23 +168,29 @@ def test_hjb_rejects_bad_gain(phy, queue):
     flat = np.zeros(grid.n_t)
     for gain in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ConfigError, match="mean_sq_gain"):
-            hjb_backward(grid, terminal, flat, phy, queue, noise_norm=0.1, mean_sq_gain=gain)
+            beta_trajectory(flat, 0.1, gain)
         with pytest.raises(ConfigError, match="mean_sq_gain"):
             solve_mfg(grid, phy, queue, noise_norm=0.1, mean_sq_gain=gain)
     for bad in (np.inf, np.nan):
         traj = flat.copy()
         traj[7] = bad
         with pytest.raises(ConfigError, match="positive and finite"):
-            hjb_backward(grid, terminal, traj, phy, queue, noise_norm=0.1)
+            beta_trajectory(traj, 0.1, 1.0)
     with pytest.raises(ConfigError, match="positive and finite"):
-        hjb_backward(grid, terminal, flat, phy, queue, noise_norm=1e-320)
+        beta_trajectory(flat, 1e-320, 1.0)
+    # the sweep checks a beta it is handed as beta_trajectory checks its own
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        beta = beta_trajectory(flat, 0.1, 1.0)
+        beta[7] = bad
+        with pytest.raises(ConfigError, match="positive and finite"):
+            hjb_backward(grid, terminal, beta, phy, queue)
 
 
 def test_drift_field_formula(phy, queue):
     grid = GridSpec(11, 5)
     interference = np.full(grid.n_t, 0.2)
     policy = np.full((grid.n_t, grid.n_q), 0.5)
-    d = drift_field(grid, policy, interference, phy, queue, noise_norm=0.05)
+    d = drift_field(policy, beta_trajectory(interference, 0.05, 1.0), phy, queue)
     abar, rcoef = _rate_coeffs(phy, queue)
     beta = 1.0 / 0.25
     assert d == pytest.approx(abar - rcoef * np.log1p(beta * 0.5))
@@ -211,7 +215,8 @@ def test_fpk_transports_at_known_speed(phy, queue, c, start):
     policy = constant_drift_policy(grid, phy, queue, beta, c)
     rho0 = np.exp(-0.5 * (grid.queues - start) ** 2 / 0.003)
     rho0 /= np.trapezoid(rho0, dx=grid.dq)
-    rho = fpk_forward(grid, rho0, policy, interference, phy, queue, noise_norm=noise)
+    rho = fpk_forward(grid, rho0,
+                      drift_field(policy, beta_trajectory(interference, noise, 1.0), phy, queue))
 
     mass = density_mass(grid, rho)
     assert np.abs(mass - 1.0).max() < 1e-10  # conservative by construction
@@ -225,8 +230,8 @@ def test_fpk_pools_at_wall(phy, queue):
     noise = 0.05
     interference = np.full(grid.n_t, 0.1)
     policy = np.full((grid.n_t, grid.n_q), phy.max_power_w)  # hard drain
-    rho = fpk_forward(grid, initial_density(grid), policy, interference, phy,
-                      queue, noise_norm=noise)
+    drift = drift_field(policy, beta_trajectory(interference, noise, 1.0), phy, queue)
+    rho = fpk_forward(grid, initial_density(grid), drift)
     w = grid.cell_widths()
     assert rho[-1, 0] * w[0] > 0.99  # everything pooled in the empty-queue cell
     assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-10
@@ -255,34 +260,57 @@ def _fpk_reference(grid, rho0, drift):
 
 
 @pytest.mark.parametrize("nan_row", [None, 150])
-def test_fpk_matches_per_row_reference_bitwise(phy, queue, rng, monkeypatch, nan_row):
-    """Drift rows of both signs, rows at rest, rows that need up to eight
-    sub-steps and a row with a nan speed (one sub-step; the density turns
-    nan from there on)."""
+def test_fpk_matches_per_row_reference_bitwise(rng, nan_row):
+    """Drift rows of both signs, rows at rest and rows that need up to
+    eight sub-steps; a drift with one nan entry is refused, where the
+    transport would have turned the density nan from that row on."""
     grid = GridSpec(201, 21)
     drift = rng.uniform(-1.0, 1.0, (grid.n_t, grid.n_q)) * rng.uniform(0.0, 20.0, (grid.n_t, 1))
     drift[::7] = 0.0
+    rho0 = initial_density(grid)
     if nan_row is not None:
         drift[nan_row, 4] = np.nan
-    monkeypatch.setattr("udnsim.solver.drift_field", lambda *args, **kwargs: drift)
-    rho0 = initial_density(grid)
-    rho = fpk_forward(grid, rho0, np.zeros((grid.n_t, grid.n_q)), np.full(grid.n_t, 0.1),
-                      phy, queue, noise_norm=0.1)
-    assert np.array_equal(rho, _fpk_reference(grid, rho0, drift), equal_nan=True)
-    assert np.isnan(rho).any() == (nan_row is not None)
+        with pytest.raises(ConfigError, match="finite field"):
+            fpk_forward(grid, rho0, drift)
+        return
+    rho = fpk_forward(grid, rho0, drift)
+    assert np.array_equal(rho, _fpk_reference(grid, rho0, drift))
 
 
-def test_fpk_input_validation(phy, queue):
+def test_fpk_transports_past_the_hjb_cfl_bound(phy, queue):
+    """A full-power drain at a gain-to-noise ratio of 33 moves backlog 2.4
+    cells per time step on this grid: the backward sweep refuses it, and
+    the transport sub-steps it with mass and positivity kept."""
+    grid = GridSpec(101, 101)
+    beta = beta_trajectory(np.zeros(grid.n_t), 0.03, 1.0)
+    policy = np.full((grid.n_t, grid.n_q), phy.max_power_w)
+    with pytest.raises(CflError):
+        hjb_backward(grid, terminal_value("uniform", grid.queues), beta, phy, queue)
+    drift = drift_field(policy, beta, phy, queue)
+    assert np.abs(drift).max() * grid.dt / grid.dq > 2.0
+    rho = fpk_forward(grid, initial_density(grid), drift)
+    assert rho.min() >= 0.0
+    assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-10
+    assert rho[-1, 0] * grid.cell_widths()[0] > 0.99  # drained to the empty wall
+
+
+def test_fpk_input_validation():
     grid = GridSpec(601, 21)
-    interference = np.full(grid.n_t, 0.1)
-    policy = np.zeros((grid.n_t, grid.n_q))
+    rho0 = initial_density(grid)
+    drift = np.zeros((grid.n_t, grid.n_q))
     with pytest.raises(ConfigError):
-        fpk_forward(grid, np.zeros(grid.n_q + 2), policy, interference, phy,
-                    queue, noise_norm=0.1)
-    bad = initial_density(grid)
+        fpk_forward(grid, np.zeros(grid.n_q + 2), drift)
+    bad = rho0.copy()
     bad[3] = -0.1
     with pytest.raises(ConfigError):
-        fpk_forward(grid, bad, policy, interference, phy, queue, noise_norm=0.1)
+        fpk_forward(grid, bad, drift)
+    with pytest.raises(ConfigError, match="finite field"):
+        fpk_forward(grid, rho0, drift[:-1])
+    for value in (np.inf, -np.inf):
+        bad_drift = drift.copy()
+        bad_drift[9, 3] = value
+        with pytest.raises(ConfigError, match="finite field"):
+            fpk_forward(grid, rho0, bad_drift)
 
 
 def test_mf_interference_quadrature():
@@ -304,6 +332,21 @@ def test_solve_converges(small_solution, phy):
     assert sol.policy.min() >= 0.0 and sol.policy.max() <= phy.max_power_w + 1e-12
     assert np.abs(density_mass(sol.grid, sol.density) - 1.0).max() < 1e-9
     sol.validate()
+
+
+def test_solve_builds_beta_once_per_iteration(phy, queue, monkeypatch):
+    """The backward sweep, the drift and the final diagnostic share one
+    gain-to-noise trajectory per fixed-point iteration."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return beta_trajectory(*args)
+
+    monkeypatch.setattr("udnsim.solver.beta_trajectory", counted)
+    sol = solve_mfg(GridSpec(601, 21), phy, queue, noise_norm=0.1)
+    assert sol.iterations > 1
+    assert len(calls) == sol.iterations
 
 
 def _bisection_sweep(monkeypatch):
