@@ -10,6 +10,11 @@ eta and the normalized noise are that network's, so `solve`, `simulate` and
 is accepted (`validate`, `simulate --solution`) only when solved under every
 input `_solve_inputs` lists for the config, each equal bit for bit, and
 converged below the config's tolerance.
+
+A sweep makes each swept value a config of its own (`RunConfig.with_value`),
+built and checked before any work, and runs it as `simulate` runs a config:
+its deployments, its calibrated solve, its mfg arm and its baseline in one
+lockstep batch.  V enters the scheduler alone, so a v sweep shares one batch.
 """
 
 from __future__ import annotations
@@ -43,46 +48,37 @@ def _write(path: str, text: str):
     print(f"wrote {path}")
 
 
-def _deployment(cfg: RunConfig, isd_units: float, k: int, i: int):
-    """Replicate i's deployment of one geometry, drawn from derived_rng's
-    stream 0, so every method, every swept value that shares the geometry
-    and every solve runs on the same networks."""
+def _deployment(cfg: RunConfig, i: int):
+    """Replicate i's deployment of the config's geometry, drawn from
+    derived_rng's stream 0, so every method and every solve of a config
+    runs on the same networks; replicate 0's is the calibration."""
     d = cfg.raw["deployment"]
-    return generate_deployment(isd_units, k, cfg.phy, cfg.pathloss,
+    return generate_deployment(d["isd_units"], d["k"], cfg.phy, cfg.pathloss,
                                seed=derived_rng(cfg.raw["simulate"]["base_seed"], i, 0),
                                area_km2=d["area_km2"], jitter_frac=d["jitter_frac"],
                                fading=d["fading"], cross_isolation_db=d["cross_isolation_db"],
                                rician_k_db=d["rician_k_db"])
 
 
-def _deployments(cfg: RunConfig, isd_units: float, k: int) -> list:
-    """The replicates' deployments of one geometry."""
-    return [_deployment(cfg, isd_units, k, i)
-            for i in range(cfg.raw["simulate"]["n_replicates"])]
+def _deployments(cfg: RunConfig) -> list:
+    """The replicates' deployments of the config's geometry."""
+    return [_deployment(cfg, i) for i in range(cfg.raw["simulate"]["n_replicates"])]
 
 
-def _reference_deployment(cfg: RunConfig):
-    """Replicate 0's deployment of the config's geometry: the calibration."""
-    d = cfg.raw["deployment"]
-    return _deployment(cfg, d["isd_units"], d["k"], 0)
-
-
-def _solve_inputs(cfg: RunConfig, dep, boundary: str | None = None) -> dict:
+def _solve_inputs(cfg: RunConfig, dep) -> dict:
     """Everything the config's equilibrium is solved under, as solve_mfg's
     keyword arguments: the coupling strength and the normalized noise come
-    from a reference deployment (replicate 0's); the terminal condition is
-    the config's unless a sweep passes its own."""
+    from a reference deployment (replicate 0's)."""
     s = cfg.raw["solver"]
     return dict(grid=cfg.grid, phy=replace(cfg.phy, sbs_density=dep.eta), queue=cfg.queue,
-                boundary=cfg.boundary if boundary is None else boundary,
-                noise_norm=dep.noise_norm, mean_sq_gain=s["mean_sq_gain"],
+                boundary=cfg.boundary, noise_norm=dep.noise_norm, mean_sq_gain=s["mean_sq_gain"],
                 rho0=initial_density(cfg.grid, s["rho0_mean"], s["rho0_variance"]))
 
 
-def _calibrate_and_solve(cfg: RunConfig, dep, boundary: str | None = None) -> MfgSolution:
-    """The one equilibrium solve, under `_solve_inputs(cfg, dep, boundary)`."""
+def _calibrate_and_solve(cfg: RunConfig, dep) -> MfgSolution:
+    """The one equilibrium solve, under `_solve_inputs(cfg, dep)`."""
     s = cfg.raw["solver"]
-    return solve_mfg(**_solve_inputs(cfg, dep, boundary), damping=s["damping"],
+    return solve_mfg(**_solve_inputs(cfg, dep), damping=s["damping"],
                      tol=s["tol"], max_iters=s["max_iters"], init=s["init"])
 
 
@@ -136,7 +132,7 @@ def _summary_csv(results: dict) -> str:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
-    sol = _calibrate_and_solve(cfg, _reference_deployment(cfg))
+    sol = _calibrate_and_solve(cfg, _deployment(cfg, 0))
     out = args.out or os.path.join(outdir, "solution.mfg")
     save_solution(out, sol)
     print(f"wrote {out}")
@@ -154,8 +150,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
     methods = ("mfg", "baseline") if args.method == "both" else (args.method,)
-    dep_cfg = cfg.raw["deployment"]
-    deploys = _deployments(cfg, dep_cfg["isd_units"], dep_cfg["k"])
+    deploys = _deployments(cfg)
 
     # a given solution is always checked; otherwise one is solved when the
     # mfg policy or a density-initialized backlog needs it
@@ -176,59 +171,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run both methods at each value of the swept key.
-
-    The replicates' deployments depend on the geometry (isd, k) alone, so
-    each geometry draws them once.  The equilibrium depends on the geometry
-    and the terminal condition only; v enters the scheduler alone.  So the
-    values are grouped by (isd, k, boundary): each group solves once and
-    runs one lockstep batch, whose arms are the mfg policy at each of its
-    values and, in the first group of a geometry, the baseline.  A v sweep
-    therefore solves once and runs one batch.  The baseline reads neither v
-    nor the terminal condition (its density start reads the solution's
-    initial slice, which is rho0 whatever the boundary), so it runs once
-    per (isd, k) and its rows repeat at every value that shares the geometry.
-    Each value prints `swept key=value` when its group's batch returns.
-    """
+    """Run both methods at each value of the swept key: one batch per value,
+    except that a v sweep is one batch of one solve, the mfg arm of each v
+    and one baseline, whose rows repeat at every v.  Each value prints
+    `swept key=value` when its batch returns."""
     cfg = load_config(args.config)
-    outdir = _ensure_outdir(cfg)
     key, values = cfg.sweep_values()
-    dep_cfg = cfg.raw["deployment"]
+    outdir = _ensure_outdir(cfg)
+    swept = [(value, cfg.with_value(key, value)) for value in values]
+    batches = [swept] if key == "v" else [[point] for point in swept]
 
-    # (isd, k) -> boundary -> [(index of the value, its scheduler parameters)]
-    groups = {}
-    for i, value in enumerate(values):
-        isd, k = dep_cfg["isd_units"], dep_cfg["k"]
-        boundary, dpp = None, cfg.dpp
-        if key == "isd":
-            isd = value
-        elif key == "k":
-            k = value
-        elif key == "boundary":
-            boundary = value
-        elif key == "v":
-            dpp = replace(cfg.dpp, v_coeff=-abs(value))
-        groups.setdefault((isd, k), {}).setdefault(boundary, []).append((i, dpp))
-
-    results = [None] * len(values)   # per value: {method: (metrics, summary)}
-    for (isd, k), by_boundary in groups.items():
-        deploys = _deployments(cfg, isd, k)
-        baseline = None
-        for boundary, members in by_boundary.items():
-            sol = _calibrate_and_solve(cfg, deploys[0], boundary)
-            arms = [Arm("mfg", dpp) for _, dpp in members]
-            runs = _run_arms(cfg, arms if baseline else arms + [Arm("baseline")], sol, deploys)
-            baseline = baseline or runs[-1]
-            for (i, _), mfg in zip(members, runs):
-                results[i] = {"mfg": mfg, "baseline": baseline}
-                print(f"swept {key}={values[i]}")
-
-    points = []
+    points = []   # per value: (value, {method: summary})
     all_rows = []
-    for value, by_method in zip(values, results):
-        points.append((value, {m: r[1] for m, r in by_method.items()}))
-        for metrics, _ in by_method.values():
-            all_rows.extend(metrics)
+    for batch in batches:
+        head = batch[0][1]
+        deploys = _deployments(head)
+        sol = _calibrate_and_solve(head, deploys[0])
+        arms = [Arm("mfg", point.dpp) for _, point in batch] + [Arm("baseline")]
+        *mfg_runs, (base_rows, base_summary) = _run_arms(head, arms, sol, deploys)
+        for (value, _), (mfg_rows, mfg_summary) in zip(batch, mfg_runs):
+            points.append((value, {"mfg": mfg_summary, "baseline": base_summary}))
+            all_rows += mfg_rows + base_rows
+            print(f"swept {key}={value}")
 
     _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(all_rows))
     for metric in args.metrics:
@@ -282,7 +246,7 @@ def cmd_report(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     sol = load_solution(args.solution)
-    _check_solution(cfg, sol, _reference_deployment(cfg))
+    _check_solution(cfg, sol, _deployment(cfg, 0))
     g = sol.grid
     print(f"ok: {args.solution} ({g.n_t}x{g.n_q}, {sol.iterations} iterations, "
           f"residual {sol.residual:.3e})")

@@ -21,7 +21,9 @@ from .scheduler import DppParams
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
 
-SWEEP_KEYS = ("isd", "k", "v", "boundary")
+# sweep key -> the [section] key each of its values sets (v sets v_coeff = -|v|)
+SWEEP_KEYS = {"isd": ("deployment", "isd_units"), "k": ("deployment", "k"),
+              "v": ("scheduler", "v_coeff"), "boundary": ("solver", "boundary")}
 
 
 def _bool(text: str) -> bool:
@@ -120,7 +122,7 @@ CHOICES = {
     ("scheduler", "gradient_model"): ("linear_ee",),
     ("simulate", "estimate_mode"): ESTIMATE_MODES,
     ("simulate", "initial_backlog"): ("empty", "density"),
-    ("sweep", "key"): ("",) + SWEEP_KEYS,
+    ("sweep", "key"): ("",) + tuple(SWEEP_KEYS),
 }
 
 
@@ -138,7 +140,18 @@ class RunConfig:
     def boundary(self) -> str:
         return self.raw["solver"]["boundary"]
 
+    def with_value(self, key: str, value) -> RunConfig:
+        """This config with the swept key set to value, built and checked
+        as a config file that sets it."""
+        section, name = SWEEP_KEYS[key]
+        raw = {sec: dict(keys) for sec, keys in self.raw.items()}
+        raw[section][name] = -abs(value) if key == "v" else value
+        return _build(raw)
+
     def sweep_values(self):
+        """The [sweep] key and its typed values.  Every value is parsed as
+        the config key it sets and every swept config is built, so a bad
+        value raises ConfigError before any work."""
         key = self.raw["sweep"]["key"]
         text = self.raw["sweep"]["values"]
         if not key:
@@ -146,17 +159,19 @@ class RunConfig:
         items = [v.strip() for v in text.split(",") if v.strip()]
         if not items:
             raise ConfigError("config has no [sweep] values")
-        if key == "boundary":
-            for v in items:
-                if v not in BOUNDARY_KINDS:
-                    raise ConfigError(f"unknown boundary {v!r} in sweep values")
-            return key, items
-        caster = int if key == "k" else _float
+        section, name = SWEEP_KEYS[key]
+        parse = SCHEMA[section][name][0]
         try:
-            return key, [caster(v) for v in items]
+            values = [parse(v) for v in items]
         except ValueError:
             raise ConfigError(
                 f"[sweep] values for {key!r} must be finite numbers: {text!r}") from None
+        for value in values:
+            try:
+                self.with_value(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
+        return key, values
 
 
 def _parse_file(path) -> dict:
@@ -198,10 +213,16 @@ def load_config(path=None) -> RunConfig:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
             else:
                 raw[section][key] = default
-            choices = CHOICES.get((section, key))
-            if choices is not None and raw[section][key] not in choices:
-                raise ConfigError(
-                    f"[{section}] {key} must be one of {choices}, got {raw[section][key]!r}")
+    return _build(raw)
+
+
+def _build(raw: dict) -> RunConfig:
+    """The run configuration of typed values (section -> key -> value):
+    checks the choices and ranges and assembles the typed records."""
+    for (section, key), choices in CHOICES.items():
+        if raw[section][key] not in choices:
+            raise ConfigError(
+                f"[{section}] {key} must be one of {choices}, got {raw[section][key]!r}")
 
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
 

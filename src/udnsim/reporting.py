@@ -40,13 +40,15 @@ def cdf_table(cdf: np.ndarray) -> str:
 
 
 def metrics_csv(metrics: list[EpisodeMetrics]) -> str:
-    """Per-episode rows, one line per replicate."""
-    cols = ["method", "seed", "replicate_periods", "n_sbs", "n_ue"] + list(METRIC_FIELDS) + [
-        "arrived_bits", "dropped_bits", "infeasible_slots"]
+    """Per-episode rows, one line per replicate, named by the base seed
+    and the replicate index."""
+    cols = ["method", "seed", "replicate", "replicate_periods", "n_sbs", "n_ue"] + list(
+        METRIC_FIELDS) + ["arrived_bits", "dropped_bits", "infeasible_slots"]
     out = io.StringIO()
     out.write(",".join(cols) + "\n")
     for m in metrics:
-        row = [m.method, str(m.seed), str(m.n_periods), str(m.n_sbs), str(m.n_ue)]
+        row = [m.method, str(m.seed), str(m.replicate), str(m.n_periods), str(m.n_sbs),
+               str(m.n_ue)]
         row += [FMT % float(getattr(m, k)) for k in METRIC_FIELDS]
         row += [str(m.arrived_bits), str(m.dropped_bits), str(m.infeasible_slots)]
         out.write(",".join(row) + "\n")

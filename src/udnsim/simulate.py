@@ -82,6 +82,7 @@ class EpisodeMetrics:
     n_periods: int
     n_sbs: int
     n_ue: int
+    replicate: int = 0
     arrived_bits: int = 0
     delivered_bits: int = 0
     dropped_bits: int = 0
@@ -329,7 +330,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         arrived_l, delivered_l = int(arrived[lane]), int(delivered[lane])
         dropped_l, energy_l = int(dropped_total[lane]), float(energy[lane])
         out[arm].append(EpisodeMetrics(
-            method=arms[arm].method, seed=seed, n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
+            method=arms[arm].method, seed=seed, replicate=replicates[lane % n_rep],
+            n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
             arrived_bits=arrived_l, delivered_bits=delivered_l, dropped_bits=dropped_l,
             backlog_delta_bits=int(backlog_delta[lane]), energy_j=energy_l,
             ee_bits_per_j=delivered_l / energy_l if energy_l > 0 else 0.0,

@@ -164,7 +164,8 @@ def drift_field(policy, beta, phy: PhyParams, queue: QueueParams):
 def fpk_forward(grid: GridSpec, rho0, drift):
     """Forward transport of the backlog density along a queue drift field.
 
-    drift: finite (n_t, n_q) field, such as drift_field of a policy.
+    drift: finite (n_t, n_q) field, such as drift_field of a policy, that
+    crosses [0, 1] in no less than one time step.
     Returns the (n_t, n_q) density field with rho0 reproduced at slice 0.
     """
     rho0 = np.asarray(rho0, dtype=float)
@@ -185,10 +186,15 @@ def fpk_forward(grid: GridSpec, rho0, drift):
     # face velocities between nodes, one row per step, and their upwind parts
     u = 0.5 * (drift[:-1, :-1] + drift[:-1, 1:])
     u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
+    # dt times a row's largest face velocity is the share of [0, 1] its drift
+    # crosses in one step: above 1 the time grid cannot resolve the
+    # transport, and up to 1 a row takes at most 4 (n_q - 1) sub-steps
+    speed = np.abs(u).max(axis=1)
+    if (dt * speed > 1.0).any():
+        raise ConfigError(f"drift {speed.max():.3g} crosses [0, 1] within one time step")
     # positivity needs dt_sub * |outflow| <= half-width wall cells, which
-    # the sub-step count ensures for any finite drift; a row at rest takes
-    # one sub-step
-    n_sub = np.maximum(np.ceil(4.0 * dt * np.abs(u).max(axis=1) / dq), 1.0)
+    # the sub-step count ensures; a row at rest takes one sub-step
+    n_sub = np.maximum(np.ceil(4.0 * dt * speed / dq), 1.0)
     # walls carry no flux, so backlog pools at y=0 (empty queue) and y=1
     # (full queue): the flux sits between two zeros, and its differences
     # are each node's divergence

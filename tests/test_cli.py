@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import re
@@ -405,22 +406,53 @@ def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key, values, mfg_runs, baseline_runs, draws",
-                         [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4)])
-def test_sweep_runs_baseline_once_per_geometry(tmp_path, monkeypatch, key, values,
-                                               mfg_runs, baseline_runs, draws):
-    """One batch per geometry, holding the mfg arm of each of its values
-    and the baseline once."""
+                         [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4),
+                          ("boundary", "exponential, uniform", 2, 2, 4)])
+def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
+                                        mfg_runs, baseline_runs, draws):
+    """A v sweep is one batch: one solve, the mfg arm of each v and the
+    baseline once.  Any other key runs one batch per value, each with its
+    own deployments, solve and baseline."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
     assert main(["sweep", "--config", cfg]) == 0
-    assert len(calls) == baseline_runs  # one call per geometry
+    assert len(calls) == baseline_runs  # one call per solve
     assert all(methods.count("baseline") == 1 for methods, _ in calls)
     methods = [m for arms, _ in calls for m in arms]
     assert (methods.count("mfg"), methods.count("baseline")) == (mfg_runs, baseline_runs)
     assert len(seeds) == draws
     rows = Path(out, "sweep_metrics.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
+    if key != "k":
+        # one geometry: the baseline reads neither v nor the terminal
+        # condition, so its rows repeat at every value
+        baseline = [r for r in rows[1:] if r.startswith("baseline,")]
+        assert baseline == baseline[:2] * len(values.split(","))
+
+
+@pytest.mark.parametrize("key, values", [("v", "1, 10"), ("k", "1, 2")])
+def test_sweep_rows_name_their_replicate(tmp_path, key, values):
+    """Each method's rows count the replicates 0..R-1 at every value."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    with open(Path(out, "sweep_metrics.csv"), newline="") as fh:
+        rows = [(row["method"], row["replicate"]) for row in csv.DictReader(fh)]
+    per_value = [("mfg", "0"), ("mfg", "1"), ("baseline", "0"), ("baseline", "1")]
+    assert rows == per_value * len(values.split(","))
+
+
+def test_sweep_with_a_bad_value_exits_2_before_any_solve(tmp_path, monkeypatch, capsys):
+    """Every swept config is built and checked before the first solve."""
+    calls = []
+    monkeypatch.setattr(udnsim.cli, "solve_mfg", lambda *a, **kw: calls.append(a))
+    cfg, out = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = k\nvalues = 2, 0\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert "swept" not in captured.out
+    assert captured.err.startswith("configuration error: [sweep] k = 0:")
+    assert not Path(out).exists()
 
 
 def test_sweep_reports_each_value_as_its_batch_returns(tmp_path, monkeypatch, capsys):
@@ -512,14 +544,14 @@ def test_report_from_metrics(tmp_path):
 SCIPY_FREE_RUN = """
 import sys
 import udnsim, udnsim.cli
-from udnsim.cli import _reference_deployment, main
+from udnsim.cli import _deployment, main
 from udnsim.reporting import metrics_csv
 
 cfg_path, out = sys.argv[1:]
 assert main(["solve", "--config", cfg_path]) == 0
 assert main(["validate", "--config", cfg_path, "--solution", out + "/solution.mfg"]) == 0
 cfg = udnsim.load_config(cfg_path)
-m = udnsim.run_episode(_reference_deployment(cfg), "baseline", cfg.phy, cfg.queue,
+m = udnsim.run_episode(_deployment(cfg, 0), "baseline", cfg.phy, cfg.queue,
                        n_periods=1, seed=1, slots_per_period=10)
 with open(out + "/metrics_baseline.csv", "w") as fh:
     fh.write(metrics_csv([m]))

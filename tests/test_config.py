@@ -142,6 +142,13 @@ def test_sweep_values_errors(tmp_path):
     cfg = load_config(write(tmp_path, "[sweep]\nkey = boundary\nvalues = exponential, weird\n"))
     with pytest.raises(ConfigError):
         cfg.sweep_values()
+    # every swept config is built, so a value out of its key's range fails too
+    cfg = load_config(write(tmp_path, "[sweep]\nkey = k\nvalues = 2, 0\n"))
+    with pytest.raises(ConfigError, match=r"^\[sweep\] k = 0: \[deployment\] needs k >= 1"):
+        cfg.sweep_values()
+    cfg = load_config(write(tmp_path, "[sweep]\nkey = isd\nvalues = 12.5, -1\n"))
+    with pytest.raises(ConfigError, match=r"^\[sweep\] isd = -1.0: "):
+        cfg.sweep_values()
 
 
 @pytest.mark.parametrize("key, values", [("v", "1, nan"), ("v", "inf"), ("isd", "nan"),
@@ -150,3 +157,16 @@ def test_non_finite_sweep_values_rejected(tmp_path, key, values):
     cfg = load_config(write(tmp_path, f"[sweep]\nkey = {key}\nvalues = {values}\n"))
     with pytest.raises(ConfigError, match="finite numbers"):
         cfg.sweep_values()
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("isd", 6.5, "[deployment]\nisd_units = 6.5\n"),
+    ("k", 3, "[deployment]\nk = 3\n"),
+    ("v", 20.0, "[scheduler]\nv_coeff = -20\n"),
+    ("boundary", "linear", "[solver]\nboundary = linear\n"),
+])
+def test_swept_config_equals_the_file_that_sets_it(tmp_path, key, value, line):
+    sweep = f"[sweep]\nkey = {key}\nvalues = {value}\n"
+    cfg = load_config(write(tmp_path, sweep))
+    assert cfg.sweep_values() == (key, [value])
+    assert cfg.with_value(key, value) == load_config(write(tmp_path, sweep + line))

@@ -31,13 +31,16 @@ def make_metrics(method, seed, ee):
 
 
 def test_metrics_csv_layout():
-    text = metrics_csv([make_metrics("mfg", 7, 1.5)])
+    m = make_metrics("mfg", 7, 1.5)
+    m.replicate = 3
+    text = metrics_csv([m])
     lines = text.strip().split("\n")
     header = lines[0].split(",")
-    assert header[:5] == ["method", "seed", "replicate_periods", "n_sbs", "n_ue"]
+    assert header[:6] == ["method", "seed", "replicate", "replicate_periods", "n_sbs", "n_ue"]
     assert set(METRIC_FIELDS) <= set(header)
     row = dict(zip(header, lines[1].split(",")))
     assert row["method"] == "mfg"
+    assert (row["seed"], row["replicate"], row["replicate_periods"]) == ("7", "3", "2")
     assert row["ee_bits_per_j"] == "1.5"
     assert row["arrived_bits"] == "100"
 

@@ -313,6 +313,18 @@ def test_fpk_input_validation():
             fpk_forward(grid, rho0, bad_drift)
 
 
+
+def test_fpk_rejects_a_drift_faster_than_the_time_grid():
+    """A drift that crosses [0, 1] within one time step raises, before
+    thousands of sub-steps per row (16 000 here at dt = 0.1, dq = 0.25)."""
+    grid = GridSpec(11, 5)
+    drift = np.full((grid.n_t, grid.n_q), -1e4)
+    with pytest.raises(ConfigError, match="within one time step"):
+        fpk_forward(grid, initial_density(grid), drift)
+    # a drift that crosses [0, 1] in exactly one step still runs
+    rho = fpk_forward(grid, initial_density(grid), drift / 1e4 / grid.dt)
+    assert rho.min() >= 0.0
+
 def test_mf_interference_quadrature():
     grid = GridSpec(3, 11)
     policy = np.tile(grid.queues, (3, 1))
