@@ -8,6 +8,7 @@ row-major as (n_t, n_q) arrays on a uniform node grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,13 @@ class GridSpec:
     horizon_s: float = 1.0
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.n_t, self.n_q)):
+            raise ConfigError("grid node counts must be integers")
         if self.n_t < 2 or self.n_q < 2:
             raise ConfigError("grid needs at least 2 nodes per axis")
-        if self.horizon_s <= 0:
-            raise ConfigError("horizon_s must be positive")
+        if not 0 < self.horizon_s < math.inf:
+            raise ConfigError("horizon_s must be positive and finite")
 
     @property
     def dt(self) -> float:

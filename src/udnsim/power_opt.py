@@ -72,6 +72,12 @@ for the 1/beta scale of ln(1 + beta p) at large beta, to p_max / 64 at p_max.
 The running minimum of a row is g on the falling part and the node minimum
 past it, so the count c of its nodes with g >= v brackets the root in
 [p_(c-1), p_c], where psi <= 0 at the left node and psi > 0 at the right.
+The row does not increase, so those nodes are a prefix.  A table of one row
+(a scalar beta, as every step of the backward sweep has) finds c by one
+binary search in the reversed, sorted row, eight comparisons per lane; a
+table of several rows (an array beta) compares each lane with all nodes of
+its row.  Both give the same c, nan in v counting 0, so the same
+floating-point operations follow.
 c = 0 (v > beta / p0, psi(0) > 0) and c = N_NODES (v at or below the node
 minimum) have no root, and the better endpoint wins.  So lanes whose root
 pair lies inside one node interval, with v between the node minimum and the true minimum, take the
@@ -201,6 +207,13 @@ def _g_table(beta, pn, p0):
     return np.minimum.accumulate((b * s - (1.0 + bp) * np.log1p(bp)) / (s * s), axis=-1)
 
 
+def _row_count(g, v):
+    """The count of nodes with g >= v in one non-increasing table row g, at
+    the shape of v: those nodes are a prefix, so one binary search in the
+    reversed (sorted) row finds its end."""
+    return N_NODES - np.searchsorted(g[::-1], v, side="left")
+
+
 def _up_crossing(g, v, beta, hb2, pn, p0):
     """The up-crossing of psi on [0, p_max] at the shape of v: the bracket
     that g, a _g_table on the nodes pn at beta's shape, gives each lane, its
@@ -208,12 +221,17 @@ def _up_crossing(g, v, beta, hb2, pn, p0):
     Returns (root, has_root); the root is meaningless where has_root is
     False."""
     g = g.reshape(-1, N_NODES)
-    row = np.arange(g.shape[0]).reshape(np.shape(beta))
-    c = np.count_nonzero(g[row] >= v[..., None], axis=-1)
+    one_row = len(g) == 1
+    if one_row:
+        g = g[0]
+        c = _row_count(g, v)
+    else:
+        row = np.arange(len(g)).reshape(np.shape(beta))
+        c = np.count_nonzero(g[row] >= v[..., None], axis=-1)
     has_root = (c > 0) & (c < N_NODES)
     k = np.minimum(np.maximum(c, 1), N_NODES - 1)
     km = k - 1
-    ga, gb = g[row, km], g[row, k]
+    ga, gb = (g[km], g[k]) if one_row else (g[row, km], g[row, k])
     blo, bhi = pn[km], pn[k]
     # ga >= v > gb keeps the linear start inside the bracket
     x = blo + (ga - v) / (ga - gb) * (bhi - blo)

@@ -145,7 +145,7 @@ def hjb_backward(grid: GridSpec, terminal, beta, phy: PhyParams, queue: QueuePar
             p = p.take(lanes)
             if dead[i]:
                 ham[1] = -np.inf
-            pick = np.argmax(ham, axis=0)
+            pick = ham.argmax(axis=0)
             policy[i] = p[pick, cols]
             if i < n_t - 1:
                 value[i] = v_next + dt * ham[pick, cols]

@@ -550,6 +550,7 @@ from udnsim.reporting import metrics_csv
 cfg_path, out = sys.argv[1:]
 assert main(["solve", "--config", cfg_path]) == 0
 assert main(["validate", "--config", cfg_path, "--solution", out + "/solution.mfg"]) == 0
+assert main(["simulate", "--config", cfg_path]) == 0
 cfg = udnsim.load_config(cfg_path)
 m = udnsim.run_episode(_deployment(cfg, 0), "baseline", cfg.phy, cfg.queue,
                        n_periods=1, seed=1, slots_per_period=10)
@@ -561,10 +562,10 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_solve_validate_report_and_episode_leave_scipy_out(tmp_path):
+def test_solve_validate_simulate_report_and_episode_leave_scipy_out(tmp_path):
     # scipy.special alone costs most of the package's import time and memory;
-    # only simulate and sweep summarize, and only they may load it.  Checked
-    # in a fresh interpreter on the smoke config.
+    # only a summary of more than 31 replicates may load it.  Checked in a
+    # fresh interpreter on the smoke config, whose simulate summarizes 3.
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(root / "src"), UDNSIM_OUTDIR=str(out))

@@ -23,6 +23,12 @@ def test_grid_validation():
         GridSpec(1, 10)
     with pytest.raises(ConfigError):
         GridSpec(10, 10, horizon_s=0.0)
+    with pytest.raises(ConfigError):  # node counts are integers
+        GridSpec(10.0, 10)
+    with pytest.raises(ConfigError):  # the horizon is finite
+        GridSpec(10, 10, horizon_s=math.nan)
+    with pytest.raises(ConfigError):
+        GridSpec(10, 10, horizon_s=math.inf)
 
 
 def test_terminal_values():

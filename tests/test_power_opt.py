@@ -6,8 +6,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from udnsim import GridSpec, PhyParams
-from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _phi, _up_crossing,
-                               maximize_rate_value, step_terms)
+from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _phi, _row_count,
+                               _up_crossing, maximize_rate_value, step_terms)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -358,6 +358,42 @@ def test_one_pass_matches_lane_split_bitwise(phy, rng):
             assert isinstance(got, np.ndarray) and got.flags.writeable
             assert got.shape == ref.shape
             assert np.array_equal(got, ref), (np.shape(beta), np.shape(vgrad))
+
+
+def test_row_count_matches_node_comparison(rng):
+    # non-increasing rows as running minima, with plateaus from rounding and
+    # from the minimum itself, a constant row and a row through zero; v at
+    # every node value (ties), above the first node, below the last, +-inf,
+    # nan and in between
+    rows = [np.minimum.accumulate(np.round(rng.normal(0.0, 3.0, N_NODES), d))
+            for d in (0, 1, 16) for _ in range(20)]
+    rows += [np.full(N_NODES, 0.5), np.minimum.accumulate(np.linspace(1.0, -1.0, N_NODES))]
+    for g in rows:
+        assert np.all(np.diff(g) <= 0.0)
+        v = np.concatenate([g, -g, [g[0] + 1.0, g[-1] - 1.0, np.inf, -np.inf, np.nan, 0.0, -0.0],
+                            rng.uniform(g[-1] - 1.0, g[0] + 1.0, 41)])
+        for vv in (v, v.reshape(-1, 2)):
+            want = np.count_nonzero(g >= vv[..., None], axis=-1)
+            got = _row_count(g, vv)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", [2.7, 40.0, 1e4, 0.0, -1.0])
+def test_scalar_beta_search_matches_multi_row_path_bitwise(phy, rng, beta):
+    # a scalar beta takes the one-row binary search; the same beta next to
+    # another one takes the per-row node count, and its lanes must agree
+    p_max = phy.max_power_w
+    vgrad = np.concatenate([-(10.0 ** rng.uniform(-4.0, 3.0, 200)),
+                            10.0 ** rng.uniform(-4.0, 1.0, 20), np.zeros(5)])
+    boxes = [(0.0, p_max), (np.array([[0.0], [0.3]]), np.array([[0.3], [p_max]]))]
+    for lo, hi in boxes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, val = maximize_rate_value(beta, vgrad, lo, hi, phy)
+            pair = np.array([beta, 7.0]).reshape((2,) + (1,) * p.ndim)
+            p2, val2 = maximize_rate_value(pair, vgrad, lo, hi, phy)
+        assert np.array_equal(p, p2[0]) and np.array_equal(val, val2[0])
 
 
 EPS = np.finfo(float).eps

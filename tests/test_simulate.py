@@ -7,7 +7,7 @@ import scipy.stats
 import udnsim.simulate
 from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
                     PhyParams, QueueParams, generate_deployment, run_episode, run_episodes)
-from udnsim.simulate import (METRIC_FIELDS, _fold_in_order, _sample_initial_backlog,
+from udnsim.simulate import (METRIC_FIELDS, T_975, _fold_in_order, _sample_initial_backlog,
                              derived_rng, summarize_replications)
 
 
@@ -234,6 +234,14 @@ def test_batch_validation(small_deploy, phy, queue):
         run_episodes([small_deploy], [], phy, queue, n_periods=1, **kw)
     with pytest.raises(ConfigError):  # every arm is checked, not only the first
         run_episodes([small_deploy], base + [Arm("mfg")], phy, queue, n_periods=1, **kw)
+
+
+def test_t_quantile_table_holds_scipy_bits():
+    # summarize_replications reads T_975 up to 31 replicates in place of
+    # scipy, so each entry must be the bits t.ppf gives
+    assert len(T_975) == 30
+    for df, t in enumerate(T_975, start=1):
+        assert t == float(scipy.stats.t.ppf(0.975, df)), df
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 1000])

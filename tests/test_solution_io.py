@@ -73,8 +73,13 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     ('"mean_sq_gain": 1.0', '"mean_sq_gain": "one"'),
     ('"noise_norm": 0.1', '"noise_norm": -0.1'),    # solve scalar out of range
     ('"boundary": "exponential"', '"boundary": "parabolic"'),  # unknown kind
+    ('"n_t": 601', '"n_t": 601.0'),                # node count not an integer
+    ('"horizon_s": 1.0', '"horizon_s": NaN'),      # horizon not finite
+    ('"iterations": ', '"iterations": "x", "was": '),  # iteration count not a number
+    (']}\n', ', "a"]}\n'),                         # last residual not a number
 ], ids=["version", "json", "key", "phy-key", "queue-value", "noise-dbm-type",
-        "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary"])
+        "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary",
+        "n-t-float", "horizon-nan", "iterations-type", "residual-type"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)
