@@ -43,16 +43,16 @@ class PhyParams:
     sbs_density: float = 0.25
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be positive")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ConfigError("bandwidth_hz must be positive and finite")
         if not math.isfinite(self.noise_dbm):
             raise ConfigError("noise_dbm must be finite")
-        if self.max_power_w <= 0:
-            raise ConfigError("max_power_w must be positive")
-        if self.circuit_power_w <= 0:
-            raise ConfigError("circuit_power_w must be positive")
-        if self.sbs_density < 0:
-            raise ConfigError("sbs_density must be nonnegative")
+        if not (math.isfinite(self.max_power_w) and self.max_power_w > 0):
+            raise ConfigError("max_power_w must be positive and finite")
+        if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w > 0):
+            raise ConfigError("circuit_power_w must be positive and finite")
+        if not (math.isfinite(self.sbs_density) and self.sbs_density >= 0):
+            raise ConfigError("sbs_density must be nonnegative and finite")
 
     @property
     def noise_w(self) -> float:
@@ -68,12 +68,12 @@ class QueueParams:
     slot_duration_s: float = 0.01
 
     def __post_init__(self):
-        if self.arrival_rate_bps < 0:
-            raise ConfigError("arrival_rate_bps must be nonnegative")
-        if self.capacity_bits <= 0:
-            raise ConfigError("capacity_bits must be positive")
-        if self.slot_duration_s <= 0:
-            raise ConfigError("slot_duration_s must be positive")
+        if not (math.isfinite(self.arrival_rate_bps) and self.arrival_rate_bps >= 0):
+            raise ConfigError("arrival_rate_bps must be nonnegative and finite")
+        if not (math.isfinite(self.capacity_bits) and self.capacity_bits > 0):
+            raise ConfigError("capacity_bits must be positive and finite")
+        if not (math.isfinite(self.slot_duration_s) and self.slot_duration_s > 0):
+            raise ConfigError("slot_duration_s must be positive and finite")
 
 
 def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w=None):

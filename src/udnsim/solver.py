@@ -33,6 +33,13 @@ sub-steps move at most a quarter cell, which keeps any finite drift's
 density nonnegative, so only the backward sweep checks a CFL bound.
 solve_mfg builds beta_trajectory once per fixed-point iteration for the
 sweep, the drift of its policy and the uniqueness diagnostic.
+
+The interference fixed point x = F(x), F one backward and one forward
+sweep, steps from x to x + damping * (F(x) - x), a mix of two nonnegative
+trajectories that needs no clip.  From the second iteration a secant
+(depth-1 Anderson) step replaces it when finite and nonnegative; one
+outside the cone is rejected, not projected back (safeguarded Anderson
+acceleration, Walker & Ni 2011).
 """
 
 from __future__ import annotations
@@ -240,6 +247,13 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
               max_iters: int = FP_MAX_ITERS, init: str = "half") -> MfgSolution:
     """Damped fixed-point iteration over the interference trajectory.
 
+    F(x) is the interference that the best response to x radiates.  With
+    r = F(x) - x, the damped step x + damping * r mixes x and F(x), both
+    nonnegative, so it needs no clip.  From the second iteration, with dx
+    and dr the changes of x and r, the secant step
+    x + damping * r - gamma * (dx + damping * dr), gamma = r.dr / dr.dr,
+    replaces it when dr.dr > 0 and the step is finite and nonnegative.
+
     The residual is the sup-norm change of the interference trajectory
     relative to the (normalized) noise power.  Raises ConvergenceError with
     the residual history when max_iters is exhausted.
@@ -259,9 +273,7 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
         interference = np.full(grid.n_t, 0.5 * eta * phy.max_power_w)
 
     residuals = []
-    step = damping
-    prev_x = None
-    prev_r = None
+    dx = prev_r = None
     for iteration in range(1, max_iters + 1):
         beta = beta_trajectory(interference, noise_norm, mean_sq_gain)
         value, policy = hjb_backward(grid, terminal, beta, phy, queue)
@@ -278,30 +290,17 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
                 grid=grid, value=value, density=rho, policy=policy, interference=i_new,
                 iterations=iteration, residuals=residuals, phy=phy, queue=queue,
                 noise_norm=noise_norm, mean_sq_gain=mean_sq_gain, boundary=boundary)
-        # Oscillating iterates shrink the step; calm ones recover toward the
-        # configured damping.
-        if len(residuals) > 1 and residual > residuals[-2]:
-            step = max(0.5 * step, 0.2)
-        else:
-            step = min(1.1 * step, 1.0)
-        # Secant-accelerated (depth-1 Anderson) mixing kills the slow
-        # near-neutral modes of the interference map; fall back to the plain
-        # damped step whenever the secant direction is degenerate.
-        r_cur = i_new - interference
-        nxt = None
-        if prev_x is not None:
-            dr = r_cur - prev_r
+        r = i_new - interference
+        nxt = interference + damping * r
+        if dx is not None:
+            dr = r - prev_r
             denom = float(dr @ dr)
-            if denom > 1e-300:
-                gamma = float(r_cur @ dr) / denom
-                if abs(gamma) < 25.0:
-                    nxt = interference + step * r_cur - gamma * (
-                        (interference - prev_x) + step * dr)
-        prev_x = interference.copy()
-        prev_r = r_cur
-        if nxt is None or not np.all(np.isfinite(nxt)):
-            nxt = interference + step * r_cur
-        interference = np.maximum(nxt, 0.0)
+            if denom > 0:
+                cand = nxt - float(r @ dr) / denom * (dx + damping * dr)
+                if np.all((cand >= 0) & (cand < np.inf)):
+                    nxt = cand
+        dx, prev_r = nxt - interference, r
+        interference = nxt
 
     raise ConvergenceError(
         f"interference fixed point missed tol={tol} after {max_iters} iterations "

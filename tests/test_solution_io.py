@@ -77,9 +77,20 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     ('"horizon_s": 1.0', '"horizon_s": NaN'),      # horizon not finite
     ('"iterations": ', '"iterations": "x", "was": '),  # iteration count not a number
     (']}\n', ', "a"]}\n'),                         # last residual not a number
+    # every phy and queue float must be finite
+    ('"bandwidth_hz": 1000000.0', '"bandwidth_hz": Infinity'),
+    ('"noise_dbm": -70.0', '"noise_dbm": NaN'),
+    ('"max_power_w": 1.0', '"max_power_w": NaN'),
+    ('"circuit_power_w": 1.0', '"circuit_power_w": NaN'),
+    ('"sbs_density": 0.25', '"sbs_density": Infinity'),
+    ('"arrival_rate_bps": 200000.0', '"arrival_rate_bps": NaN'),
+    ('"capacity_bits": 2000000.0', '"capacity_bits": Infinity'),
+    ('"slot_duration_s": 0.01', '"slot_duration_s": NaN'),
 ], ids=["version", "json", "key", "phy-key", "queue-value", "noise-dbm-type",
         "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary",
-        "n-t-float", "horizon-nan", "iterations-type", "residual-type"])
+        "n-t-float", "horizon-nan", "iterations-type", "residual-type",
+        "bandwidth-inf", "noise-dbm-nan", "max-power-nan", "circuit-power-nan",
+        "sbs-density-inf", "arrival-rate-nan", "capacity-inf", "slot-duration-nan"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)

@@ -431,9 +431,13 @@ def test_interior_equilibrium_shape(interior_solution, interior_phy):
     assert sol.interference.max() <= interior_phy.sbs_density * interior_phy.max_power_w + 1e-12
 
 
-def test_damping_and_init_reach_same_fixed_point(phy, queue):
-    grid = GridSpec(601, 21)
-    kw = dict(noise_norm=0.1, tol=1e-5)
+@pytest.mark.parametrize("grid, phy, kw", [
+    (GridSpec(601, 21), PhyParams(), dict(noise_norm=0.1, tol=1e-5)),
+    # reference-like coupling and noise, where a step from the zero start
+    # overshoots below zero
+    (GridSpec(101, 11), PhyParams(sbs_density=0.056), dict(noise_norm=1e-4, max_iters=30)),
+], ids=["601x21", "reference-like"])
+def test_damping_and_init_reach_same_fixed_point(grid, phy, kw, queue):
     a = solve_mfg(grid, phy, queue, **kw)
     b = solve_mfg(grid, phy, queue, damping=1.0, **kw)
     c = solve_mfg(grid, phy, queue, init="zero", **kw)
