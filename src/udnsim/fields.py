@@ -82,8 +82,10 @@ def terminal_value(kind: str, q_norm) -> np.ndarray:
 def initial_density(grid: GridSpec, mean: float = 0.5, variance: float = 0.1) -> np.ndarray:
     """Truncated Gaussian backlog density on the grid nodes, renormalized so
     the trapezoid mass is exactly 1."""
-    if variance <= 0:
-        raise ConfigError("initial density variance must be positive")
+    if not math.isfinite(mean):
+        raise ConfigError("initial density mean must be finite")
+    if not (math.isfinite(variance) and variance > 0):
+        raise ConfigError("initial density variance must be positive and finite")
     y = grid.queues
     rho = np.exp(-0.5 * (y - mean) ** 2 / variance)
     mass = np.trapezoid(rho, dx=grid.dq)

@@ -35,16 +35,24 @@ solve_mfg builds beta_trajectory once per fixed-point iteration for the
 sweep, the drift of its policy and the uniqueness diagnostic.
 
 The interference fixed point x = F(x), F one backward and one forward
-sweep, steps from x to x + damping * (F(x) - x), a mix of two nonnegative
-trajectories that needs no clip.  From the second iteration a secant
-(depth-1 Anderson) step replaces it when finite and nonnegative; one
-outside the cone is rejected, not projected back (safeguarded Anderson
-acceleration, Walker & Ni 2011).
+sweep, starts at the interference of the queue-blind game, in which every
+SBS plays the EE power p*(beta) of the zero-gradient lane (Zappone &
+Jorswieck 2015): the scalar x = eta * mean_sq_gain * p*(mean_sq_gain /
+(x + noise_norm)).  Where the value is flat in backlog the sweep plays that
+power, so the start is the equilibrium up to the queue-aware part of the
+policy.  p* falls with beta, so the scalar map is increasing and bounded by
+eta * mean_sq_gain * p_max, and its iterates from the init value converge
+monotonically.  The loop then steps from x to x + damping * (F(x) - x), a
+mix of two nonnegative trajectories that needs no clip.  From the second
+iteration a secant (depth-1 Anderson) step replaces it when finite and
+nonnegative; one outside the cone is rejected, not projected back
+(safeguarded Anderson acceleration, Walker & Ni 2011).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -65,6 +73,8 @@ log = logging.getLogger(__name__)
 
 FP_TOL = 1e-4
 FP_MAX_ITERS = 200
+# scalar steps of the queue-blind start; reference physics takes 12 to 15
+START_MAX_ITERS = 1000
 FP_DAMPING = 0.5
 EXISTENCE_TOL = 1e-12
 # time steps per block of the backward sweep's step_terms
@@ -78,14 +88,18 @@ def _rate_coeffs(phy: PhyParams, queue: QueueParams):
     return abar, rcoef
 
 
+def _check_noise_and_gain(noise_norm, mean_sq_gain):
+    if not (math.isfinite(noise_norm) and noise_norm > 0):
+        raise ConfigError("noise_norm must be positive and finite")
+    if not (math.isfinite(mean_sq_gain) and mean_sq_gain > 0):
+        raise ConfigError("mean_sq_gain must be positive and finite")
+
+
 def beta_trajectory(interference, noise_norm, mean_sq_gain):
     """Gain-to-noise ratio mean_sq_gain / (interference + noise_norm) per
     slice; ConfigError unless it is positive and finite."""
     interference = np.asarray(interference, dtype=float)
-    if noise_norm <= 0:
-        raise ConfigError("noise_norm must be positive")
-    if not 0 < mean_sq_gain < np.inf:
-        raise ConfigError("mean_sq_gain must be positive and finite")
+    _check_noise_and_gain(noise_norm, mean_sq_gain)
     if interference.min() < 0:
         raise ConfigError("interference trajectory must be nonnegative")
     with np.errstate(over="ignore"):  # an overflow fails the test below
@@ -178,8 +192,8 @@ def fpk_forward(grid: GridSpec, rho0, drift):
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (grid.n_q,):
         raise ConfigError("initial density length does not match grid")
-    if rho0.min() < 0:
-        raise ConfigError("initial density must be nonnegative")
+    if not np.all((rho0 >= 0) & (rho0 < np.inf)):
+        raise ConfigError("initial density must be nonnegative and finite")
     drift = np.asarray(drift, dtype=float)
     if drift.shape != (grid.n_t, grid.n_q) or not np.isfinite(drift).all():
         raise ConfigError("drift must be a finite field on the grid")
@@ -230,6 +244,22 @@ def mf_interference(grid: GridSpec, policy, rho, eta: float, mean_sq_gain: float
                                          dx=grid.dq, axis=-1)
 
 
+def _queue_blind_interference(x, noise_norm, mean_sq_gain, phy: PhyParams, tol):
+    """Fixed point of x -> eta * mean_sq_gain * p*(mean_sq_gain / (x + noise_norm)),
+    eta = phy.sbs_density and p* the EE power on [0, p_max], iterated from x
+    until a step moves it by at most 1e-3 * tol * max(noise_norm, x), or for
+    START_MAX_ITERS steps."""
+    _check_noise_and_gain(noise_norm, mean_sq_gain)
+    noise, gain = float(noise_norm), float(mean_sq_gain)
+    for _ in range(START_MAX_ITERS):
+        p, _ = maximize_rate_value(gain / (x + noise), 0.0, 0.0, phy.max_power_w, phy)
+        nxt = phy.sbs_density * gain * float(p)
+        if abs(nxt - x) <= 1e-3 * tol * max(noise, nxt):
+            return nxt
+        x = nxt
+    return x
+
+
 def _existence_violations(grid, value, policy, beta, phy, queue):
     """Count grid nodes where the stationarity root is degenerate (Eq.-style
     uniqueness diagnostic evaluated at the converged policy)."""
@@ -247,6 +277,12 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
               max_iters: int = FP_MAX_ITERS, init: str = "half") -> MfgSolution:
     """Damped fixed-point iteration over the interference trajectory.
 
+    The iteration starts from the constant trajectory at the queue-blind
+    game's interference (_queue_blind_interference, seeded with 0 for
+    init="zero" and 0.5 * eta * p_max for "half"; both reach it within the
+    scalar stop tolerance).
+    Where the equilibrium policy is the EE power at every node that carries
+    mass, that start is the fixed point, and the first sweep confirms it.
     F(x) is the interference that the best response to x radiates.  With
     r = F(x) - x, the damped step x + damping * r mixes x and F(x), both
     nonnegative, so it needs no clip.  From the second iteration, with dx
@@ -267,10 +303,9 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     if rho0 is None:
         rho0 = initial_density(grid)
 
-    if init == "zero":
-        interference = np.zeros(grid.n_t)
-    else:
-        interference = np.full(grid.n_t, 0.5 * eta * phy.max_power_w)
+    x0 = 0.0 if init == "zero" else 0.5 * eta * phy.max_power_w
+    interference = np.full(grid.n_t, _queue_blind_interference(
+        x0, noise_norm, mean_sq_gain, phy, tol))
 
     residuals = []
     dx = prev_r = None

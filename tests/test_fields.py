@@ -51,6 +51,13 @@ def test_initial_density_normalized():
     assert grid.queues[np.argmax(rho)] == pytest.approx(0.5, abs=grid.dq)
     with pytest.raises(ConfigError):
         initial_density(grid, variance=0.0)
+    # a nan mean or variance made every node nan, and an infinite variance a
+    # flat density
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="mean must be finite"):
+            initial_density(grid, bad, 0.1)
+        with pytest.raises(ConfigError, match="variance must be positive and finite"):
+            initial_density(grid, 0.5, bad)
 
 
 def test_density_mass_rows():

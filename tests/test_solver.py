@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -7,7 +9,8 @@ from udnsim import (CflError, ConfigError, ConvergenceError, GridSpec, PhyParams
                     mf_interference, solve_mfg, terminal_value)
 from udnsim.fields import density_mass
 from udnsim.power_opt import _phi, maximize_rate_value
-from udnsim.solver import _rate_coeffs, beta_trajectory, drift_field
+from udnsim.solver import (FP_TOL, _queue_blind_interference, _rate_coeffs, beta_trajectory,
+                           drift_field)
 from test_power_opt import _bisect_reference
 
 
@@ -40,6 +43,10 @@ def test_hjb_input_validation(phy, queue):
         beta_trajectory(flat - 1.0, 0.1, 1.0)
     with pytest.raises(ConfigError):
         beta_trajectory(flat, 0.0, 1.0)
+    # a nan or infinite noise is named, not reported as a bad trajectory
+    for noise in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="noise_norm must be positive and finite"):
+            beta_trajectory(flat, noise, 1.0)
 
 
 def test_hjb_uniform_terminal_is_exact(phy, queue):
@@ -304,6 +311,12 @@ def test_fpk_input_validation():
     bad[3] = -0.1
     with pytest.raises(ConfigError):
         fpk_forward(grid, bad, drift)
+    # a nan entry spread to the whole density with no error
+    for value in (np.nan, np.inf):
+        bad = rho0.copy()
+        bad[3] = value
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            fpk_forward(grid, bad, drift)
     with pytest.raises(ConfigError, match="finite field"):
         fpk_forward(grid, rho0, drift[:-1])
     for value in (np.inf, -np.inf):
@@ -346,9 +359,11 @@ def test_solve_converges(small_solution, phy):
     sol.validate()
 
 
-def test_solve_builds_beta_once_per_iteration(phy, queue, monkeypatch):
+def test_solve_builds_beta_once_per_iteration(interior_phy, queue, monkeypatch):
     """The backward sweep, the drift and the final diagnostic share one
-    gain-to-noise trajectory per fixed-point iteration."""
+    gain-to-noise trajectory per fixed-point iteration, and the queue-blind
+    start builds none.  The interior equilibrium is queue-aware: it takes 3
+    iterations from that start."""
     calls = []
 
     def counted(*args):
@@ -356,7 +371,7 @@ def test_solve_builds_beta_once_per_iteration(phy, queue, monkeypatch):
         return beta_trajectory(*args)
 
     monkeypatch.setattr("udnsim.solver.beta_trajectory", counted)
-    sol = solve_mfg(GridSpec(601, 21), phy, queue, noise_norm=0.1)
+    sol = solve_mfg(GridSpec(601, 21), interior_phy, queue, noise_norm=0.05)
     assert sol.iterations > 1
     assert len(calls) == sol.iterations
 
@@ -431,25 +446,74 @@ def test_interior_equilibrium_shape(interior_solution, interior_phy):
     assert sol.interference.max() <= interior_phy.sbs_density * interior_phy.max_power_w + 1e-12
 
 
-@pytest.mark.parametrize("grid, phy, kw", [
-    (GridSpec(601, 21), PhyParams(), dict(noise_norm=0.1, tol=1e-5)),
+# iters: the iteration count measured from the queue-blind start, from
+# either init (the flat starts took 4 and 9, 5 and 7, 4 and 7 from half and zero)
+@pytest.mark.parametrize("grid, phy, kw, iters", [
+    (GridSpec(601, 21), PhyParams(), dict(noise_norm=0.1, tol=1e-5), 1),
+    (GridSpec(601, 21), PhyParams(sbs_density=0.05), dict(noise_norm=0.05), 3),
     # reference-like coupling and noise, where a step from the zero start
     # overshoots below zero
-    (GridSpec(101, 11), PhyParams(sbs_density=0.056), dict(noise_norm=1e-4, max_iters=30)),
-], ids=["601x21", "reference-like"])
-def test_damping_and_init_reach_same_fixed_point(grid, phy, kw, queue):
+    (GridSpec(101, 11), PhyParams(sbs_density=0.056), dict(noise_norm=1e-4, max_iters=30), 3),
+], ids=["601x21", "interior", "reference-like"])
+def test_damping_and_init_reach_same_fixed_point(grid, phy, kw, iters, queue):
     a = solve_mfg(grid, phy, queue, **kw)
     b = solve_mfg(grid, phy, queue, damping=1.0, **kw)
     c = solve_mfg(grid, phy, queue, init="zero", **kw)
     scale = max(a.interference.max(), 1e-12)
     assert np.abs(a.interference - b.interference).max() / scale < 1e-3
     assert np.abs(a.interference - c.interference).max() / scale < 1e-3
+    assert a.iterations <= iters and c.iterations <= iters
 
 
-def test_solve_convergence_error(phy, queue):
+@pytest.mark.parametrize("phy, noise", [
+    (PhyParams(), 0.1), (PhyParams(sbs_density=0.05), 0.05),
+    (PhyParams(sbs_density=0.056), 1e-4),
+], ids=["default", "interior", "reference-like"])
+def test_queue_blind_start_is_the_static_fixed_point(phy, noise):
+    """From either init the start is a fixed point of the queue-blind map
+    x -> eta * p*(1 / (x + noise)), p* the zero-gradient lane's power, to
+    its stop tolerance, and stays in [0, eta * p_max]."""
+    eta, p_max = phy.sbs_density, phy.max_power_w
+    bound = 1e-3 * FP_TOL
+    starts = {}
+    for x0 in (0.0, 0.5 * eta * p_max):
+        x = _queue_blind_interference(x0, noise, 1.0, phy, FP_TOL)
+        p = maximize_rate_value(1.0 / (x + noise), 0.0, 0.0, p_max, phy)[0]
+        assert 0.0 <= x <= eta * p_max
+        assert abs(eta * float(p) - x) <= bound * max(noise, x)
+        starts[x0] = x
+    zero, half = starts.values()
+    assert abs(zero - half) <= bound * max(noise, half)
+
+
+def test_queue_blind_equilibrium_converges_in_one_sweep(small_solution, phy):
+    """Default physics: the equilibrium plays the EE power wherever mass
+    lies (full power, here), so the first sweep returns the start."""
+    x = _queue_blind_interference(0.5 * phy.sbs_density * phy.max_power_w, 0.1, 1.0, phy,
+                                  FP_TOL)
+    assert small_solution.iterations == 1
+    assert np.abs(small_solution.interference - x).max() <= 1e-12 * x
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["noise_norm", "mean_sq_gain"])
+def test_bad_noise_or_gain_fails_before_the_start(phy, queue, monkeypatch, name, bad):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a power was optimized before the inputs were checked")
+
+    monkeypatch.setattr("udnsim.solver.maximize_rate_value", no_step)
+    kw = {"noise_norm": 0.1, "mean_sq_gain": 1.0, name: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+            solve_mfg(GridSpec(601, 21), phy, queue, **kw)
+
+
+def test_solve_convergence_error(interior_phy, queue):
+    # the interior equilibrium's first sweep leaves a residual of 1.5e-3
     grid = GridSpec(601, 21)
     with pytest.raises(ConvergenceError) as err:
-        solve_mfg(grid, phy, queue, noise_norm=0.1, max_iters=1)
+        solve_mfg(grid, interior_phy, queue, noise_norm=0.05, max_iters=1)
     assert len(err.value.residuals) == 1
 
 
