@@ -269,6 +269,15 @@ def _box_best(x, has_root, beta, vgrad, lo, hi, log_hi, inv_hi, p0):
     return np.where(up, hi, r), np.where(up, f_hi, f_r)
 
 
+def ee_power(beta, phy: PhyParams):
+    """The EE power p* on [0, p_max] of beta > 0: what maximize_rate_value
+    returns for vgrad = 0, lo = 0 and hi = p_max, bit for bit, without the
+    box and lane handling around it (the solver's queue-blind start)."""
+    with np.errstate(over="ignore"):  # a subnormal beta clips to p_max
+        return _ee_power(np.asarray(beta, dtype=float), 0.0, phy.max_power_w,
+                         phy.circuit_power_w)
+
+
 class BoxTerms(NamedTuple):
     """What maximize_rate_value computes from beta and the box [lo, hi]
     alone.  lo, hi, p_ee and phi_ee are at the broadcast shape of beta, lo

@@ -67,7 +67,7 @@ from .fields import (
     terminal_value,
 )
 from .phy import LN2, PhyParams, QueueParams
-from .power_opt import maximize_rate_value, step_terms
+from .power_opt import ee_power, maximize_rate_value, step_terms
 
 log = logging.getLogger(__name__)
 
@@ -248,12 +248,13 @@ def _queue_blind_interference(x, noise_norm, mean_sq_gain, phy: PhyParams, tol):
     """Fixed point of x -> eta * mean_sq_gain * p*(mean_sq_gain / (x + noise_norm)),
     eta = phy.sbs_density and p* the EE power on [0, p_max], iterated from x
     until a step moves it by at most 1e-3 * tol * max(noise_norm, x), or for
-    START_MAX_ITERS steps."""
+    START_MAX_ITERS steps.  p* comes from power_opt.ee_power, the sweep's
+    zero-gradient lane without maximize_rate_value around it, so that
+    function's vgrad = 0 case keeps serving only the episodes' power."""
     _check_noise_and_gain(noise_norm, mean_sq_gain)
     noise, gain = float(noise_norm), float(mean_sq_gain)
     for _ in range(START_MAX_ITERS):
-        p, _ = maximize_rate_value(gain / (x + noise), 0.0, 0.0, phy.max_power_w, phy)
-        nxt = phy.sbs_density * gain * float(p)
+        nxt = phy.sbs_density * gain * float(ee_power(gain / (x + noise), phy))
         if abs(nxt - x) <= 1e-3 * tol * max(noise, nxt):
             return nxt
         x = nxt

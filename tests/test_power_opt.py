@@ -7,7 +7,7 @@ from scipy.special import lambertw
 
 from udnsim import GridSpec, PhyParams
 from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _phi, _row_count,
-                               _up_crossing, maximize_rate_value, step_terms)
+                               _up_crossing, ee_power, maximize_rate_value, step_terms)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -471,6 +471,18 @@ def test_ee_lanes_without_rate_stay_quiet(phy):
     dead = ~(beta > 0.0)
     assert np.all(p[dead] == 0.2) and np.all(val[dead] == 0.0)
     assert np.all(p[~dead] == 0.9) and np.all(val[~dead] >= 0.0)
+
+
+def test_public_ee_power_is_the_zero_gradient_lane_bitwise(rng, phy):
+    # beta from subnormal to the largest double, scalar and array
+    beta = np.concatenate([10.0 ** rng.uniform(-20, 300, 200),
+                           [5e-324, 1e-300, 1e-15, 1.0, 1e300, np.finfo(float).max]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ee_power(beta, phy)
+        ref = maximize_rate_value(beta, 0.0, 0.0, phy.max_power_w, phy)[0]
+        assert np.array_equal(p, ref)
+        assert ee_power(float(beta[0]), phy) == ref[0]
 
 
 def test_strong_queue_pressure_saturates(phy):

@@ -501,7 +501,7 @@ def test_bad_noise_or_gain_fails_before_the_start(phy, queue, monkeypatch, name,
     def no_step(*args, **kwargs):
         raise AssertionError("a power was optimized before the inputs were checked")
 
-    monkeypatch.setattr("udnsim.solver.maximize_rate_value", no_step)
+    monkeypatch.setattr("udnsim.solver.ee_power", no_step)
     kw = {"noise_norm": 0.1, "mean_sq_gain": 1.0, name: bad}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
