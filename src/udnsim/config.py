@@ -252,13 +252,16 @@ def _build(raw: dict) -> RunConfig:
         raise ConfigError("[solver] tol must be positive and max_iters at least 1")
     if not 0 < raw["solver"]["damping"] <= 1:
         raise ConfigError("[solver] damping must lie in (0, 1]")
-    if raw["deployment"]["k"] < 1 or raw["deployment"]["isd_units"] <= 0:
-        raise ConfigError("[deployment] needs k >= 1 and positive isd_units")
-    if raw["simulate"]["n_periods"] < 1 or raw["simulate"]["n_replicates"] < 1:
-        raise ConfigError("[simulate] needs at least one period and one replicate")
-    if raw["simulate"]["slots_per_period"] < 1:
-        raise ConfigError("[simulate] slots_per_period must be at least 1")
-    period_s = raw["simulate"]["slots_per_period"] * cfg.queue.slot_duration_s
+    dep = raw["deployment"]
+    if (dep["k"] < 1 or dep["isd_units"] <= 0 or dep["area_km2"] <= 0
+            or dep["jitter_frac"] < 0 or dep["rician_k_db"] >= 3080):
+        raise ConfigError("[deployment] needs k >= 1, isd_units > 0, area_km2 > 0, "
+                          "jitter_frac >= 0 and rician_k_db < 3080 (a K-factor below 1e308)")
+    sim = raw["simulate"]
+    if min(sim["n_periods"], sim["n_replicates"], sim["slots_per_period"]) < 1 or sim["base_seed"] < 0:
+        raise ConfigError("[simulate] needs n_periods, n_replicates and slots_per_period >= 1 "
+                          "and base_seed >= 0")
+    period_s = sim["slots_per_period"] * cfg.queue.slot_duration_s
     if not math.isclose(period_s, cfg.grid.horizon_s, rel_tol=1e-9):
         raise ConfigError(f"the simulated period (slots_per_period x slot_duration_s = "
                           f"{period_s:g} s) must equal the solved one, [solver] horizon_s")

@@ -68,8 +68,10 @@ def rician_power_fading(rng: np.random.Generator, shape, k_db: float) -> np.ndar
 def grid_side(isd_units: float, area_km2: float = DEFAULT_AREA_KM2) -> int:
     """Number of SBS rows/columns: the square side divided by the inter-site
     distance, rounded to the nearest whole grid."""
-    if isd_units <= 0:
+    if not isd_units > 0:
         raise ConfigError("isd_units must be positive")
+    if not area_km2 > 0:
+        raise ConfigError("area_km2 must be positive")
     side_m = np.sqrt(area_km2) * 1e3
     return max(1, round(side_m / (isd_units * ISD_UNIT_M)))
 
@@ -88,11 +90,13 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     K -> -inf dB recovers Rayleigh fading."""
     if k < 1:
         raise ConfigError("k must be at least 1")
-    if cross_isolation_db < 0:
+    if not jitter_frac >= 0:
+        raise ConfigError("jitter_frac must be nonnegative")
+    if not cross_isolation_db >= 0:
         raise ConfigError("cross_isolation_db must be nonnegative")
     rng = np.random.default_rng(seed)
-    side_m = np.sqrt(area_km2) * 1e3
     n_side = grid_side(isd_units, area_km2)
+    side_m = np.sqrt(area_km2) * 1e3
     cell = side_m / n_side
 
     centers = (np.arange(n_side) + 0.5) * cell

@@ -11,8 +11,7 @@ wins.  The Hamiltonian is phi + abar * dV/dy with phi the pointwise utility
 of power_opt in nats and vgrad = rcoef * dV/dy its marginal value of rate, the
 same units that _existence_violations uses.  At the walls the upwinded
 gradient is clamped to zero, the drain gradient at y=0 and the fill gradient
-at y=1: backlog cannot leave [0, capacity], as the forward sweep's walls
-carry no flux.
+at y=1: backlog cannot leave [0, capacity].
 
 Each step makes one maximize_rate_value call.  The balance power, and with
 it both boxes, is computed once per sweep for every step.  What depends on
@@ -26,11 +25,14 @@ serves both, and the zero lane gives both walls.  The result equals, bit for
 bit, a sweep that hands each step's 2 n_q lanes to maximize_rate_value with
 its terms built per call.
 
-The forward sweep is a conservative finite-volume upwind transport of a
-drift field on the same grid (half cells at the walls, zero-flux
-boundaries); mass is conserved to machine precision by construction.  Its
-sub-steps move at most a quarter cell, which keeps any finite drift's
-density nonnegative, so only the backward sweep checks a CFL bound.
+The forward sweep is the transpose of the backward step at a fixed policy
+(Achdou & Capuzzo-Dolcetta 2010; Gomes, Mohr & Souza 2010).  A step reads
+value[i] = A_i value[i + 1] + dt * utility, where node k keeps 1 - c,
+c = dt * |drift| / dq, and reads c from its upwind node, none at a clamped
+wall; the node masses m = w * rho move by m[i + 1] = A_i^T m[i].  So mass is
+conserved, stays nonnegative and is the population the sweep's control
+moves.  Both sweeps check one CFL bound, c <= 1 (_check_cfl), the backward
+one for every power in [0, p_max].
 solve_mfg builds beta_trajectory once per fixed-point iteration for the
 sweep, the drift of its policy and the uniqueness diagnostic.
 
@@ -95,6 +97,13 @@ def _check_noise_and_gain(noise_norm, mean_sq_gain):
         raise ConfigError("mean_sq_gain must be positive and finite")
 
 
+def _check_cfl(speed, grid: GridSpec):
+    """CflError unless speed moves backlog at most one node per time step
+    (relative slack 1e-12, for a speed of exactly one node per step)."""
+    if speed * grid.dt > grid.dq * (1.0 + 1e-12):
+        raise CflError(speed, grid.dt, grid.dq)
+
+
 def beta_trajectory(interference, noise_norm, mean_sq_gain):
     """Gain-to-noise ratio mean_sq_gain / (interference + noise_norm) per
     slice; ConfigError unless it is positive and finite."""
@@ -125,9 +134,7 @@ def hjb_backward(grid: GridSpec, terminal, beta, phy: PhyParams, queue: QueuePar
                           "one value per time node")
     # the worst-case advection speed over the whole power box must fit the grid
     abar, rcoef = _rate_coeffs(phy, queue)
-    speed = max(abar, rcoef * np.log1p(float(beta.max()) * phy.max_power_w) - abar)
-    if speed * grid.dt > grid.dq * (1.0 + 1e-12):
-        raise CflError(speed, grid.dt, grid.dq)
+    _check_cfl(max(abar, rcoef * np.log1p(float(beta.max()) * phy.max_power_w) - abar), grid)
 
     n_t, n_q, dq, dt = grid.n_t, grid.n_q, grid.dq, grid.dt
     p_max = phy.max_power_w
@@ -186,7 +193,7 @@ def fpk_forward(grid: GridSpec, rho0, drift):
     """Forward transport of the backlog density along a queue drift field.
 
     drift: finite (n_t, n_q) field, such as drift_field of a policy, that
-    crosses [0, 1] in no less than one time step.
+    moves backlog by at most one node per time step (_check_cfl).
     Returns the (n_t, n_q) density field with rho0 reproduced at slice 0.
     """
     rho0 = np.asarray(rho0, dtype=float)
@@ -197,42 +204,27 @@ def fpk_forward(grid: GridSpec, rho0, drift):
     drift = np.asarray(drift, dtype=float)
     if drift.shape != (grid.n_t, grid.n_q) or not np.isfinite(drift).all():
         raise ConfigError("drift must be a finite field on the grid")
+    _check_cfl(float(np.abs(drift[:-1]).max()), grid)
 
+    # node masses by the transposed sweep step; clamped walls move none out
     w = grid.cell_widths()
-    dq, dt = grid.dq, grid.dt
-    rho = np.empty((grid.n_t, grid.n_q))
-    rho[0] = rho0
-    mass0 = float(density_mass(grid, rho0))
-
-    # face velocities between nodes, one row per step, and their upwind parts
-    u = 0.5 * (drift[:-1, :-1] + drift[:-1, 1:])
-    u_pos, u_neg = np.maximum(u, 0.0), np.minimum(u, 0.0)
-    # dt times a row's largest face velocity is the share of [0, 1] its drift
-    # crosses in one step: above 1 the time grid cannot resolve the
-    # transport, and up to 1 a row takes at most 4 (n_q - 1) sub-steps
-    speed = np.abs(u).max(axis=1)
-    if (dt * speed > 1.0).any():
-        raise ConfigError(f"drift {speed.max():.3g} crosses [0, 1] within one time step")
-    # positivity needs dt_sub * |outflow| <= half-width wall cells, which
-    # the sub-step count ensures; a row at rest takes one sub-step
-    n_sub = np.maximum(np.ceil(4.0 * dt * speed / dq), 1.0)
-    # walls carry no flux, so backlog pools at y=0 (empty queue) and y=1
-    # (full queue): the flux sits between two zeros, and its differences
-    # are each node's divergence
-    flux = np.zeros(grid.n_q + 1)
+    c = drift[:-1] * (grid.dt / grid.dq)
+    up, down = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+    up[:, -1] = down[:, 0] = 0.0
+    stay = 1.0 - up - down
+    m = np.empty((grid.n_t, grid.n_q))
+    m[0] = w * rho0
     for i in range(grid.n_t - 1):
-        n = int(n_sub[i])
-        dts = dt / n
-        cur = rho[i]
-        for _ in range(n):
-            np.add(u_pos[i] * cur[:-1], u_neg[i] * cur[1:], out=flux[1:-1])
-            cur = cur - dts * np.diff(flux) / w
-        rho[i + 1] = cur
+        np.multiply(stay[i], m[i], out=m[i + 1])
+        m[i + 1, 1:] += up[i, :-1] * m[i, :-1]
+        m[i + 1, :-1] += down[i, 1:] * m[i, 1:]
+    rho = m / w
+    rho[0] = rho0
 
     if rho.min() < DENSITY_FLOOR:
         raise SchemeError(f"density went negative ({rho.min():.3e})")
     np.clip(rho, 0.0, None, out=rho)
-    err = np.abs(density_mass(grid, rho) - mass0).max()
+    err = np.abs(density_mass(grid, rho) - density_mass(grid, rho0)).max()
     if err > MASS_TOL:
         raise SchemeError(f"density mass drifted by {err:.3e} (> {MASS_TOL})")
     return rho
@@ -295,8 +287,8 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     relative to the (normalized) noise power.  Raises ConvergenceError with
     the residual history when max_iters is exhausted.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError("damping must lie in (0, 1]")
+    if not (0.0 < damping <= 1.0 and tol > 0.0 and max_iters >= 1):
+        raise ConfigError("damping must lie in (0, 1], tol be positive and max_iters >= 1")
     if init not in ("zero", "half"):
         raise ConfigError("interference init must be 'zero' or 'half'")
     eta = phy.sbs_density

@@ -79,6 +79,12 @@ def test_missing_file_rejected(tmp_path):
     "[deployment]\nisd_units = nan\n",
     "[deployment]\nk = 0\n",
     "[deployment]\nisd_units = -1\n",
+    "[deployment]\narea_km2 = -1\n",
+    "[deployment]\narea_km2 = 0\n",
+    "[deployment]\njitter_frac = -0.3\n",
+    "[deployment]\nrician_k_db = 1e6\n",
+    "[deployment]\nrician_k_db = 3083\n",            # 10^308.3 overflows
+    "[simulate]\nbase_seed = -1\n",
     "[simulate]\nn_replicates = 0\n",
     "[simulate]\nslots_per_period = 0\n",
     "[simulate]\nestimate_mode = kalman\n",

@@ -14,6 +14,11 @@ def test_grid_side_reference_points():
     assert grid_side(100.0) == 1   # never below one
     with pytest.raises(ConfigError):
         grid_side(0.0)
+    with pytest.raises(ConfigError, match="isd_units"):
+        grid_side(np.nan)
+    for area in (0.0, -1.0, np.nan):
+        with pytest.raises(ConfigError, match="area_km2"):
+            grid_side(3.5, area)
 
 
 def test_deployment_shapes(phy):
@@ -75,3 +80,11 @@ def test_single_cell_has_no_interference(phy):
 def test_k_validation(phy):
     with pytest.raises(ConfigError):
         generate_deployment(3.5, 0, phy, seed=1)
+
+
+@pytest.mark.parametrize("kw", [dict(area_km2=0.0), dict(area_km2=-1.0),
+                                dict(area_km2=np.nan), dict(jitter_frac=-0.3),
+                                dict(jitter_frac=np.nan), dict(cross_isolation_db=np.nan)])
+def test_geometry_validation(phy, kw):
+    with pytest.raises(ConfigError):
+        generate_deployment(3.5, 2, phy, seed=1, **kw)

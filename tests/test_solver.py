@@ -244,36 +244,50 @@ def test_fpk_pools_at_wall(phy, queue):
     assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-10
 
 
+def _sweep_matrix(grid, drift_row):
+    """The backward sweep's linear step at one time, value[i] = A value[i + 1]
+    + dt * utility: node k reads the upwind neighbour along its drift with
+    weight c = dt * |drift| / dq, and the wall nodes' clamped gradients read
+    nothing outside [0, 1]."""
+    n = grid.n_q
+    a = np.eye(n)
+    for k, d in enumerate(drift_row):
+        c = abs(d * (grid.dt / grid.dq))
+        j = k + 1 if d > 0 else k - 1
+        if d != 0 and 0 <= j < n:
+            a[k, k], a[k, j] = 1.0 - c, c
+    return a
+
+
 def _fpk_reference(grid, rho0, drift):
-    """The transport loop with each row's face velocities, sub-step count
-    and divergence built inside the time step."""
+    """The node masses w * rho moved by each step's explicit transposed
+    sweep matrix, row by row: row j of A_i is where node j's mass goes."""
     w = grid.cell_widths()
-    rho = np.empty((grid.n_t, grid.n_q))
-    rho[0] = rho0
+    m = w * rho0
+    rho = [rho0]
     for i in range(grid.n_t - 1):
-        u = 0.5 * (drift[i, :-1] + drift[i, 1:])
-        umax = float(np.abs(u).max())
-        n_sub = max(1, int(np.ceil(4.0 * grid.dt * umax / grid.dq))) if umax > 0 else 1
-        dts = grid.dt / n_sub
-        cur = rho[i]
-        for _ in range(n_sub):
-            flux = np.maximum(u, 0.0) * cur[:-1] + np.minimum(u, 0.0) * cur[1:]
-            div = np.zeros_like(cur)
-            div[:-1] += flux
-            div[1:] -= flux
-            cur = cur - dts * div / w
-        rho[i + 1] = cur
-    return np.clip(rho, 0.0, None)
+        a = _sweep_matrix(grid, drift[i])
+        nxt = np.zeros(grid.n_q)
+        for j in range(grid.n_q):
+            nxt += a[j] * m[j]
+        m = nxt
+        rho.append(m / w)
+    return np.clip(np.array(rho), 0.0, None)
 
 
 @pytest.mark.parametrize("nan_row", [None, 150])
 def test_fpk_matches_per_row_reference_bitwise(rng, nan_row):
-    """Drift rows of both signs, rows at rest and rows that need up to
-    eight sub-steps; a drift with one nan entry is refused, where the
-    transport would have turned the density nan from that row on."""
+    """Drift rows of both signs up to one node per step, rows at rest and
+    rows at exactly one node per step; a drift with one nan entry is
+    refused, where the transport would have turned the density nan from
+    that row on."""
     grid = GridSpec(201, 21)
-    drift = rng.uniform(-1.0, 1.0, (grid.n_t, grid.n_q)) * rng.uniform(0.0, 20.0, (grid.n_t, 1))
+    node_speed = grid.dq / grid.dt
+    drift = rng.uniform(-1.0, 1.0, (grid.n_t, grid.n_q)) * rng.uniform(0.0, node_speed,
+                                                                        (grid.n_t, 1))
     drift[::7] = 0.0
+    drift[3::11] = node_speed * np.sign(drift[3::11])
+    assert (drift < 0).any() and (drift > 0).any()
     rho0 = initial_density(grid)
     if nan_row is not None:
         drift[nan_row, 4] = np.nan
@@ -284,21 +298,20 @@ def test_fpk_matches_per_row_reference_bitwise(rng, nan_row):
     assert np.array_equal(rho, _fpk_reference(grid, rho0, drift))
 
 
-def test_fpk_transports_past_the_hjb_cfl_bound(phy, queue):
+def test_fpk_refuses_the_drift_the_hjb_refuses(phy, queue):
     """A full-power drain at a gain-to-noise ratio of 33 moves backlog 2.4
-    cells per time step on this grid: the backward sweep refuses it, and
-    the transport sub-steps it with mass and positivity kept."""
+    nodes per time step on this grid: both sweeps refuse it with one bound,
+    at one speed."""
     grid = GridSpec(101, 101)
     beta = beta_trajectory(np.zeros(grid.n_t), 0.03, 1.0)
     policy = np.full((grid.n_t, grid.n_q), phy.max_power_w)
-    with pytest.raises(CflError):
+    with pytest.raises(CflError) as hjb_err:
         hjb_backward(grid, terminal_value("uniform", grid.queues), beta, phy, queue)
     drift = drift_field(policy, beta, phy, queue)
     assert np.abs(drift).max() * grid.dt / grid.dq > 2.0
-    rho = fpk_forward(grid, initial_density(grid), drift)
-    assert rho.min() >= 0.0
-    assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-10
-    assert rho[-1, 0] * grid.cell_widths()[0] > 0.99  # drained to the empty wall
+    with pytest.raises(CflError) as fpk_err:
+        fpk_forward(grid, initial_density(grid), drift)
+    assert fpk_err.value.speed == hjb_err.value.speed
 
 
 def test_fpk_input_validation():
@@ -328,15 +341,67 @@ def test_fpk_input_validation():
 
 
 def test_fpk_rejects_a_drift_faster_than_the_time_grid():
-    """A drift that crosses [0, 1] within one time step raises, before
-    thousands of sub-steps per row (16 000 here at dt = 0.1, dq = 0.25)."""
+    """A drift that moves backlog by more than one node per time step
+    raises; one of exactly one node per step still runs, keeps its mass and
+    stays nonnegative (dt = 0.1, dq = 0.25)."""
     grid = GridSpec(11, 5)
-    drift = np.full((grid.n_t, grid.n_q), -1e4)
-    with pytest.raises(ConfigError, match="within one time step"):
-        fpk_forward(grid, initial_density(grid), drift)
-    # a drift that crosses [0, 1] in exactly one step still runs
-    rho = fpk_forward(grid, initial_density(grid), drift / 1e4 / grid.dt)
-    assert rho.min() >= 0.0
+    node_speed = grid.dq / grid.dt
+    for speed in (1e4, 1.01 * node_speed):
+        for sign in (1.0, -1.0):
+            drift = np.full((grid.n_t, grid.n_q), sign * speed)
+            with pytest.raises(CflError):
+                fpk_forward(grid, initial_density(grid), drift)
+    for sign in (1.0, -1.0):
+        drift = np.full((grid.n_t, grid.n_q), sign * node_speed)
+        rho = fpk_forward(grid, initial_density(grid), drift)
+        assert rho.min() >= 0.0
+        assert np.abs(density_mass(grid, rho) - 1.0).max() < 1e-12
+        # every node moves one node per step: after n_q - 1 steps all the
+        # mass sits at the wall the drift points to
+        wall = -1 if sign > 0 else 0
+        assert rho[-1, wall] * grid.cell_widths()[wall] == pytest.approx(1.0, abs=1e-12)
+
+
+def _duality_case(name, request, queue):
+    """(grid, phy, beta, boundary) of one duality case: a solved
+    equilibrium's gain-to-noise trajectory, or one set by hand."""
+    solved = {"default-601x21": (GridSpec(601, 21), PhyParams(), 0.1),
+              "interior-801x21": (GridSpec(801, 21), PhyParams(sbs_density=0.05), 0.05),
+              "interior-201x11": (GridSpec(201, 11), PhyParams(sbs_density=0.05), 0.05),
+              "reference-like-101x11": (GridSpec(101, 11), PhyParams(sbs_density=0.056), 1e-4)}
+    fixtures = {"default-601x21": "small_solution", "interior-801x21": "interior_solution"}
+    if name in solved:
+        grid, phy, noise = solved[name]
+        if name in fixtures:
+            sol = request.getfixturevalue(fixtures[name])
+        else:
+            sol = solve_mfg(grid, phy, queue, noise_norm=noise, max_iters=30)
+        return grid, phy, beta_trajectory(sol.interference, noise, 1.0), "exponential"
+    grid = GridSpec(601, 21)
+    if name == "no-drain":
+        # the balance power exceeds p_max: every node fills
+        return grid, PhyParams(), np.full(grid.n_t, 0.05), "exponential"
+    beta = 8.0 + 4.0 * np.sin(2.0 * np.pi * grid.times)
+    return grid, PhyParams(), beta, name.removeprefix("time-varying-")
+
+
+@pytest.mark.parametrize("name", [
+    "default-601x21", "interior-801x21", "interior-201x11", "reference-like-101x11",
+    "time-varying-exponential", "time-varying-linear", "no-drain"])
+def test_fpk_is_the_adjoint_of_the_hjb_step(name, request, queue):
+    """The discrete verification identity <rho_0, V_0> = <rho_T, V_T> +
+    dt * sum_i <rho_i, u_i> over steps 0 .. n_t - 2, with trapezoid weights
+    and u_i the utility at the chosen power: the density is the population
+    that the sweep's own step moves."""
+    grid, phy, beta, boundary = _duality_case(name, request, queue)
+    value, policy = hjb_backward(grid, terminal_value(boundary, grid.queues), beta, phy, queue)
+    rho = fpk_forward(grid, initial_density(grid), drift_field(policy, beta, phy, queue))
+    w = grid.cell_widths()
+    utility = _phi(policy[:-1], beta[:-1, None], 0.0, phy.circuit_power_w)
+    start = w @ (rho[0] * value[0])
+    end = w @ (rho[-1] * value[-1]) + grid.dt * ((rho[:-1] * utility) @ w).sum()
+    assert abs(start - end) <= 1e-12 * abs(start)
+
 
 def test_mf_interference_quadrature():
     grid = GridSpec(3, 11)
@@ -525,3 +590,8 @@ def test_solve_option_validation(phy, queue):
         solve_mfg(grid, phy, queue, noise_norm=0.1, init="warm")
     with pytest.raises(ConfigError):
         solve_mfg(grid, phy, queue, noise_norm=0.1, boundary="bogus")
+    # refused before the start: max_iters = 0 used to read the last of no
+    # residuals, and a tol no residual meets ran every iteration
+    for kw in (dict(max_iters=0), dict(tol=0.0), dict(tol=-1.0), dict(tol=np.nan)):
+        with pytest.raises(ConfigError, match="tol be positive and max_iters"):
+            solve_mfg(grid, phy, queue, noise_norm=0.1, **kw)
