@@ -9,8 +9,9 @@ from .errors import (CflError, ConfigError, ConvergenceError, InvariantError,
 from .fields import GridSpec, MfgSolution, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import maximize_rate_value
+from .reporting import ReplicationSummary
 from .scheduler import DppParams, SchedulerState, dpp_step
-from .simulate import Arm, EpisodeMetrics, ReplicationSummary, run_episode, run_episodes
+from .simulate import Arm, EpisodeMetrics, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import (beta_trajectory, drift_field, fpk_forward, hjb_backward,
                      mf_interference, solve_mfg)

@@ -2,7 +2,8 @@
 
 Subcommands: solve, simulate, sweep, report, validate.  Exit codes: 0 on
 success, 2 for configuration problems, 3 when the equilibrium iteration does
-not converge, 4 when a solution or scheme invariant fails.
+not converge, 4 when a solution or scheme invariant fails.  Every table the
+commands write, and every statistic in one, comes from ``reporting``.
 
 Every solve calibrates from replicate 0's deployment: the coupling strength
 eta and the normalized noise are that network's, so `solve`, `simulate` and
@@ -20,7 +21,6 @@ lockstep batch.  V enters the scheduler alone, so a v sweep shares one batch.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -31,8 +31,9 @@ from .config import RunConfig, load_config
 from .deployment import generate_deployment
 from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
-from .reporting import build_cdf, cdf_table, csv_to_dat, metrics_csv, sweep_report
-from .simulate import METRIC_FIELDS, Arm, derived_rng, run_episodes, summarize_replications
+from .reporting import (cdf_table, csv_to_dat, metrics_csv, read_metric, report_table,
+                        summary_csv, sweep_report)
+from .simulate import Arm, derived_rng, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
 
@@ -105,9 +106,9 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
 
 def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list) -> list:
     """Every replicate of every arm as one lockstep batch: each arm's
-    (metrics, summary), in the order of arms."""
+    metrics, in the order of arms."""
     sim = cfg.raw["simulate"]
-    runs = run_episodes(
+    return run_episodes(
         deploys, arms, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
         seed=sim["base_seed"], replicates=range(len(deploys)), solution=sol,
         qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"],
@@ -115,18 +116,6 @@ def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list
         initial_backlog=sim["initial_backlog"],
         estimate_mode=sim["estimate_mode"],
         drain_window_slots=sim["drain_window_slots"])
-    return [(metrics, summarize_replications(metrics)) for metrics in runs]
-
-
-def _summary_csv(results: dict) -> str:
-    lines = ["method,metric,n,mean,ci_lo,ci_hi"]
-    for method in sorted(results):
-        _, summary = results[method]
-        for key in METRIC_FIELDS:
-            lines.append(",".join([
-                method, key, str(summary.n), "%.12g" % summary.mean[key],
-                "%.12g" % summary.lo(key), "%.12g" % summary.hi(key)]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_solve(args) -> int:
@@ -163,10 +152,10 @@ def cmd_simulate(args) -> int:
         save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
     arms = [Arm(method, cfg.dpp) for method in methods]
-    results = dict(zip(methods, _run_arms(cfg, arms, sol, deploys)))
-    for method, (metrics, _) in results.items():
+    runs = dict(zip(methods, _run_arms(cfg, arms, sol, deploys)))
+    for method, metrics in runs.items():
         _write(os.path.join(outdir, f"metrics_{method}.csv"), metrics_csv(metrics))
-    _write(os.path.join(outdir, "summary.csv"), _summary_csv(results))
+    _write(os.path.join(outdir, "summary.csv"), summary_csv(runs))
     return 0
 
 
@@ -181,65 +170,33 @@ def cmd_sweep(args) -> int:
     swept = [(value, cfg.with_value(key, value)) for value in values]
     batches = [swept] if key == "v" else [[point] for point in swept]
 
-    points = []   # per value: (value, {method: summary})
+    points = []   # per value: (value, {method: its replicates' metrics})
     all_rows = []
     for batch in batches:
         head = batch[0][1]
         deploys = _deployments(head)
         sol = _calibrate_and_solve(head, deploys[0])
         arms = [Arm("mfg", point.dpp) for _, point in batch] + [Arm("baseline")]
-        *mfg_runs, (base_rows, base_summary) = _run_arms(head, arms, sol, deploys)
-        for (value, _), (mfg_rows, mfg_summary) in zip(batch, mfg_runs):
-            points.append((value, {"mfg": mfg_summary, "baseline": base_summary}))
+        *mfg_runs, base_rows = _run_arms(head, arms, sol, deploys)
+        for (value, _), mfg_rows in zip(batch, mfg_runs):
+            points.append((value, {"mfg": mfg_rows, "baseline": base_rows}))
             all_rows += mfg_rows + base_rows
             print(f"swept {key}={value}")
 
     _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(all_rows))
     for metric in args.metrics:
         table = sweep_report(key, points, metric)
-        path = os.path.join(outdir, f"sweep_{metric}.csv")
-        _write(path, table)
-        _write(os.path.splitext(path)[0] + ".dat", csv_to_dat(table))
+        _write(os.path.join(outdir, f"sweep_{metric}.csv"), table)
+        _write(os.path.join(outdir, f"sweep_{metric}.dat"), csv_to_dat(table))
     return 0
 
 
-def _read_metrics_rows(path: str):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read metrics file {path} ({exc.strerror})") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"metrics file {path} is not UTF-8 text ({exc.reason})") from exc
-    if not rows:
-        raise ConfigError(f"no metric rows in {path}")
-    return rows
-
-
 def cmd_report(args) -> int:
-    if args.metric not in METRIC_FIELDS:
-        raise ConfigError(f"unknown metric {args.metric!r}")
-    outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
-    by_method = {}
-    for path in args.metrics:
-        for row in _read_metrics_rows(path):
-            try:
-                by_method.setdefault(row["method"], []).append(float(row[args.metric]))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"{path} lacks a {args.metric!r} column") from exc
-            except ValueError as exc:
-                raise ConfigError(f"{path}: non-numeric {args.metric!r} value ({exc})") from exc
-
+    by_method = read_metric(args.metrics, args.metric)
+    os.makedirs(args.out, exist_ok=True)
     for method, vals in sorted(by_method.items()):
-        cdf = build_cdf(vals)
-        _write(os.path.join(outdir, f"cdf_{args.metric}_{method}.csv"), cdf_table(cdf))
-    lines = ["method,n,mean,median"]
-    for method, vals in sorted(by_method.items()):
-        arr = np.asarray(vals)
-        lines.append(f"{method},{arr.size},{'%.12g' % arr.mean()},{'%.12g' % np.median(arr)}")
-    _write(os.path.join(outdir, f"report_{args.metric}.csv"), "\n".join(lines) + "\n")
-
+        _write(os.path.join(args.out, f"cdf_{args.metric}_{method}.csv"), cdf_table(vals))
+    _write(os.path.join(args.out, f"report_{args.metric}.csv"), report_table(by_method))
     return 0
 
 

@@ -14,10 +14,13 @@ import os
 from dataclasses import dataclass, field
 
 from .baseline import ESTIMATE_MODES
+from .deployment import grid_side
 from .errors import ConfigError
 from .fields import BOUNDARY_KINDS, GridSpec
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import DppParams
+from .simulate import INITIAL_BACKLOGS
+from .solver import FP_DAMPING, FP_MAX_ITERS, FP_TOL, INIT_MODES
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
 
@@ -27,12 +30,10 @@ SWEEP_KEYS = {"isd": ("deployment", "isd_units"), "k": ("deployment", "k"),
 
 
 def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _float(text: str) -> float:
@@ -71,9 +72,9 @@ SCHEMA = {
         "n_q": (int, 101),
         "horizon_s": (_float, 1.0),
         "boundary": (str, "exponential"),
-        "damping": (_float, 0.5),
-        "tol": (_float, 1e-4),
-        "max_iters": (int, 200),
+        "damping": (_float, FP_DAMPING),
+        "tol": (_float, FP_TOL),
+        "max_iters": (int, FP_MAX_ITERS),
         "init": (str, "half"),
         # feeds no solve; see [phy] sbs_density
         "noise_norm": (_float, 0.03),
@@ -118,10 +119,10 @@ SCHEMA = {
 
 CHOICES = {
     ("solver", "boundary"): BOUNDARY_KINDS,
-    ("solver", "init"): ("zero", "half"),
+    ("solver", "init"): INIT_MODES,
     ("scheduler", "gradient_model"): ("linear_ee",),
     ("simulate", "estimate_mode"): ESTIMATE_MODES,
-    ("simulate", "initial_backlog"): ("empty", "density"),
+    ("simulate", "initial_backlog"): INITIAL_BACKLOGS,
     ("sweep", "key"): ("",) + tuple(SWEEP_KEYS),
 }
 
@@ -265,6 +266,12 @@ def _build(raw: dict) -> RunConfig:
     if not math.isclose(period_s, cfg.grid.horizon_s, rel_tol=1e-9):
         raise ConfigError(f"the simulated period (slots_per_period x slot_duration_s = "
                           f"{period_s:g} s) must equal the solved one, [solver] horizon_s")
+    # bit counts are int64: all buffers full plus an episode's mean arrivals stay below 2**62
+    n_ue = grid_side(dep["isd_units"], dep["area_km2"]) ** 2 * dep["k"]
+    bits = (cfg.queue.capacity_bits + cfg.queue.arrival_rate_bps * sim["n_periods"] * period_s) * n_ue
+    if bits > 2 ** 62:
+        raise ConfigError(f"[traffic] capacity_bits and arrival_rate_bps allow {bits:.3g} bits in "
+                          f"an episode of {n_ue} UEs, past 2**62: bit counts are int64")
     if raw["simulate"]["drain_window_slots"] < 1:
         raise ConfigError("[simulate] drain_window_slots must be at least 1")
     if raw["scheduler"]["qos_min_rate_bps"] < 0:

@@ -110,7 +110,8 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     ue = base + rng.uniform(-0.5 * cell, 0.5 * cell, size=(n_sbs * k, 2))
     serving = np.repeat(np.arange(n_sbs), k)
 
-    d = np.linalg.norm(ue[:, None, :] - sbs[None, :, :], axis=2)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf: no gain
+        d = np.linalg.norm(ue[:, None, :] - sbs[None, :, :], axis=2)
     gains = pathloss_gain(d, pathloss, rng)
     if fading:
         gains = gains * rician_power_fading(rng, gains.shape, rician_k_db)
@@ -122,6 +123,9 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     gains = gains * scale
 
     ref_serving = float(gains[rows, serving].mean())
+    if not 0 < ref_serving < np.inf:
+        raise ConfigError(f"mean serving gain {ref_serving!r} is not positive and finite "
+                          "(check ref_loss_db, min_distance_m and jitter_frac)")
     gains_norm = gains / ref_serving
     cross = gains_norm.sum(axis=1) - gains_norm[rows, serving]
     return Deployment(

@@ -45,8 +45,8 @@ class PhyParams:
     def __post_init__(self):
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ConfigError("bandwidth_hz must be positive and finite")
-        if not math.isfinite(self.noise_dbm):
-            raise ConfigError("noise_dbm must be finite")
+        if not (math.isfinite(self.noise_dbm) and self.noise_dbm < 3110):
+            raise ConfigError("noise_dbm must be finite and below 3110 dBm (1e308 W)")
         if not (math.isfinite(self.max_power_w) and self.max_power_w > 0):
             raise ConfigError("max_power_w must be positive and finite")
         if not (math.isfinite(self.circuit_power_w) and self.circuit_power_w > 0):

@@ -1,4 +1,4 @@
-"""Two-timescale episode simulation.
+"""Two-timescale episode simulation: one EpisodeMetrics per episode.
 
 Scheduling decisions happen once per period; power, transmission,
 interference and queue dynamics run every slot (100 slots per period in the
@@ -60,7 +60,7 @@ the full slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +73,7 @@ from .phy import PhyParams, QueueParams, instantaneous_rate, queue_step, sample_
 from .scheduler import DppParams, SchedulerState, dpp_step, expected_rate
 
 METHODS = ("mfg", "baseline")
+INITIAL_BACKLOGS = ("empty", "density")
 
 
 @dataclass
@@ -204,7 +205,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     elif initial_backlog == "empty":
         queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     else:
-        raise ConfigError("initial_backlog must be 'empty' or 'density'")
+        raise ConfigError(f"initial_backlog must be one of {INITIAL_BACKLOGS}")
     backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
 
     if n_mfg:
@@ -364,64 +365,3 @@ METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",
                  "mean_power_w", "interference_mean", "utility", "energy_j",
                  "delivered_bits")
 
-
-# scipy.special.stdtrit(df, 0.975) for df = 1 .. 30 (2 to 31 replicates),
-# as scipy 1.17.1 returns it: summarize_replications reads these bits
-T_975 = (
-    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
-    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
-    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
-    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
-    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
-    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
-    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
-    2.045229642132703, 2.0422724563012378,
-)
-
-
-@dataclass
-class ReplicationSummary:
-    """Per-metric mean and 95% confidence half-width over seeded replicates."""
-
-    n: int
-    mean: dict = field(default_factory=dict)
-    ci_half: dict = field(default_factory=dict)
-
-    def lo(self, key):
-        return self.mean[key] - self.ci_half[key]
-
-    def hi(self, key):
-        return self.mean[key] + self.ci_half[key]
-
-
-def summarize_replications(metrics: list[EpisodeMetrics]) -> ReplicationSummary:
-    """Mean and Student-t 95% half-width of each metric over the replicates.
-
-    The t quantile is ``scipy.special.stdtrit(n - 1, 0.975)``, the function
-    ``scipy.stats.t.ppf`` evaluates, so ``summary.csv`` keeps its bits.  Up
-    to 31 replicates (every shipped config: 3 at smoke, 20 at reference) it
-    is read from T_975, which holds stdtrit's own values, and scipy is not
-    imported.  Above that stdtrit is imported here, where it runs: importing
-    ``scipy.special`` costs about 0.3 s and 25 MB that no other step needs.
-    No NumPy quantile can stand in for it: against a 50-digit mpmath root,
-    stdtrit is off from the correctly rounded quantile by up to 19 ulp at
-    185 of 203 df checked (1 to 199, 499, 999, 1999 and 4999), so no
-    independent algorithm reproduces its bits.
-    """
-    if not metrics:
-        raise ConfigError("no replicates to summarize")
-    n = len(metrics)
-    out = ReplicationSummary(n=n)
-    if n == 1:
-        tcrit = 0.0
-    elif n - 1 <= len(T_975):
-        tcrit = T_975[n - 2]
-    else:
-        from scipy.special import stdtrit
-
-        tcrit = float(stdtrit(n - 1, 0.975))
-    for key in METRIC_FIELDS:
-        vals = np.array([float(getattr(m, key)) for m in metrics])
-        out.mean[key] = float(vals.mean())
-        out.ci_half[key] = float(tcrit * vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return out

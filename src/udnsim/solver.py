@@ -78,6 +78,7 @@ FP_MAX_ITERS = 200
 # scalar steps of the queue-blind start; reference physics takes 12 to 15
 START_MAX_ITERS = 1000
 FP_DAMPING = 0.5
+INIT_MODES = ("zero", "half")  # the queue-blind start's seed: 0 or 0.5 * eta * p_max
 EXISTENCE_TOL = 1e-12
 # time steps per block of the backward sweep's step_terms
 G_BLOCK = 64
@@ -289,8 +290,8 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     """
     if not (0.0 < damping <= 1.0 and tol > 0.0 and max_iters >= 1):
         raise ConfigError("damping must lie in (0, 1], tol be positive and max_iters >= 1")
-    if init not in ("zero", "half"):
-        raise ConfigError("interference init must be 'zero' or 'half'")
+    if init not in INIT_MODES:
+        raise ConfigError(f"interference init must be one of {INIT_MODES}")
     eta = phy.sbs_density
     terminal = terminal_value(boundary, grid.queues)
     if rho0 is None:

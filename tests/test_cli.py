@@ -509,6 +509,23 @@ def test_non_finite_values_exit_2(tmp_path, capsys, command, extra):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("section, line", [
+    ("phy", "noise_dbm = 4000"),               # 1e397 W overflows a float
+    ("pathloss", "ref_loss_db = 4000"),        # every serving gain is 0
+    ("deployment", "jitter_frac = 1e300"),     # every SBS infinitely far
+    ("pathloss", "min_distance_m = 1e300"),
+    ("traffic", "capacity_bits = 1e300"),      # not an int64 bit count
+    ("traffic", "arrival_rate_bps = 1e21"),    # past Poisson's range
+])
+def test_out_of_range_inputs_exit_2(tmp_path, capsys, section, line):
+    header = f"[{section}]\n"
+    body = (SIM_CFG.replace(header, header + line + "\n") if header in SIM_CFG
+            else SIM_CFG + header + line + "\n")
+    cfg, _ = write_cfg(tmp_path, body)
+    assert main(["simulate", "--config", cfg, "--method", "baseline"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_zero_slots_per_period_exits_2(tmp_path):
     cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("slots_per_period = 10",
                                                  "slots_per_period = 0"))

@@ -84,6 +84,10 @@ def test_missing_file_rejected(tmp_path):
     "[deployment]\njitter_frac = -0.3\n",
     "[deployment]\nrician_k_db = 1e6\n",
     "[deployment]\nrician_k_db = 3083\n",            # 10^308.3 overflows
+    "[phy]\nnoise_dbm = 4000\n",                  # 1e397 W overflows
+    "[traffic]\ncapacity_bits = 1e300\n",          # past int64
+    "[traffic]\ncapacity_bits = 7.7e15\n",         # 605 full buffers pass 2**62
+    "[traffic]\narrival_rate_bps = 1e21\n",        # past Poisson's range
     "[simulate]\nbase_seed = -1\n",
     "[simulate]\nn_replicates = 0\n",
     "[simulate]\nslots_per_period = 0\n",

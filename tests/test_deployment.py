@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from udnsim import ConfigError, generate_deployment, grid_side
+from udnsim import ConfigError, PathlossModel, generate_deployment, grid_side
 from udnsim.deployment import DEFAULT_AREA_KM2, ISD_UNIT_M
 
 
@@ -84,7 +84,11 @@ def test_k_validation(phy):
 
 @pytest.mark.parametrize("kw", [dict(area_km2=0.0), dict(area_km2=-1.0),
                                 dict(area_km2=np.nan), dict(jitter_frac=-0.3),
-                                dict(jitter_frac=np.nan), dict(cross_isolation_db=np.nan)])
+                                dict(jitter_frac=np.nan), dict(cross_isolation_db=np.nan),
+                                # each sends every serving gain to 0
+                                dict(jitter_frac=1e300),
+                                dict(pathloss=PathlossModel(ref_loss_db=4000.0)),
+                                dict(pathloss=PathlossModel(min_distance_m=1e300))])
 def test_geometry_validation(phy, kw):
     with pytest.raises(ConfigError):
         generate_deployment(3.5, 2, phy, seed=1, **kw)

@@ -2,13 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.stats
 
 import udnsim.simulate
 from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
                     PhyParams, QueueParams, generate_deployment, run_episode, run_episodes)
-from udnsim.simulate import (METRIC_FIELDS, T_975, _fold_in_order, _sample_initial_backlog,
-                             derived_rng, summarize_replications)
+from udnsim.simulate import _fold_in_order, _sample_initial_backlog, derived_rng
 
 
 def synthetic_deployment(n_sbs, k, gain_scale, noise=0.05, eta=0.0):
@@ -234,33 +232,3 @@ def test_batch_validation(small_deploy, phy, queue):
         run_episodes([small_deploy], [], phy, queue, n_periods=1, **kw)
     with pytest.raises(ConfigError):  # every arm is checked, not only the first
         run_episodes([small_deploy], base + [Arm("mfg")], phy, queue, n_periods=1, **kw)
-
-
-def test_t_quantile_table_holds_scipy_bits():
-    # summarize_replications reads T_975 up to 31 replicates in place of
-    # scipy, so each entry must be the bits t.ppf gives
-    assert len(T_975) == 30
-    for df, t in enumerate(T_975, start=1):
-        assert t == float(scipy.stats.t.ppf(0.975, df)), df
-
-
-@pytest.mark.parametrize("n", [2, 3, 20, 1000])
-def test_summary_confidence_interval(n):
-    vals = 1.0 + np.arange(n) ** 1.5 / n
-    rows = []
-    for v in vals:
-        m = EpisodeMetrics(method="x", seed=0, n_periods=1, n_sbs=1, n_ue=1)
-        for key in METRIC_FIELDS:
-            setattr(m, key, float(v))
-        rows.append(m)
-    s = summarize_replications(rows)
-    # summary.csv carries this value, so it must equal the t.ppf expression
-    tcrit = float(scipy.stats.t.ppf(0.975, n - 1))
-    ci_half = float(tcrit * vals.std(ddof=1) / np.sqrt(n))
-    for key in METRIC_FIELDS:
-        assert s.mean[key] == pytest.approx(vals.mean(), rel=1e-12)
-        assert s.ci_half[key] == ci_half
-        assert s.lo(key) == pytest.approx(s.mean[key] - ci_half)
-        assert s.hi(key) == pytest.approx(s.mean[key] + ci_half)
-    with pytest.raises(ConfigError):
-        summarize_replications([])

@@ -86,11 +86,13 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     ('"arrival_rate_bps": 200000.0', '"arrival_rate_bps": NaN'),
     ('"capacity_bits": 2000000.0', '"capacity_bits": Infinity'),
     ('"slot_duration_s": 0.01', '"slot_duration_s": NaN'),
+    ('"noise_dbm": -70.0', '"noise_dbm": 4000.0'),  # 1e397 W overflows
 ], ids=["version", "json", "key", "phy-key", "queue-value", "noise-dbm-type",
         "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary",
         "n-t-float", "horizon-nan", "iterations-type", "residual-type",
         "bandwidth-inf", "noise-dbm-nan", "max-power-nan", "circuit-power-nan",
-        "sbs-density-inf", "arrival-rate-nan", "capacity-inf", "slot-duration-nan"])
+        "sbs-density-inf", "arrival-rate-nan", "capacity-inf", "slot-duration-nan",
+        "noise-dbm-overflow"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)
