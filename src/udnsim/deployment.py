@@ -13,6 +13,11 @@ top of distance pathloss, the usual small-cell wall/penetration term: serving
 links terminate inside the cell while interference arrives from outside it.
 Without it a grid this dense is interference-limited to the point where no
 power policy can carry the offered load.
+
+The (n_ue, n_sbs) gain matrix is built in place: pathloss, shadowing, fading,
+isolation and normalization each rewrite one array, so a draw holds about
+three gain-sized arrays at its peak (the distances, their pathloss and one
+block of normal draws), not one per step.
 """
 
 from __future__ import annotations
@@ -60,9 +65,12 @@ def rician_power_fading(rng: np.random.Generator, shape, k_db: float) -> np.ndar
     k_lin = 10.0 ** (k_db / 10.0)
     los = np.sqrt(k_lin / (k_lin + 1.0))
     sigma = np.sqrt(1.0 / (2.0 * (k_lin + 1.0)))
-    re = los + rng.normal(0.0, sigma, size=shape)
+    re = rng.normal(0.0, sigma, size=shape)
+    re += los
+    re *= re
     im = rng.normal(0.0, sigma, size=shape)
-    return re * re + im * im
+    re += np.square(im, out=im)
+    return re
 
 
 def grid_side(isd_units: float, area_km2: float = DEFAULT_AREA_KM2) -> int:
@@ -110,26 +118,35 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     ue = base + rng.uniform(-0.5 * cell, 0.5 * cell, size=(n_sbs * k, 2))
     serving = np.repeat(np.arange(n_sbs), k)
 
+    # UE-to-SBS distances sqrt(dx * dx + dy * dy): the bits of the 2-norm of
+    # the (n_ue, n_sbs, 2) difference, built in the dx array
     with np.errstate(over="ignore"):  # a distance past the float range is inf: no gain
-        d = np.linalg.norm(ue[:, None, :] - sbs[None, :, :], axis=2)
+        d = np.subtract.outer(ue[:, 0], sbs[:, 0])
+        dy = np.subtract.outer(ue[:, 1], sbs[:, 1])
+        d *= d
+        dy *= dy
+        d += dy
+        del dy
+        np.sqrt(d, out=d)
     gains = pathloss_gain(d, pathloss, rng)
+    del d
     if fading:
-        gains = gains * rician_power_fading(rng, gains.shape, rician_k_db)
+        gains *= rician_power_fading(rng, gains.shape, rician_k_db)
 
+    # cross links lose the isolation; serving links keep their gain exactly
     rows = np.arange(n_sbs * k)
-    isolation = 10.0 ** (-cross_isolation_db / 10.0)
-    scale = np.full_like(gains, isolation)
-    scale[rows, serving] = 1.0
-    gains = gains * scale
+    serving_gains = gains[rows, serving]
+    gains *= 10.0 ** (-cross_isolation_db / 10.0)
+    gains[rows, serving] = serving_gains
 
-    ref_serving = float(gains[rows, serving].mean())
+    ref_serving = float(serving_gains.mean())
     if not 0 < ref_serving < np.inf:
         raise ConfigError(f"mean serving gain {ref_serving!r} is not positive and finite "
                           "(check ref_loss_db, min_distance_m and jitter_frac)")
-    gains_norm = gains / ref_serving
-    cross = gains_norm.sum(axis=1) - gains_norm[rows, serving]
+    gains /= ref_serving
+    cross = gains.sum(axis=1) - gains[rows, serving]
     return Deployment(
-        sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains_norm,
+        sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains,
         eta=float(cross.mean()), noise_norm=phy.noise_w / ref_serving,
         mean_serving_gain=ref_serving, isd_units=isd_units, k=k,
         area_km2=area_km2, cross_isolation_db=cross_isolation_db,

@@ -146,10 +146,17 @@ def pathloss_gain(distance_m, model: PathlossModel = PathlossModel(), rng: np.ra
     """Linear power gain over the given distance(s) in meters.
 
     With an rng, one log-normal shadowing draw per entry is applied; without,
-    the gain is deterministic.
+    the gain is deterministic.  The steps run in place on one copy of the
+    distances, so the input is left unchanged and a scalar returns a scalar.
     """
-    d = np.maximum(np.asarray(distance_m, dtype=float), model.min_distance_m)
-    pl_db = model.ref_loss_db + 10.0 * model.exponent * np.log10(d / (model.ref_distance_km * 1e3))
+    pl_db = np.array(distance_m, dtype=float)
+    np.maximum(pl_db, model.min_distance_m, out=pl_db)
+    pl_db /= model.ref_distance_km * 1e3
+    np.log10(pl_db, out=pl_db)
+    pl_db *= 10.0 * model.exponent
+    pl_db += model.ref_loss_db
     if rng is not None and model.shadowing_std_db > 0:
-        pl_db = pl_db + rng.normal(0.0, model.shadowing_std_db, size=pl_db.shape)
-    return 10.0 ** (-pl_db / 10.0)
+        pl_db += rng.normal(0.0, model.shadowing_std_db, size=pl_db.shape)
+    np.negative(pl_db, out=pl_db)
+    pl_db /= 10.0
+    return np.power(10.0, pl_db, out=pl_db)[()]

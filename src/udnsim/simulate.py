@@ -13,17 +13,19 @@ one of R deployments of one (n_sbs, k) shape, with its own normalized noise
 and its own traffic stream.  Lane a * R + r runs arm a on replicate r, the
 mfg arms first, so each method's lanes are one slice.  Each replicate's
 arrivals are drawn once per period into one (slots, R * n_ue) block, held
-once and broadcast to every arm, and every arm runs on the same gains.
+once and broadcast to every arm, and every arm reads its link gains from the
+replicate's own deployment, so no gain matrix is copied.
 Per-UE state is one flat vector in which UE u of lane l sits at l * n_ue +
 u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so reshaping it
 gives the (L, n_sbs, k) view that the period step works on; the queues are
 kept as its (arms, R * n_ue) view, against which a slot's arrival row
 broadcasts.  The UEs scheduled for a period are one (L, n_sbs) array of
 flat indices l * n_ue + b * k + local, which gathers and scatters every
-per-lane slot value with one index, and modulo R * n_ue they index the
-replicate's own arrivals and gains.  The cross gains of a period are an
-(L, n_sbs, n_sbs) stack whose row b holds the gains at b's scheduled UE,
-and the interference is one batched matrix-vector product over it.
+per-lane slot value with one index; modulo n_ue they are the UEs' numbers
+in their own deployment.  The cross gains of a period are an (L, n_sbs,
+n_sbs) stack whose row b holds the gains at b's scheduled UE, filled one
+replicate at a time from that replicate's gain matrix, and the interference
+is one batched matrix-vector product over it.
 
 The kernel holds no physics of its own; it calls the tested functions
 once per slot or period on these batched arrays, each method on its own
@@ -189,7 +191,6 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     mfg, base = slice(0, n_mfg), slice(n_mfg, n_lane)
     serving_gain = np.tile(np.stack([d.serving_gains() for d in deploys]),
                            (n_arm, 1)).reshape(n_lane, n_sbs, k)
-    gains = np.concatenate([d.gains for d in deploys])       # (n_rep_ue, n_sbs)
     noise = np.tile([d.noise_norm for d in deploys], n_arm)[:, None]
     cap = int(queue.capacity_bits)
     dt = queue.slot_duration_s
@@ -256,8 +257,9 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             local[base] = pf_schedule(cand, pf_state.rate_avg)
         lanes = lane_base + local
         sched_periods[lanes] += 1
-        rep_lanes = lanes % n_rep_ue  # the same UEs in the replicate's own numbering
-        gains.take(rep_lanes, axis=0, out=g_cross)
+        # lane a * n_rep + r reads replicate r's gains, at its UEs' own numbers
+        for r, d in enumerate(deploys):
+            d.gains.take(lanes[r::n_rep] % n_ue, axis=0, out=g_cross[r::n_rep])
         g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
         # each replicate's arrivals, drawn once and broadcast to every arm
         for r, rng in enumerate(traffic):

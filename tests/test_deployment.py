@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from udnsim import ConfigError, PathlossModel, generate_deployment, grid_side
 from udnsim.deployment import DEFAULT_AREA_KM2, ISD_UNIT_M
+from udnsim.phy import pathloss_gain
 
 
 def test_grid_side_reference_points():
@@ -92,3 +95,85 @@ def test_k_validation(phy):
 def test_geometry_validation(phy, kw):
     with pytest.raises(ConfigError):
         generate_deployment(3.5, 2, phy, seed=1, **kw)
+
+
+def reference_deployment(isd_units, k, phy, pathloss, seed, fading, cross_isolation_db,
+                         rician_k_db=10.0, jitter_frac=0.15, area_km2=DEFAULT_AREA_KM2):
+    """generate_deployment written out of place, one new array per step: the
+    norm of the 3-D difference, pathloss and Rician fading as expressions,
+    a full isolation scale and a normalizing division.  The same draws in
+    the same order."""
+    rng = np.random.default_rng(seed)
+    n_side = grid_side(isd_units, area_km2)
+    cell = np.sqrt(area_km2) * 1e3 / n_side
+    centers = (np.arange(n_side) + 0.5) * cell
+    gx, gy = np.meshgrid(centers, centers, indexing="ij")
+    sbs = np.column_stack([gx.ravel(), gy.ravel()])
+    sbs = sbs + rng.uniform(-jitter_frac * cell, jitter_frac * cell, size=sbs.shape)
+    n_sbs = sbs.shape[0]
+    base = np.repeat(np.column_stack([gx.ravel(), gy.ravel()]), k, axis=0)
+    ue = base + rng.uniform(-0.5 * cell, 0.5 * cell, size=(n_sbs * k, 2))
+    serving = np.repeat(np.arange(n_sbs), k)
+
+    d = np.maximum(np.linalg.norm(ue[:, None, :] - sbs[None, :, :], axis=2),
+                   pathloss.min_distance_m)
+    pl_db = pathloss.ref_loss_db + 10.0 * pathloss.exponent * np.log10(
+        d / (pathloss.ref_distance_km * 1e3))
+    pl_db = pl_db + rng.normal(0.0, pathloss.shadowing_std_db, size=pl_db.shape)
+    gains = 10.0 ** (-pl_db / 10.0)
+    if fading:
+        k_lin = 10.0 ** (rician_k_db / 10.0)
+        sigma = np.sqrt(1.0 / (2.0 * (k_lin + 1.0)))
+        re = np.sqrt(k_lin / (k_lin + 1.0)) + rng.normal(0.0, sigma, size=gains.shape)
+        im = rng.normal(0.0, sigma, size=gains.shape)
+        gains = gains * (re * re + im * im)
+    rows = np.arange(n_sbs * k)
+    scale = np.full_like(gains, 10.0 ** (-cross_isolation_db / 10.0))
+    scale[rows, serving] = 1.0
+    gains = gains * scale
+    ref_serving = float(gains[rows, serving].mean())
+    gains_norm = gains / ref_serving
+    cross = gains_norm.sum(axis=1) - gains_norm[rows, serving]
+    return dict(sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains_norm,
+                eta=float(cross.mean()), noise_norm=phy.noise_w / ref_serving,
+                mean_serving_gain=ref_serving)
+
+
+@pytest.mark.parametrize("isd_units, k", [(12.5, 2), (3.5, 5)])  # 9 and 121 SBSs
+@pytest.mark.parametrize("cross_isolation_db", [0.0, 15.0])
+@pytest.mark.parametrize("fading", [True, False])
+def test_in_place_gains_equal_the_out_of_place_reference(phy, isd_units, k,
+                                                         cross_isolation_db, fading):
+    model = PathlossModel()
+    for seed in (0, 7):
+        dep = generate_deployment(isd_units, k, phy, model, seed=seed, fading=fading,
+                                  cross_isolation_db=cross_isolation_db)
+        ref = reference_deployment(isd_units, k, phy, model, seed, fading, cross_isolation_db)
+        for name, value in ref.items():
+            got = getattr(dep, name)
+            # bit for bit: the same bytes, not just equal values
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+
+
+def test_pathloss_gain_keeps_scalars_and_its_input(rng):
+    model = PathlossModel()
+    gain = pathloss_gain(100.0, model)
+    assert np.ndim(gain) == 0 and not isinstance(gain, np.ndarray)
+    distance = np.array([1.0, 100.0, 1000.0])
+    kept = distance.copy()
+    pathloss_gain(distance, model, rng)
+    assert np.array_equal(distance, kept)
+
+
+def test_deployment_draw_holds_under_four_gain_matrices(phy):
+    """The in-place build peaks near three gain-sized arrays (the distances,
+    their pathloss copy and one draw of normals); out of place it held six."""
+    generate_deployment(3.5, 5, phy, seed=1)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        dep = generate_deployment(3.5, 5, phy, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dep.n_sbs == 121
+    assert peak < 4 * dep.gains.nbytes

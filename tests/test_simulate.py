@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_arms_batch_equals_each_arm_alone(phy, small_solution, estimate_mode, st
         assert metrics == alone
     # the arms differ, so a lane that read another arm's state would show
     assert len({tuple(metrics_tuple(m) for m in metrics) for metrics in batch}) == 3
+
+
+def test_batch_reads_gains_from_each_deployment(phy, queue):
+    """The kernel reads every replicate's gains from its own deployment and
+    holds no stacked copy: a batch of four 121-SBS deployments allocates
+    less than their gain matrices together (a copy alone would fill it)."""
+    deploys = [generate_deployment(3.5, 5, phy, seed=s) for s in range(4)]
+    kw = dict(n_periods=1, seed=3, slots_per_period=2)
+    run_episodes(deploys[:1], [Arm("baseline")], phy, queue, replicates=[0], **kw)
+    tracemalloc.start()
+    try:
+        run_episodes(deploys, [Arm("baseline")], phy, queue, replicates=range(4), **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(d.gains.nbytes for d in deploys)
 
 
 def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, monkeypatch):
