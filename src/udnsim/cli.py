@@ -53,12 +53,8 @@ def _deployment(cfg: RunConfig, i: int):
     """Replicate i's deployment of the config's geometry, drawn from
     derived_rng's stream 0, so every method and every solve of a config
     runs on the same networks; replicate 0's is the calibration."""
-    d = cfg.raw["deployment"]
-    return generate_deployment(d["isd_units"], d["k"], cfg.phy, cfg.pathloss,
-                               seed=derived_rng(cfg.raw["simulate"]["base_seed"], i, 0),
-                               area_km2=d["area_km2"], jitter_frac=d["jitter_frac"],
-                               fading=d["fading"], cross_isolation_db=d["cross_isolation_db"],
-                               rician_k_db=d["rician_k_db"])
+    return generate_deployment(**cfg.raw["deployment"], phy=cfg.phy, pathloss=cfg.pathloss,
+                               seed=derived_rng(cfg.raw["simulate"]["base_seed"], i, 0))
 
 
 def _deployments(cfg: RunConfig) -> list:

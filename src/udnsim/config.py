@@ -1,9 +1,12 @@
 """Run configuration: INI-style key = value files with strict schema checks.
 
 Unknown sections or keys are rejected; every key has a typed default, so an
-empty file is a valid (reference-like) configuration.  The environment
-variable UDNSIM_OUTDIR overrides the output directory without touching the
-file.
+empty file is a valid (reference-like) configuration.  The [phy], [traffic]
+and [pathloss] sections are the records PhyParams, QueueParams and
+PathlossModel: their keys are the record's fields, in field order, with the
+record's defaults, and each section builds its record whole.  The
+environment variable UDNSIM_OUTDIR overrides the output directory without
+touching the file.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .baseline import ESTIMATE_MODES
 from .deployment import grid_side
@@ -44,29 +47,21 @@ def _float(text: str) -> float:
     return value
 
 
+def _record(cls) -> dict:
+    """A record's section: each field a float key with the record's default."""
+    return {f.name: (_float, f.default) for f in fields(cls)}
+
+
 # section -> key -> (parser, default); choices validated after parsing
 SCHEMA = {
-    "phy": {
-        "bandwidth_hz": (_float, 1e6),
-        "noise_dbm": (_float, -70.0),
-        "max_power_w": (_float, 1.0),
-        "circuit_power_w": (_float, 1.0),
-        # sbs_density and [solver] noise_norm feed no solve: each solve takes
-        # eta and the noise from a deployment.  They stay because unknown keys
-        # are rejected and bench/configs/reference.cfg still sets them.
-        "sbs_density": (_float, 0.25),
-    },
-    "traffic": {
-        "arrival_rate_bps": (_float, 200e3),
-        "capacity_bits": (_float, 2e6),
-        "slot_duration_s": (_float, 0.01),
-    },
-    "pathloss": {
-        "ref_loss_db": (_float, 140.7),
-        "exponent": (_float, 3.67),
-        "shadowing_std_db": (_float, 8.0),
-        "min_distance_m": (_float, 3.0),
-    },
+    # [phy] sbs_density reaches PhyParams, which checks it, but feeds no
+    # solve: each solve replaces it with a deployment's eta, as it takes
+    # the noise from that deployment and not [solver] noise_norm.  Both keys
+    # stay because unknown keys are rejected and bench/configs/reference.cfg
+    # still sets them.
+    "phy": _record(PhyParams),
+    "traffic": _record(QueueParams),
+    "pathloss": _record(PathlossModel),
     "solver": {
         "n_t": (int, 2601),
         "n_q": (int, 101),
@@ -76,7 +71,7 @@ SCHEMA = {
         "tol": (_float, FP_TOL),
         "max_iters": (int, FP_MAX_ITERS),
         "init": (str, "half"),
-        # feeds no solve; see [phy] sbs_density
+        # feeds no solve; see the comment on [phy]
         "noise_norm": (_float, 0.03),
         "mean_sq_gain": (_float, 1.0),
         "rho0_mean": (_float, 0.5),
@@ -227,22 +222,12 @@ def _build(raw: dict) -> RunConfig:
 
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
 
-    p = raw["phy"]
-    t = raw["traffic"]
-    pl = raw["pathloss"]
     s = raw["solver"]
-    d = raw["scheduler"]
     cfg = RunConfig(
-        phy=PhyParams(bandwidth_hz=p["bandwidth_hz"], noise_dbm=p["noise_dbm"],
-                      max_power_w=p["max_power_w"], circuit_power_w=p["circuit_power_w"]),
-        queue=QueueParams(arrival_rate_bps=t["arrival_rate_bps"],
-                          capacity_bits=t["capacity_bits"],
-                          slot_duration_s=t["slot_duration_s"]),
-        pathloss=PathlossModel(ref_loss_db=pl["ref_loss_db"], exponent=pl["exponent"],
-                               shadowing_std_db=pl["shadowing_std_db"],
-                               min_distance_m=pl["min_distance_m"]),
+        phy=PhyParams(**raw["phy"]), queue=QueueParams(**raw["traffic"]),
+        pathloss=PathlossModel(**raw["pathloss"]),
         grid=GridSpec(s["n_t"], s["n_q"], s["horizon_s"]),
-        dpp=DppParams(v_coeff=d["v_coeff"]),
+        dpp=DppParams(v_coeff=raw["scheduler"]["v_coeff"]),
         raw=raw, output_dir=outdir,
     )
     if raw["solver"]["noise_norm"] <= 0:

@@ -42,10 +42,7 @@ class Deployment:
     eta: float                # mean total normalized cross gain at a UE
     noise_norm: float         # noise power / mean serving gain
     mean_serving_gain: float  # physical linear mean serving gain (gains * this)
-    isd_units: float
     k: int
-    area_km2: float
-    cross_isolation_db: float = 0.0
 
     @property
     def n_sbs(self) -> int:
@@ -148,6 +145,5 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     return Deployment(
         sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains,
         eta=float(cross.mean()), noise_norm=phy.noise_w / ref_serving,
-        mean_serving_gain=ref_serving, isd_units=isd_units, k=k,
-        area_km2=area_km2, cross_isolation_db=cross_isolation_db,
+        mean_serving_gain=ref_serving, k=k,
     )

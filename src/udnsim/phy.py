@@ -122,14 +122,13 @@ def sample_arrivals(rng: np.random.Generator, queue: QueueParams, n=None):
 class PathlossModel:
     """Log-distance pathloss with optional log-normal shadowing.
 
-    PL(d) = ref_loss_db + 10 * exponent * log10(d / ref_distance_km), in dB.
+    PL(d) = ref_loss_db + 10 * exponent * log10(d / 1 km), in dB.
     The default reproduces the common small-cell curve
     140.7 + 36.7 log10(d_km).  Distances below min_distance_m are floored.
     """
 
     ref_loss_db: float = 140.7
     exponent: float = 3.67
-    ref_distance_km: float = 1.0
     shadowing_std_db: float = 8.0
     min_distance_m: float = 3.0
 
@@ -151,7 +150,7 @@ def pathloss_gain(distance_m, model: PathlossModel = PathlossModel(), rng: np.ra
     """
     pl_db = np.array(distance_m, dtype=float)
     np.maximum(pl_db, model.min_distance_m, out=pl_db)
-    pl_db /= model.ref_distance_km * 1e3
+    pl_db /= 1e3
     np.log10(pl_db, out=pl_db)
     pl_db *= 10.0 * model.exponent
     pl_db += model.ref_loss_db

@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
-from udnsim import ConfigError
-from udnsim.config import load_config
+from udnsim import ConfigError, PathlossModel, PhyParams, QueueParams
+from udnsim.config import SCHEMA, load_config
 
 
 def write(tmp_path, text):
@@ -45,6 +47,36 @@ dir = results
     assert cfg.output_dir == "results"
 
 
+RECORDS = {"phy": PhyParams, "traffic": QueueParams, "pathloss": PathlossModel}
+# every key of the three sections off its default; a 20 ms slot needs 50
+# slots for the 1 s solved period
+OTHER_VALUES = {
+    "phy": dict(bandwidth_hz=2e6, noise_dbm=-80.0, max_power_w=0.5,
+                circuit_power_w=0.7, sbs_density=0.1),
+    "traffic": dict(arrival_rate_bps=100e3, capacity_bits=1e6, slot_duration_s=0.02),
+    "pathloss": dict(ref_loss_db=128.1, exponent=3.76, shadowing_std_db=6.0,
+                     min_distance_m=5.0),
+}
+
+
+def test_radio_traffic_and_pathloss_sections_are_their_records(tmp_path):
+    for section, record in RECORDS.items():
+        assert list(SCHEMA[section]) == [f.name for f in dataclasses.fields(record)]
+        assert list(OTHER_VALUES[section]) == list(SCHEMA[section])
+        assert all(value != SCHEMA[section][key][1]
+                   for key, value in OTHER_VALUES[section].items())
+    cfg = load_config(None)
+    assert (cfg.phy, cfg.queue, cfg.pathloss) == (PhyParams(), QueueParams(), PathlossModel())
+
+    text = "[simulate]\nslots_per_period = 50\n" + "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value!r}\n" for key, value in values.items())
+        for section, values in OTHER_VALUES.items())
+    cfg = load_config(write(tmp_path, text))
+    assert cfg.phy == PhyParams(**OTHER_VALUES["phy"])
+    assert cfg.queue == QueueParams(**OTHER_VALUES["traffic"])
+    assert cfg.pathloss == PathlossModel(**OTHER_VALUES["pathloss"])
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="section"):
         load_config(write(tmp_path, "[nonsense]\nx = 1\n"))
@@ -85,6 +117,8 @@ def test_missing_file_rejected(tmp_path):
     "[deployment]\nrician_k_db = 1e6\n",
     "[deployment]\nrician_k_db = 3083\n",            # 10^308.3 overflows
     "[phy]\nnoise_dbm = 4000\n",                  # 1e397 W overflows
+    "[phy]\nsbs_density = -1\n",                  # PhyParams checks it
+    "[pathloss]\nexponent = 0\n",
     "[traffic]\ncapacity_bits = 1e300\n",          # past int64
     "[traffic]\ncapacity_bits = 7.7e15\n",         # 605 full buffers pass 2**62
     "[traffic]\narrival_rate_bps = 1e21\n",        # past Poisson's range

