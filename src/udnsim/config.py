@@ -222,14 +222,18 @@ def _build(raw: dict) -> RunConfig:
 
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
 
-    s = raw["solver"]
-    cfg = RunConfig(
-        phy=PhyParams(**raw["phy"]), queue=QueueParams(**raw["traffic"]),
-        pathloss=PathlossModel(**raw["pathloss"]),
-        grid=GridSpec(s["n_t"], s["n_q"], s["horizon_s"]),
-        dpp=DppParams(v_coeff=raw["scheduler"]["v_coeff"]),
-        raw=raw, output_dir=outdir,
-    )
+    # each record checks its own ranges; its error names the section
+    s, records = raw["solver"], []
+    for section, make, kwargs in (
+            ("phy", PhyParams, raw["phy"]), ("traffic", QueueParams, raw["traffic"]),
+            ("pathloss", PathlossModel, raw["pathloss"]),
+            ("solver", GridSpec, {k: s[k] for k in ("n_t", "n_q", "horizon_s")}),
+            ("scheduler", DppParams, {"v_coeff": raw["scheduler"]["v_coeff"]})):
+        try:
+            records.append(make(**kwargs))
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+    cfg = RunConfig(*records, raw=raw, output_dir=outdir)
     if raw["solver"]["noise_norm"] <= 0:
         raise ConfigError("[solver] noise_norm must be positive")
     if raw["solver"]["mean_sq_gain"] <= 0:

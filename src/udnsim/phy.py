@@ -133,12 +133,14 @@ class PathlossModel:
     min_distance_m: float = 3.0
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise ConfigError("pathloss exponent must be positive")
-        if self.min_distance_m <= 0:
-            raise ConfigError("min_distance_m must be positive")
-        if self.shadowing_std_db < 0:
-            raise ConfigError("shadowing_std_db must be nonnegative")
+        if not math.isfinite(self.ref_loss_db):
+            raise ConfigError("ref_loss_db must be finite")
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise ConfigError("exponent must be positive and finite")
+        if not (math.isfinite(self.min_distance_m) and self.min_distance_m > 0):
+            raise ConfigError("min_distance_m must be positive and finite")
+        if not (math.isfinite(self.shadowing_std_db) and self.shadowing_std_db >= 0):
+            raise ConfigError("shadowing_std_db must be nonnegative and finite")
 
 
 def pathloss_gain(distance_m, model: PathlossModel = PathlossModel(), rng: np.random.Generator | None = None):

@@ -110,11 +110,13 @@ from ln(1 + beta hi) and 1 / (hi + p0) given to it.
 
 What depends on beta and the box alone is kept apart from the gradients, in
 a BoxTerms: the clipped box, p* and its phi, the g table, beta^2 / 2,
-ln(1 + beta hi) and 1 / (hi + p0).  maximize_rate_value builds them per call
-(the last four only when some vgrad is nonzero), or takes them from
-step_terms, which builds them for a run of scalar betas in one vectorized
-pass.  solver.hjb_backward calls step_terms once per block of time steps,
-so each step's call runs only the search and the selection.
+ln(1 + beta hi), 1 / (hi + p0) and the table's nodes.  maximize_rate_value
+builds them per call (the last five only when some vgrad is nonzero), or
+takes them from step_terms, which builds them for a run of scalar betas in
+one vectorized pass.  solver.hjb_backward calls step_terms once per block of
+runs of equal beta (once for a constant trajectory), so each step's call
+runs only the search and the selection.  With the step's scalar beta > 0
+every lane carries rate, and the selection skips the np.where of beta <= 0.
 
 A call whose gradients are all zero and that is given no terms (the
 baseline's myopic power) builds only the first six terms and returns p*
@@ -211,7 +213,7 @@ def _row_count(g, v):
     """The count of nodes with g >= v in one non-increasing table row g, at
     the shape of v: those nodes are a prefix, so one binary search in the
     reversed (sorted) row finds its end."""
-    return N_NODES - np.searchsorted(g[::-1], v, side="left")
+    return N_NODES - g[::-1].searchsorted(v, side="left")
 
 
 def _up_crossing(g, v, beta, hb2, pn, p0):
@@ -220,12 +222,11 @@ def _up_crossing(g, v, beta, hb2, pn, p0):
     linear start and N_STEPS safeguarded Cauchy steps; hb2 = beta^2 / 2.
     Returns (root, has_root); the root is meaningless where has_root is
     False."""
-    g = g.reshape(-1, N_NODES)
-    one_row = len(g) == 1
+    one_row = g.ndim == 1
     if one_row:
-        g = g[0]
         c = _row_count(g, v)
     else:
+        g = g.reshape(-1, N_NODES)
         row = np.arange(len(g)).reshape(np.shape(beta))
         c = np.count_nonzero(g[row] >= v[..., None], axis=-1)
     has_root = (c > 0) & (c < N_NODES)
@@ -282,7 +283,7 @@ class BoxTerms(NamedTuple):
     """What maximize_rate_value computes from beta and the box [lo, hi]
     alone.  lo, hi, p_ee and phi_ee are at the broadcast shape of beta, lo
     and hi; live and hb2 at beta's, and g at beta's plus a node axis.  The
-    last four are None in a call whose gradients are all zero."""
+    last five are None in a call whose gradients are all zero."""
 
     beta: np.ndarray
     lo: np.ndarray  # lo and hi clipped to [0, p_max], hi >= lo
@@ -294,6 +295,7 @@ class BoxTerms(NamedTuple):
     hb2: np.ndarray | None  # beta^2 / 2
     log_hi: np.ndarray | None  # ln(1 + beta hi)
     inv_hi: np.ndarray | None  # 1 / (hi + p0)
+    pn: np.ndarray | None  # the nodes of g, p_max * NODE_FRAC
 
 
 def _ee_terms(beta, lo, hi, phy):
@@ -307,10 +309,10 @@ def _ee_terms(beta, lo, hi, phy):
 
 
 def _hjb_terms(beta, hi, phy):
-    """The last four BoxTerms, which only the table search reads."""
+    """The last five BoxTerms, which only the table search reads."""
     p0 = phy.circuit_power_w
-    return (_g_table(beta, phy.max_power_w * NODE_FRAC, p0), 0.5 * beta * beta,
-            np.log1p(beta * hi), 1.0 / (hi + p0))
+    pn = phy.max_power_w * NODE_FRAC
+    return _g_table(beta, pn, p0), 0.5 * beta * beta, np.log1p(beta * hi), 1.0 / (hi + p0), pn
 
 
 def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
@@ -326,9 +328,9 @@ def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
         t = BoxTerms(*ee, *_hjb_terms(ee[0], ee[2], phy))
     # the fields at beta's shape back to scalars
     one = (slice(None),) + (0,) * (np.ndim(lo) - 1)
-    return [BoxTerms._make(f) for f in zip(t.beta[one], t.lo, t.hi, t.live[one], t.p_ee,
-                                           t.phi_ee, t.g[one], t.hb2[one], t.log_hi,
-                                           t.inv_hi)]
+    return [BoxTerms(*f, t.pn) for f in zip(t.beta[one], t.lo, t.hi, t.live[one], t.p_ee,
+                                            t.phi_ee, t.g[one], t.hb2[one], t.log_hi,
+                                            t.inv_hi)]
 
 
 def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | None = None):
@@ -345,7 +347,7 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     """
     p0 = phy.circuit_power_w
     vgrad = np.asarray(vgrad, dtype=float)
-    search = vgrad.any()
+    search = np.count_nonzero(vgrad)  # nan counts, as in vgrad.any()
     # both cases also run on elements they do not serve (beta = 0 divides
     # by zero), and the search on lanes without a root; np.where discards
     # those results.  A subnormal beta takes p* past the largest double, and
@@ -354,16 +356,19 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
         if terms is None:
             ee = _ee_terms(beta, lo, hi, phy)
             terms = BoxTerms(*ee, *(_hjb_terms(ee[0], ee[2], phy) if search
-                                    else (None,) * 4))
+                                    else (None,) * 5))
         t = terms
         if search:
-            x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2,
-                                       phy.max_power_w * NODE_FRAC, p0)
+            x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2, t.pn, p0)
             p, val = _box_best(x, has_root, t.beta, vgrad, t.lo, t.hi, t.log_hi,
                                t.inv_hi, p0)
             ee = vgrad == 0.0
             p = np.where(ee, t.p_ee, p)
             val = np.where(ee, t.phi_ee, val)
+            # a scalar beta > 0 (every sweep step): every lane is live, and
+            # p and val are fresh and at the full shape already
+            if t.live is np.True_:
+                return p, val
         else:
             # every gradient zero (the baseline's myopic power): the EE
             # power alone.  A gradient array may be wider than the box and

@@ -7,23 +7,24 @@ the power range splits at the balance power (rate = arrivals) into a fill
 branch (drift >= 0, upwinded on the forward difference) and a drain branch
 (drift <= 0, upwinded on the backward difference); each branch maximum is the
 pointwise power optimum on its interval and the larger branch Hamiltonian
-wins.  The Hamiltonian is phi + abar * dV/dy with phi the pointwise utility
-of power_opt in nats and vgrad = rcoef * dV/dy its marginal value of rate, the
-same units that _existence_violations uses.  At the walls the upwinded
-gradient is clamped to zero, the drain gradient at y=0 and the fill gradient
-at y=1: backlog cannot leave [0, capacity].
+wins, the fill branch on a tie.  The Hamiltonian is phi + abar * dV/dy with
+phi the pointwise utility of power_opt in nats and vgrad = rcoef * dV/dy its
+marginal value of rate, the same units that _existence_violations uses.  At
+the walls the upwinded gradient is clamped to zero, the drain gradient at
+y=0 and the fill gradient at y=1: backlog cannot leave [0, capacity].
 
 Each step makes one maximize_rate_value call.  The balance power, and with
-it both boxes, is computed once per sweep for every step.  What depends on
-beta and the boxes alone (the EE power and its phi in each box, and the g
-table with its companion terms) comes from power_opt.step_terms, once per
-block of G_BLOCK time steps, so memory does not grow with n_t.  The
-call's n_q gradients are 0 and the n_q - 1 differences of the later value
-slice, against the fill and the drain box: the fill lane at node j and the
-drain lane at node j + 1 upwind onto the same difference, so one search
-serves both, and the zero lane gives both walls.  The result equals, bit for
-bit, a sweep that hands each step's 2 n_q lanes to maximize_rate_value with
-its terms built per call.
+it both boxes, depends on beta alone, and so does what power_opt.step_terms
+builds from beta and the boxes (the EE power and its phi in each box, and
+the g table with its companion terms).  Steps of a run of equal betas share
+them: the sweep builds them once per run, for G_BLOCK runs at a time, so
+memory does not grow with n_t, and a constant trajectory (the first sweep of
+every solve) builds one set.  The call's n_q gradients are 0 and the n_q - 1
+differences of the later value slice, against the fill and the drain box:
+the fill lane at node j and the drain lane at node j + 1 upwind onto the
+same difference, so one search serves both, and the zero lane gives both
+walls.  The result equals, bit for bit, a sweep that hands each step's 2 n_q
+lanes to maximize_rate_value with its terms built per call.
 
 The forward sweep is the transpose of the backward step at a fixed policy
 (Achdou & Capuzzo-Dolcetta 2010; Gomes, Mohr & Souza 2010).  A step reads
@@ -80,7 +81,7 @@ START_MAX_ITERS = 1000
 FP_DAMPING = 0.5
 INIT_MODES = ("zero", "half")  # the queue-blind start's seed: 0 or 0.5 * eta * p_max
 EXISTENCE_TOL = 1e-12
-# time steps per block of the backward sweep's step_terms
+# runs of equal beta per block of the backward sweep's step_terms
 G_BLOCK = 64
 
 
@@ -143,41 +144,50 @@ def hjb_backward(grid: GridSpec, terminal, beta, phy: PhyParams, queue: QueuePar
     policy = np.empty((n_t, n_q))
     value[-1] = terminal
 
+    # a run of equal betas shares one BoxTerms: step i belongs to run
+    # runs[i], whose beta is b[runs[i]]
+    new_run = np.r_[True, beta[1:] != beta[:-1]]
+    runs = (np.cumsum(new_run) - 1).tolist()
+    b = beta[new_run]
     # the fill box [0, p_bal] and the drain box [p_bal, p_max] split at the
-    # balance power (rate = arrivals), as (n_t, 2, 1) columns against the
+    # balance power (rate = arrivals), as (n_runs, 2, 1) columns against the
     # lanes; a subnormal beta sends p_bal to inf, which clips to p_max
     with np.errstate(over="ignore"):
-        p_bal = np.minimum(np.expm1(abar / rcoef) / beta, p_max)
-    lo = np.stack([np.zeros(n_t), p_bal], axis=1)[:, :, None]
-    hi = np.stack([p_bal, np.full(n_t, p_max)], axis=1)[:, :, None]
+        p_bal = np.minimum(np.expm1(abar / rcoef) / b, p_max)
+    lo = np.stack([np.zeros(b.size), p_bal], axis=1)[:, :, None]
+    hi = np.stack([p_bal, np.full(b.size, p_max)], axis=1)[:, :, None]
     dead = (p_bal >= p_max).tolist()  # no drain region anywhere in the box
     # a step's n_q gradients: lane 0 is zero, lane k >= 1 the difference
     # between nodes k - 1 and k.  The drain lane at node k reads lane k and
     # the fill lane at node k lane k + 1; both walls read lane 0
     grad = np.zeros(n_q)
     lanes = np.concatenate([np.roll(np.arange(n_q), -1), n_q + np.arange(n_q)]).reshape(2, n_q)
-    cols = np.arange(n_q)
 
-    # a step reads the later slice; the terminal slice's policy reads itself
-    for stop in range(n_t, 0, -G_BLOCK):
-        start = max(stop - G_BLOCK, 0)
-        steps = step_terms(beta[start:stop], lo[start:stop], hi[start:stop], phy)
-        for i in range(stop - 1, start - 1, -1):
-            v_next = value[min(i + 1, n_t - 1)]
-            np.divide(v_next[1:] - v_next[:-1], dq, out=grad[1:])
-            # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the
-            # -vgrad*rate part of phi, so vgrad = rcoef*dV/dy and the arrival
-            # term remains
-            t = steps[i - start]
-            p, phi = maximize_rate_value(t.beta, rcoef * grad, t.lo, t.hi, phy, terms=t)
-            ham = (phi + abar * grad).take(lanes)
-            p = p.take(lanes)
-            if dead[i]:
-                ham[1] = -np.inf
-            pick = ham.argmax(axis=0)
-            policy[i] = p[pick, cols]
-            if i < n_t - 1:
-                value[i] = v_next + dt * ham[pick, cols]
+    # a step reads the later slice; the terminal slice's policy reads itself.
+    # Runs' terms are built G_BLOCK runs at a time, the block that ends at
+    # the run the sweep has reached
+    first = b.size
+    for i in range(n_t - 1, -1, -1):
+        r = runs[i]
+        if r < first:
+            first = max(r + 1 - G_BLOCK, 0)
+            steps = step_terms(b[first:r + 1], lo[first:r + 1], hi[first:r + 1], phy)
+        t = steps[r - first]
+        v_next = value[min(i + 1, n_t - 1)]
+        np.divide(v_next[1:] - v_next[:-1], dq, out=grad[1:])
+        # the drift's rate term -rcoef*ln(1+beta*p)*dV/dy is the
+        # -vgrad*rate part of phi, so vgrad = rcoef*dV/dy and the arrival
+        # term remains
+        p, phi = maximize_rate_value(t.beta, rcoef * grad, t.lo, t.hi, phy, terms=t)
+        ham = (phi + abar * grad).take(lanes)
+        p = p.take(lanes)
+        if dead[r]:
+            ham[1] = -np.inf
+        # argmax's pick of a branch: fill on a tie, and the first nan
+        fill = (ham[0] >= ham[1]) | np.isnan(ham[0])
+        policy[i] = np.where(fill, p[0], p[1])
+        if i < n_t - 1:
+            value[i] = v_next + dt * np.where(fill, ham[0], ham[1])
     if not np.isfinite(value).all():
         raise SchemeError("backward sweep produced non-finite values")
     return value, policy

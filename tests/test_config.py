@@ -138,6 +138,23 @@ def test_bad_values_rejected(tmp_path, body):
         load_config(write(tmp_path, body))
 
 
+@pytest.mark.parametrize("body, message", [
+    ("[phy]\nsbs_density = -1\n", "[phy] sbs_density must be nonnegative and finite"),
+    ("[phy]\nmax_power_w = 0\n", "[phy] max_power_w must be positive"),
+    ("[traffic]\ncapacity_bits = 0\n", "[traffic] capacity_bits must be positive"),
+    ("[pathloss]\nexponent = 0\n", "[pathloss] exponent must be positive"),
+    ("[solver]\nn_q = 1\n", "[solver] grid needs at least 2 nodes per axis"),
+    ("[solver]\nhorizon_s = 0\n", "[solver] horizon_s must be positive"),
+    ("[scheduler]\nv_coeff = 1\n", "[scheduler] v_coeff must be nonpositive"),
+])
+def test_record_range_errors_name_their_section(tmp_path, body, message):
+    # each record checks its own ranges, and the config names the section
+    # that set the value, as its own checks do
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, body))
+    assert str(err.value).startswith(message)
+
+
 def test_non_utf8_file_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"\xff\xfe[phy]\nbandwidth_hz = 1e6\n")

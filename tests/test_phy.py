@@ -109,3 +109,11 @@ def test_pathloss_validation():
         PathlossModel(min_distance_m=0.0)
     with pytest.raises(ConfigError):
         PathlossModel(shadowing_std_db=-1.0)
+    # non-finite fields fail as in PhyParams and QueueParams: a nan passes
+    # no comparison, so each check names finiteness
+    for name, bad in (("exponent", np.nan), ("exponent", np.inf), ("ref_loss_db", np.inf),
+                      ("ref_loss_db", -np.inf), ("ref_loss_db", np.nan),
+                      ("shadowing_std_db", np.inf), ("shadowing_std_db", np.nan),
+                      ("min_distance_m", np.nan), ("min_distance_m", np.inf)):
+        with pytest.raises(ConfigError, match=f"^{name} must be .*finite"):
+            PathlossModel(**{name: bad})

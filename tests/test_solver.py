@@ -8,9 +8,9 @@ from udnsim import (CflError, ConfigError, ConvergenceError, GridSpec, PhyParams
                     QueueParams, fpk_forward, hjb_backward, initial_density,
                     mf_interference, solve_mfg, terminal_value)
 from udnsim.fields import density_mass
-from udnsim.power_opt import _phi, maximize_rate_value
-from udnsim.solver import (FP_TOL, _queue_blind_interference, _rate_coeffs, beta_trajectory,
-                           drift_field)
+from udnsim.power_opt import _phi, maximize_rate_value, step_terms
+from udnsim.solver import (FP_TOL, G_BLOCK, _queue_blind_interference, _rate_coeffs,
+                           beta_trajectory, drift_field)
 from test_power_opt import _bisect_reference
 
 
@@ -165,6 +165,37 @@ def test_hjb_edge_cases_match_sweep_reference_bitwise(phy, interior_phy, queue, 
         assert np.all(np.diff(value, axis=1) == 0.0)
     assert np.array_equal(value, ref_value)
     assert np.array_equal(policy, ref_policy)
+
+
+@pytest.mark.parametrize("trajectory", ["constant", "varying"])
+def test_sweep_builds_terms_once_per_distinct_beta(phy, queue, monkeypatch, trajectory):
+    # a run of equal betas shares one set of terms: a constant trajectory
+    # (every solve's first sweep) builds one, a strictly varying one builds
+    # one per step, at most G_BLOCK at a time; either way each step is
+    # exactly one optimizer call
+    grid = GridSpec(601, 21)
+    interference = np.full(grid.n_t, 0.2)
+    if trajectory == "varying":
+        interference = np.linspace(0.0, 0.4, grid.n_t)
+    beta = beta_trajectory(interference, 0.1, 1.0)
+    built, blocks, calls = [], [], []
+
+    def count_terms(b, lo, hi, model):
+        built.extend(np.asarray(b).tolist())
+        blocks.append(np.size(b))
+        return step_terms(b, lo, hi, model)
+
+    def count_calls(*args, **kwargs):
+        calls.append(1)
+        return maximize_rate_value(*args, **kwargs)
+
+    monkeypatch.setattr("udnsim.solver.step_terms", count_terms)
+    monkeypatch.setattr("udnsim.solver.maximize_rate_value", count_calls)
+    hjb_backward(grid, terminal_value("exponential", grid.queues), beta, phy, queue)
+    assert len(calls) == grid.n_t
+    assert len(built) == (1 if trajectory == "constant" else grid.n_t)
+    assert sorted(built) == sorted(set(beta.tolist()))
+    assert max(blocks) <= G_BLOCK
 
 
 def test_hjb_rejects_bad_gain(phy, queue):
