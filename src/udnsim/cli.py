@@ -13,9 +13,11 @@ input `_solve_inputs` lists for the config, each equal bit for bit, and
 converged below the config's tolerance.
 
 A sweep makes each swept value a config of its own (`RunConfig.with_value`),
-built and checked before any work, and runs it as `simulate` runs a config:
-its deployments, its calibrated solve, its mfg arm and its baseline in one
-lockstep batch.  V enters the scheduler alone, so a v sweep shares one batch.
+built and checked before any work.  [solver] and [scheduler] v_coeff reach
+only the solve and the mfg arm, so adjacent values whose configs differ in
+nothing else run as one lockstep batch, as `simulate` runs a config: one
+draw of the deployments and the traffic, one baseline arm, one calibrated
+solve per distinct [solver] section and each value's mfg arm.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 
@@ -100,13 +103,13 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
             f"stored residual {sol.residual:.3e} is not below the config tolerance")
 
 
-def _run_arms(cfg: RunConfig, arms: list, sol: MfgSolution | None, deploys: list) -> list:
+def _run_arms(cfg: RunConfig, arms: list, deploys: list) -> list:
     """Every replicate of every arm as one lockstep batch: each arm's
     metrics, in the order of arms."""
     sim = cfg.raw["simulate"]
     return run_episodes(
         deploys, arms, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
-        seed=sim["base_seed"], replicates=range(len(deploys)), solution=sol,
+        seed=sim["base_seed"], replicates=range(len(deploys)),
         qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"],
         slots_per_period=sim["slots_per_period"],
         initial_backlog=sim["initial_backlog"],
@@ -147,39 +150,44 @@ def cmd_simulate(args) -> int:
         sol = _calibrate_and_solve(cfg, deploys[0])
         save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
-    arms = [Arm(method, cfg.dpp) for method in methods]
-    runs = dict(zip(methods, _run_arms(cfg, arms, sol, deploys)))
+    arms = [Arm(method, cfg.dpp, sol) for method in methods]
+    runs = dict(zip(methods, _run_arms(cfg, arms, deploys)))
     for method, metrics in runs.items():
         _write(os.path.join(outdir, f"metrics_{method}.csv"), metrics_csv(metrics))
     _write(os.path.join(outdir, "summary.csv"), summary_csv(runs))
     return 0
 
 
+def _batch_inputs(cfg: RunConfig) -> dict:
+    """The config outside [solver] and [scheduler] v_coeff."""
+    return {**cfg.raw, "solver": None, "scheduler": {**cfg.raw["scheduler"], "v_coeff": None}}
+
+
 def cmd_sweep(args) -> int:
-    """Run both methods at each value of the swept key: one batch per value,
-    except that a v sweep is one batch of one solve, the mfg arm of each v
-    and one baseline, whose rows repeat at every v.  Each value prints
-    `swept key=value` when its batch returns."""
+    """Run both methods at each value of the swept key, a batch per run of
+    equal `_batch_inputs`; each value prints `swept key=value` once its batch returns."""
     cfg = load_config(args.config)
     key, values = cfg.sweep_values()
     outdir = _ensure_outdir(cfg)
     swept = [(value, cfg.with_value(key, value)) for value in values]
-    batches = [swept] if key == "v" else [[point] for point in swept]
 
     points = []   # per value: (value, {method: its replicates' metrics})
-    all_rows = []
-    for batch in batches:
+    for _, batch in groupby(swept, key=lambda point: _batch_inputs(point[1])):
+        batch = list(batch)
         head = batch[0][1]
         deploys = _deployments(head)
-        sol = _calibrate_and_solve(head, deploys[0])
-        arms = [Arm("mfg", point.dpp) for _, point in batch] + [Arm("baseline")]
-        *mfg_runs, base_rows = _run_arms(head, arms, sol, deploys)
+        sols, arms = {}, []   # one solve per distinct [solver] section
+        for _, point in batch:
+            solver = repr(point.raw["solver"])
+            sols[solver] = sols.get(solver) or _calibrate_and_solve(point, deploys[0])
+            arms.append(Arm("mfg", point.dpp, sols[solver]))
+        *mfg_runs, base_rows = _run_arms(head, arms + [Arm("baseline")], deploys)
         for (value, _), mfg_rows in zip(batch, mfg_runs):
             points.append((value, {"mfg": mfg_rows, "baseline": base_rows}))
-            all_rows += mfg_rows + base_rows
             print(f"swept {key}={value}")
 
-    _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(all_rows))
+    rows = [row for _, runs in points for method_rows in runs.values() for row in method_rows]
+    _write(os.path.join(outdir, "sweep_metrics.csv"), metrics_csv(rows))
     for metric in args.metrics:
         table = sweep_report(key, points, metric)
         _write(os.path.join(outdir, f"sweep_{metric}.csv"), table)

@@ -243,10 +243,10 @@ def _build(raw: dict) -> RunConfig:
     if not 0 < raw["solver"]["damping"] <= 1:
         raise ConfigError("[solver] damping must lie in (0, 1]")
     dep = raw["deployment"]
-    if (dep["k"] < 1 or dep["isd_units"] <= 0 or dep["area_km2"] <= 0
-            or dep["jitter_frac"] < 0 or dep["rician_k_db"] >= 3080):
-        raise ConfigError("[deployment] needs k >= 1, isd_units > 0, area_km2 > 0, "
-                          "jitter_frac >= 0 and rician_k_db < 3080 (a K-factor below 1e308)")
+    if (dep["k"] < 1 or dep["isd_units"] <= 0 or dep["area_km2"] <= 0 or dep["jitter_frac"] < 0
+            or dep["cross_isolation_db"] < 0 or dep["rician_k_db"] >= 3080):
+        raise ConfigError("[deployment] needs k >= 1, isd_units > 0, area_km2 > 0, jitter_frac and "
+                          "cross_isolation_db >= 0, and rician_k_db < 3080 (K-factor below 1e308)")
     sim = raw["simulate"]
     if min(sim["n_periods"], sim["n_replicates"], sim["slots_per_period"]) < 1 or sim["base_seed"] < 0:
         raise ConfigError("[simulate] needs n_periods, n_replicates and slots_per_period >= 1 "

@@ -36,9 +36,9 @@ slice of lanes and everything else once over all of them:
   floor(rate * dt) for a scheduled UE and 0 for the others; once per period
   ``phy.sample_arrivals`` draws each replicate's arrivals, one row per
   slot, the same stream as one draw per slot;
-- mfg: ``fields.bilinear`` for the slot power, and once per period
-  ``scheduler.expected_rate`` (the candidates' policy power and rate at
-  the period start) and ``scheduler.dpp_step``, which reads one V per lane;
+- mfg: ``fields.bilinear`` for the slot power and, once per period,
+  ``scheduler.expected_rate`` at the period start, each once per run of
+  arms that play one solution, and ``scheduler.dpp_step`` (one V per lane);
 - baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
   slot power and ``BaselineState.observe`` after it, and once per period
   ``baseline.myopic_power`` (the candidates' rates) and
@@ -48,8 +48,8 @@ Every lane's metrics equal those of running its arm and replicate alone,
 bit for bit.  Elementwise steps and the per-lane matrix-vector products do
 not mix lanes, and float sums keep the order of a slot-by-slot loop: slot
 values go into per-period rows, and ``np.add.accumulate`` (which adds
-strictly in row order, unlike the pairwise ``sum``) folds them into the
-per-UE and per-episode totals.  Integer ledgers are exact in any order.
+strictly in row order, unlike the pairwise ``sum``) folds each period into
+running per-UE and per-lane totals.  Integer ledgers are exact in any order.
 
 Energy accounting matches the solver's utility ln(1 + beta p) / (p + p0):
 every scheduled SBS radiates its chosen power p for the whole slot, so a
@@ -63,6 +63,7 @@ the full slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -130,16 +131,16 @@ def _fold_in_order(total: np.ndarray, index, rows: np.ndarray, divisor: float = 
 
 
 class Arm(NamedTuple):
-    """One policy of a batch: a method and its scheduler parameters, which
-    only the mfg method reads."""
+    """One policy of a batch: a method and, for mfg, its scheduler
+    parameters and the solution it plays (any arm's seeds a density start)."""
 
     method: str
     dpp: DppParams = DppParams()
+    solution: MfgSolution | None = None
 
 
 def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueueParams,
-                 *, n_periods: int, seed: int, replicates,
-                 solution: MfgSolution | None = None, qos_min_rate_bps: float | None = None,
+                 *, n_periods: int, seed: int, replicates, qos_min_rate_bps: float | None = None,
                  slots_per_period: int = 100, initial_backlog: str = "empty",
                  estimate_mode: str = "arithmetic",
                  drain_window_slots: int = 40) -> list[list[EpisodeMetrics]]:
@@ -148,14 +149,14 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
     deploys[i] runs as replicate replicates[i], whose traffic (and density
     draw) comes from derived_rng(seed, replicates[i], 1) and is drawn once
-    for all arms; every deployment must have the same n_sbs and k.  Every
-    arm shares the solution.  Each episode's metrics equal those of running
-    its arm and replicate alone.
+    for all arms; every deployment must have the same n_sbs and k.  Each
+    mfg arm plays its own solution.  Each episode's metrics equal those of
+    running its arm and replicate alone.
 
     initial_backlog: 'empty' starts all queues at zero; 'density' samples
-    each UE's backlog from the solution's initial density (mean-field
-    consistency checks want the simulated population to start where the
-    solver's density starts).
+    each UE's backlog from the initial density of the arms' solutions,
+    which must share it and the grid (mean-field consistency checks want
+    the simulated population to start where the solver's density starts).
     """
     arms = list(arms)
     if not arms:
@@ -163,7 +164,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     for arm in arms:
         if arm.method not in METHODS:
             raise ConfigError(f"unknown method {arm.method!r}")
-        if arm.method == "mfg" and solution is None:
+        if arm.method == "mfg" and arm.solution is None:
             raise ConfigError("the mfg method needs a solved policy")
     if estimate_mode not in ESTIMATE_MODES:
         raise ConfigError(f"unknown estimate mode {estimate_mode!r}")
@@ -199,9 +200,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
     traffic = [derived_rng(seed, r, 1) for r in replicates]
     if initial_backlog == "density":
-        if solution is None:
-            raise ConfigError("density-initialized backlog needs a solution")
-        queues = np.tile(np.concatenate([_sample_initial_backlog(solution, n_ue, cap, rng)
+        sols = [arm.solution for arm in arms if arm.solution is not None]
+        if not sols or any(s.grid != sols[0].grid
+                           or not np.array_equal(s.density[0], sols[0].density[0]) for s in sols):
+            raise ConfigError("initial_backlog=density needs solutions of one grid and density[0]")
+        queues = np.tile(np.concatenate([_sample_initial_backlog(sols[0], n_ue, cap, rng)
                                          for rng in traffic]), (n_arm, 1))
     elif initial_backlog == "empty":
         queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
@@ -209,6 +212,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         raise ConfigError(f"initial_backlog must be one of {INITIAL_BACKLOGS}")
     backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
 
+    runs, stop = [], 0   # (lanes, solution) per run of adjacent mfg arms on one solution
+    for _, run in groupby([arms[a].solution for a in order[:n_mfg // n_rep]], key=id):
+        run = list(run)
+        runs.append((slice(stop, stop + len(run) * n_rep), run[0]))
+        stop += len(run) * n_rep
     if n_mfg:
         dpp_state = SchedulerState.fresh((n_mfg, n_sbs, k))
         # one V per lane, a column against (lanes, n_sbs, k)
@@ -235,8 +243,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     interference_rows = np.empty((spp, n_lane, n_sbs))
     served_rows = np.empty((spp, n_lane, n_sbs), dtype=np.int64)
     infeasible_rows = np.zeros((spp, n_lane, n_sbs), dtype=bool)
-    radiated = np.empty((n_periods * spp, n_lane))
-    interference_mean = np.empty((n_periods * spp, n_lane))
+    energy, power_sum, interference_sum = np.zeros((3, n_lane))  # per-lane running totals
     # per-period inputs, refilled in place: the cross gains, row b of lane l
     # holding the gains at b's scheduled UE, and each replicate's arrivals
     g_cross = np.empty((n_lane, n_sbs, n_sbs))
@@ -247,8 +254,9 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         # --- slow timescale: pick one UE per SBS for the whole period
         cells = queues.reshape(n_lane, n_sbs, k)
         if n_mfg:
-            q_norm = cells[mfg] / cap
-            p_cand, r_bps = expected_rate(solution, q_norm, serving_gain[mfg], phy)
+            p_cand, r_bps = map(np.concatenate, zip(*(
+                expected_rate(sol, cells[run] / cap, serving_gain[run], phy)
+                for run, sol in runs)))
             local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
         if n_base:
             beta = serving_gain[base] / (pf_state.interference_est[..., None]
@@ -272,9 +280,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             own_bits = queues.take(lanes)
             # every scheduled SBS radiates its power for the full slot
             powers = power_rows[s]
-            if n_mfg:
-                powers[mfg] = bilinear(solution.grid, solution.policy, s * dt,
-                                       own_bits[mfg] / cap)
+            for run, sol in runs:
+                powers[run] = bilinear(sol.grid, sol.policy, s * dt, own_bits[run] / cap)
             if n_base:
                 beta = base_g_own / (pf_state.interference_est + base_noise)
                 # PF averaging tracks the rate the channel would support at the
@@ -303,9 +310,10 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         offered[lanes] = 0
         if n_base:
             achieved[base_lanes] = 0
-        slots = slice(period * spp, (period + 1) * spp)
-        radiated[slots] = power_rows.sum(axis=2)
-        interference_mean[slots] = interference_rows.mean(axis=2)
+        radiated = power_rows.sum(axis=2)
+        _fold_in_order(energy, ..., (radiated + n_sbs * phy.circuit_power_w) * dt)
+        _fold_in_order(power_sum, ..., radiated)
+        _fold_in_order(interference_sum, ..., interference_rows.mean(axis=2))
         arrived += np.tile(arrival_blocks.sum(axis=(0, 2)), n_arm)
         delivered += served_rows.sum(axis=(0, 2))
         infeasible += infeasible_rows.sum(axis=(0, 2))
@@ -313,9 +321,6 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         _fold_in_order(sched_power, lanes, power_rows)
 
     n_slots_total = n_periods * spp
-    energy = np.add.accumulate((radiated + n_sbs * phy.circuit_power_w) * dt)[-1]
-    power_sum = np.add.accumulate(radiated)[-1]
-    interference_sum = np.add.accumulate(interference_mean)[-1]
     sched_slots = sched_periods * spp
     share = sched_periods / n_periods
     mean_rate = np.where(sched_slots > 0, sched_rate_hz / np.maximum(sched_slots, 1), 0.0)
@@ -356,11 +361,10 @@ def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueuePar
     """Simulate one episode (replicate `replicate`) and return its metrics;
     run_episodes with one arm on one deployment."""
     return run_episodes(
-        [deploy], [Arm(method, dpp)], phy, queue, n_periods=n_periods, seed=seed,
-        replicates=[replicate], solution=solution,
-        qos_min_rate_bps=qos_min_rate_bps, slots_per_period=slots_per_period,
-        initial_backlog=initial_backlog, estimate_mode=estimate_mode,
-        drain_window_slots=drain_window_slots)[0][0]
+        [deploy], [Arm(method, dpp, solution)], phy, queue, n_periods=n_periods, seed=seed,
+        replicates=[replicate], qos_min_rate_bps=qos_min_rate_bps,
+        slots_per_period=slots_per_period, initial_backlog=initial_backlog,
+        estimate_mode=estimate_mode, drain_window_slots=drain_window_slots)[0][0]
 
 
 METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",

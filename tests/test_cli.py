@@ -352,7 +352,8 @@ def test_sweep_outputs_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("key, values, solves",
-                         [("v", "1, 10, 100", 1), ("k", "1, 2", 2)])
+                         [("v", "1, 10, 100", 1), ("k", "1, 2", 2),
+                          ("boundary", "exponential, uniform", 2)])
 def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solves):
     solve = udnsim.cli.solve_mfg
     calls = []
@@ -410,18 +411,20 @@ def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("key, values, mfg_runs, baseline_runs, draws",
                          [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4),
-                          ("boundary", "exponential, uniform", 2, 2, 4)])
+                          ("boundary", "exponential, uniform", 2, 1, 2)])
 def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
                                         mfg_runs, baseline_runs, draws):
-    """A v sweep is one batch: one solve, the mfg arm of each v and the
-    baseline once.  Any other key runs one batch per value, each with its
-    own deployments, solve and baseline."""
+    """Values that differ only in [solver] or v share one batch: one draw
+    of the deployments, the mfg arm of each value and the baseline once.  A
+    k sweep changes the geometry, so it runs one batch per value, each with
+    its own deployments and baseline."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
     assert main(["sweep", "--config", cfg]) == 0
-    assert len(calls) == baseline_runs  # one call per solve
-    assert all(methods.count("baseline") == 1 for methods, _ in calls)
+    assert len(calls) == baseline_runs  # one call per batch
+    # each batch: its values' mfg arms, in value order, then one baseline
+    assert all(methods == ["mfg"] * (len(methods) - 1) + ["baseline"] for methods, _ in calls)
     methods = [m for arms, _ in calls for m in arms]
     assert (methods.count("mfg"), methods.count("baseline")) == (mfg_runs, baseline_runs)
     assert len(seeds) == draws
@@ -475,17 +478,37 @@ def test_sweep_reports_each_value_as_its_batch_returns(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.startswith("swept k=2\nwrote ")
 
 
-def test_v_sweep_rows_equal_simulate_at_each_v(tmp_path):
+def test_sweep_writes_values_in_their_order(tmp_path, capsys):
+    """A value that repeats after another geometry runs in its own batch:
+    k = 2, 1, 2 writes its rows, its table lines and its `swept` lines in
+    value order, and both k = 2 batches write the same rows."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = k\nvalues = 2, 1, 2\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    swept = [line for line in capsys.readouterr().out.splitlines() if line.startswith("swept")]
+    assert swept == ["swept k=2", "swept k=1", "swept k=2"]
+    with open(Path(out, "sweep_metrics.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n_sbs = int(rows[0]["n_sbs"])
+    assert [int(r["n_ue"]) // n_sbs for r in rows] == [2] * 4 + [1] * 4 + [2] * 4
+    assert rows[:4] == rows[8:]
+    table = Path(out, "sweep_ee_bits_per_j.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in table[1:]] == ["2", "1", "2"]
+
+
+@pytest.mark.parametrize("boundary", ["exponential", "uniform"])
+def test_v_sweep_rows_equal_simulate_at_each_v(tmp_path, boundary):
     """A v sweep runs every value in one batch; each value's rows are the
-    rows `udnsim simulate` writes with v_coeff = -v, and the baseline's."""
-    cfg, out = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = v\nvalues = 1, 1000\n")
+    rows `udnsim simulate` writes with v_coeff = -v and the same terminal
+    condition, and the baseline's."""
+    base_cfg = SIM_CFG.replace("[solver]\n", f"[solver]\nboundary = {boundary}\n")
+    cfg, out = write_cfg(tmp_path, base_cfg + "[sweep]\nkey = v\nvalues = 1, 1000\n")
     assert main(["sweep", "--config", cfg]) == 0
     lines = Path(out, "sweep_metrics.csv").read_text().splitlines()
     header, rows = lines[0], lines[1:]
     assert len(rows) == 2 * 2 * 2  # 2 values x 2 methods x 2 replicates
     mfg_rows = []
     for i, v in enumerate((1, 1000)):
-        sim_cfg, sim_out = write_cfg(tmp_path, SIM_CFG + f"[scheduler]\nv_coeff = {-v}\n",
+        sim_cfg, sim_out = write_cfg(tmp_path, base_cfg + f"[scheduler]\nv_coeff = {-v}\n",
                                      name=f"v{v}.cfg", out=tmp_path / f"v{v}")
         assert main(["simulate", "--config", sim_cfg]) == 0
         want = []

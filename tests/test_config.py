@@ -114,6 +114,7 @@ def test_missing_file_rejected(tmp_path):
     "[deployment]\narea_km2 = -1\n",
     "[deployment]\narea_km2 = 0\n",
     "[deployment]\njitter_frac = -0.3\n",
+    "[deployment]\ncross_isolation_db = -1\n",     # generate_deployment would reject it
     "[deployment]\nrician_k_db = 1e6\n",
     "[deployment]\nrician_k_db = 3083\n",            # 10^308.3 overflows
     "[phy]\nnoise_dbm = 4000\n",                  # 1e397 W overflows

@@ -6,7 +6,9 @@ import pytest
 
 import udnsim.simulate
 from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
-                    PhyParams, QueueParams, generate_deployment, run_episode, run_episodes)
+                    GridSpec, PhyParams, QueueParams, generate_deployment, run_episode,
+                    run_episodes, solve_mfg)
+from udnsim.fields import initial_density
 from udnsim.simulate import _fold_in_order, _sample_initial_backlog, derived_rng
 
 
@@ -26,6 +28,17 @@ def metrics_tuple(m: EpisodeMetrics):
 @pytest.fixture(scope="module")
 def small_deploy(phy):
     return generate_deployment(12.5, 2, phy, seed=99)
+
+
+@pytest.fixture(scope="module")
+def uniform_solution(queue, small_solution):
+    """An equilibrium on small_solution's grid and initial density under the
+    uniform terminal, weakly coupled so that its policy is interior where
+    small_solution's sits at the power cap."""
+    sol = solve_mfg(small_solution.grid, PhyParams(sbs_density=0.05), queue, noise_norm=0.1,
+                    boundary="uniform")
+    assert sol.policy.max() < 1.0
+    return sol
 
 
 @pytest.mark.parametrize("method", ["mfg", "baseline"])
@@ -139,10 +152,11 @@ def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode
     deploys = [generate_deployment(12.5, 2, phy, seed=s) for s in (99, 100, 101)]
     assert len({d.noise_norm for d in deploys}) == 3
     queue = QueueParams(capacity_bits=60_000)
-    kw = dict(n_periods=3, seed=2024, solution=small_solution, slots_per_period=15,
+    kw = dict(n_periods=3, seed=2024, slots_per_period=15,
               estimate_mode=estimate_mode, initial_backlog=start)
-    [batch] = run_episodes(deploys, [Arm(method)], phy, queue, replicates=[2, 0, 5], **kw)
-    alone = [run_episode(d, method, phy, queue, replicate=r, **kw)
+    [batch] = run_episodes(deploys, [Arm(method, solution=small_solution)], phy, queue,
+                           replicates=[2, 0, 5], **kw)
+    alone = [run_episode(d, method, phy, queue, solution=small_solution, replicate=r, **kw)
              for d, r in zip(deploys, (2, 0, 5))]
     assert batch == alone
     assert all(m.dropped_bits > 0 for m in batch)
@@ -151,23 +165,50 @@ def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode
 
 @pytest.mark.parametrize("start", ["empty", "density"])
 @pytest.mark.parametrize("estimate_mode", ["arithmetic", "exponential"])
-def test_arms_batch_equals_each_arm_alone(phy, small_solution, estimate_mode, start):
-    """Two mfg arms at different V and the baseline share one lockstep
-    batch (the baseline between them, so the lanes are reordered), and each
-    (arm, replicate) lane gets exactly the metrics of running it alone."""
+def test_arms_batch_equals_each_arm_alone(phy, small_solution, uniform_solution,
+                                         estimate_mode, start):
+    """Two mfg arms at different V, an mfg arm on a second solution and the
+    baseline share one lockstep batch: the baseline sits between mfg arms,
+    so the lanes are reordered, and the second solution splits the first
+    one's arms into two runs.  Each (arm, replicate) lane gets exactly the
+    metrics of running it alone."""
     deploys = [generate_deployment(12.5, 2, phy, seed=s) for s in (99, 100, 101)]
     queue = QueueParams(capacity_bits=60_000)
-    kw = dict(n_periods=3, seed=2024, solution=small_solution, slots_per_period=15,
+    kw = dict(n_periods=3, seed=2024, slots_per_period=15,
               estimate_mode=estimate_mode, initial_backlog=start)
-    arms = [Arm("mfg", DppParams(-1.0)), Arm("baseline"), Arm("mfg", DppParams(-1e5))]
+    arms = [Arm("mfg", DppParams(-1.0), small_solution), Arm("baseline", solution=small_solution),
+            Arm("mfg", DppParams(-1.0), uniform_solution),
+            Arm("mfg", DppParams(-1e5), small_solution)]
     batch = run_episodes(deploys, arms, phy, queue, replicates=[2, 0, 5], **kw)
     assert len(batch) == len(arms)
     for arm, metrics in zip(arms, batch):
-        alone = [run_episode(d, arm.method, phy, queue, dpp=arm.dpp, replicate=r, **kw)
+        alone = [run_episode(d, arm.method, phy, queue, dpp=arm.dpp, solution=arm.solution,
+                             replicate=r, **kw)
                  for d, r in zip(deploys, (2, 0, 5))]
         assert metrics == alone
+    # the second solution reaches its lanes
+    assert batch[2] != batch[0]
     # the arms differ, so a lane that read another arm's state would show
-    assert len({tuple(metrics_tuple(m) for m in metrics) for metrics in batch}) == 3
+    assert len({tuple(metrics_tuple(m) for m in metrics) for metrics in batch}) == 4
+
+
+@pytest.mark.parametrize("differ", ["initial density", "grid"])
+def test_density_batch_needs_one_initial_density(small_deploy, phy, queue, small_solution,
+                                                 differ):
+    """A density-initialized batch draws every lane's backlog once, so the
+    arms' solutions must share the grid and density[0]; an empty start
+    reads neither."""
+    if differ == "grid":
+        other = dataclasses.replace(small_solution, grid=GridSpec(601, 21, horizon_s=0.5))
+    else:
+        density = small_solution.density.copy()
+        density[0] = initial_density(small_solution.grid, 0.3, 0.1)
+        other = dataclasses.replace(small_solution, density=density)
+    arms = [Arm("mfg", solution=small_solution), Arm("mfg", solution=other)]
+    kw = dict(n_periods=1, seed=0, replicates=[0], slots_per_period=5)
+    with pytest.raises(ConfigError, match="needs solutions of one grid"):
+        run_episodes([small_deploy], arms, phy, queue, initial_backlog="density", **kw)
+    run_episodes([small_deploy], arms, phy, queue, initial_backlog="empty", **kw)
 
 
 def test_batch_reads_gains_from_each_deployment(phy, queue):
