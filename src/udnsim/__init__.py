@@ -11,7 +11,7 @@ from .phy import PathlossModel, PhyParams, QueueParams
 from .power_opt import maximize_rate_value
 from .reporting import ReplicationSummary
 from .scheduler import DppParams, SchedulerState, dpp_step
-from .simulate import Arm, EpisodeMetrics, run_episode, run_episodes
+from .simulate import Arm, EpisodeMetrics, EpisodeParams, run_episode, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import (beta_trajectory, drift_field, fpk_forward, hjb_backward,
                      mf_interference, solve_mfg)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arm", "BaselineState", "CflError", "ConfigError", "ConvergenceError",
-    "Deployment", "DppParams", "EpisodeMetrics", "GridSpec",
+    "Deployment", "DppParams", "EpisodeMetrics", "EpisodeParams", "GridSpec",
     "InvariantError", "MfgSolution", "PathlossModel", "PhyParams",
     "QueueParams", "ReplicationSummary",
     "RunConfig", "SchedulerState", "SchemeError", "UdnsimError",

@@ -34,8 +34,8 @@ from .config import RunConfig, load_config
 from .deployment import generate_deployment
 from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
-from .reporting import (cdf_table, csv_to_dat, metrics_csv, read_metric, report_table,
-                        summary_csv, sweep_report)
+from .reporting import (cdf_table, check_metric, csv_to_dat, metrics_csv, read_metric,
+                        report_table, summary_csv, sweep_report)
 from .simulate import Arm, derived_rng, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
@@ -57,12 +57,12 @@ def _deployment(cfg: RunConfig, i: int):
     derived_rng's stream 0, so every method and every solve of a config
     runs on the same networks; replicate 0's is the calibration."""
     return generate_deployment(**cfg.raw["deployment"], phy=cfg.phy, pathloss=cfg.pathloss,
-                               seed=derived_rng(cfg.raw["simulate"]["base_seed"], i, 0))
+                               seed=derived_rng(cfg.episode.base_seed, i, 0))
 
 
 def _deployments(cfg: RunConfig) -> list:
     """The replicates' deployments of the config's geometry."""
-    return [_deployment(cfg, i) for i in range(cfg.raw["simulate"]["n_replicates"])]
+    return [_deployment(cfg, i) for i in range(cfg.episode.n_replicates)]
 
 
 def _solve_inputs(cfg: RunConfig, dep) -> dict:
@@ -106,15 +106,9 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
 def _run_arms(cfg: RunConfig, arms: list, deploys: list) -> list:
     """Every replicate of every arm as one lockstep batch: each arm's
     metrics, in the order of arms."""
-    sim = cfg.raw["simulate"]
-    return run_episodes(
-        deploys, arms, cfg.phy, cfg.queue, n_periods=sim["n_periods"],
-        seed=sim["base_seed"], replicates=range(len(deploys)),
-        qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"],
-        slots_per_period=sim["slots_per_period"],
-        initial_backlog=sim["initial_backlog"],
-        estimate_mode=sim["estimate_mode"],
-        drain_window_slots=sim["drain_window_slots"])
+    return run_episodes(deploys, arms, cfg.phy, cfg.queue, cfg.episode,
+                        replicates=range(len(deploys)),
+                        qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"])
 
 
 def cmd_solve(args) -> int:
@@ -146,7 +140,7 @@ def cmd_simulate(args) -> int:
     if args.solution:
         sol = load_solution(args.solution)
         _check_solution(cfg, sol, deploys[0])
-    elif "mfg" in methods or cfg.raw["simulate"]["initial_backlog"] == "density":
+    elif "mfg" in methods or cfg.episode.initial_backlog == "density":
         sol = _calibrate_and_solve(cfg, deploys[0])
         save_solution(os.path.join(outdir, "solution.mfg"), sol)
 
@@ -168,6 +162,8 @@ def cmd_sweep(args) -> int:
     equal `_batch_inputs`; each value prints `swept key=value` once its batch returns."""
     cfg = load_config(args.config)
     key, values = cfg.sweep_values()
+    for metric in args.metrics:
+        check_metric(metric)
     outdir = _ensure_outdir(cfg)
     swept = [(value, cfg.with_value(key, value)) for value in values]
 

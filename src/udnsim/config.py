@@ -1,12 +1,13 @@
 """Run configuration: INI-style key = value files with strict schema checks.
 
 Unknown sections or keys are rejected; every key has a typed default, so an
-empty file is a valid (reference-like) configuration.  The [phy], [traffic]
-and [pathloss] sections are the records PhyParams, QueueParams and
-PathlossModel: their keys are the record's fields, in field order, with the
-record's defaults, and each section builds its record whole.  The
-environment variable UDNSIM_OUTDIR overrides the output directory without
-touching the file.
+empty file is a valid (reference-like) configuration.  The [phy], [traffic],
+[pathloss] and [simulate] sections are the records PhyParams, QueueParams,
+PathlossModel and EpisodeParams: their keys are the record's fields, in
+field order, parsed by the field's type, with the record's defaults, and
+each section builds its record whole, which checks its ranges and choices.
+The environment variable UDNSIM_OUTDIR overrides the output directory
+without touching the file.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
-from .baseline import ESTIMATE_MODES
 from .deployment import grid_side
 from .errors import ConfigError
-from .fields import BOUNDARY_KINDS, GridSpec
+from .fields import BOUNDARY_KINDS, GridSpec, initial_density
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import DppParams
-from .simulate import INITIAL_BACKLOGS
+from .simulate import EpisodeParams
 from .solver import FP_DAMPING, FP_MAX_ITERS, FP_TOL, INIT_MODES
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
@@ -48,8 +49,18 @@ def _float(text: str) -> float:
 
 
 def _record(cls) -> dict:
-    """A record's section: each field a float key with the record's default."""
-    return {f.name: (_float, f.default) for f in fields(cls)}
+    """A record's section: each field a key with its default, parsed by its type."""
+    types = get_type_hints(cls)  # int and str as such, any other as a finite float
+    return {f.name: ({int: int, str: str}.get(types[f.name], _float), f.default)
+            for f in fields(cls)}
+
+
+def _prefixed(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ConfigError it raises gets prefix, naming what set the value."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix} {exc}") from None
 
 
 # section -> key -> (parser, default); choices validated after parsing
@@ -94,15 +105,7 @@ SCHEMA = {
         "cross_isolation_db": (_float, 15.0),
         "rician_k_db": (_float, 10.0),
     },
-    "simulate": {
-        "n_periods": (int, 30),
-        "slots_per_period": (int, 100),
-        "n_replicates": (int, 20),
-        "base_seed": (int, 20240),
-        "estimate_mode": (str, "arithmetic"),
-        "initial_backlog": (str, "empty"),
-        "drain_window_slots": (int, 40),
-    },
+    "simulate": _record(EpisodeParams),
     "sweep": {
         "key": (str, ""),
         "values": (str, ""),
@@ -116,8 +119,6 @@ CHOICES = {
     ("solver", "boundary"): BOUNDARY_KINDS,
     ("solver", "init"): INIT_MODES,
     ("scheduler", "gradient_model"): ("linear_ee",),
-    ("simulate", "estimate_mode"): ESTIMATE_MODES,
-    ("simulate", "initial_backlog"): INITIAL_BACKLOGS,
     ("sweep", "key"): ("",) + tuple(SWEEP_KEYS),
 }
 
@@ -129,6 +130,7 @@ class RunConfig:
     pathloss: PathlossModel
     grid: GridSpec
     dpp: DppParams
+    episode: EpisodeParams
     raw: dict = field(default_factory=dict)
     output_dir: str = "out"
 
@@ -163,10 +165,7 @@ class RunConfig:
             raise ConfigError(
                 f"[sweep] values for {key!r} must be finite numbers: {text!r}") from None
         for value in values:
-            try:
-                self.with_value(key, value)
-            except ConfigError as exc:
-                raise ConfigError(f"[sweep] {key} = {value!r}: {exc}") from None
+            _prefixed(f"[sweep] {key} = {value!r}:", self.with_value, key, value)
         return key, values
 
 
@@ -223,17 +222,14 @@ def _build(raw: dict) -> RunConfig:
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
 
     # each record checks its own ranges; its error names the section
-    s, records = raw["solver"], []
-    for section, make, kwargs in (
-            ("phy", PhyParams, raw["phy"]), ("traffic", QueueParams, raw["traffic"]),
-            ("pathloss", PathlossModel, raw["pathloss"]),
-            ("solver", GridSpec, {k: s[k] for k in ("n_t", "n_q", "horizon_s")}),
-            ("scheduler", DppParams, {"v_coeff": raw["scheduler"]["v_coeff"]})):
-        try:
-            records.append(make(**kwargs))
-        except ConfigError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
-    cfg = RunConfig(*records, raw=raw, output_dir=outdir)
+    s = raw["solver"]
+    cfg = RunConfig(*(_prefixed(f"[{section}]", make, **kwargs) for section, make, kwargs in (
+        ("phy", PhyParams, raw["phy"]), ("traffic", QueueParams, raw["traffic"]),
+        ("pathloss", PathlossModel, raw["pathloss"]),
+        ("solver", GridSpec, {k: s[k] for k in ("n_t", "n_q", "horizon_s")}),
+        ("scheduler", DppParams, {"v_coeff": raw["scheduler"]["v_coeff"]}),
+        ("simulate", EpisodeParams, raw["simulate"]))), raw=raw, output_dir=outdir)
+    _prefixed("[solver]", initial_density, cfg.grid, s["rho0_mean"], s["rho0_variance"])
     if raw["solver"]["noise_norm"] <= 0:
         raise ConfigError("[solver] noise_norm must be positive")
     if raw["solver"]["mean_sq_gain"] <= 0:
@@ -247,22 +243,17 @@ def _build(raw: dict) -> RunConfig:
             or dep["cross_isolation_db"] < 0 or dep["rician_k_db"] >= 3080):
         raise ConfigError("[deployment] needs k >= 1, isd_units > 0, area_km2 > 0, jitter_frac and "
                           "cross_isolation_db >= 0, and rician_k_db < 3080 (K-factor below 1e308)")
-    sim = raw["simulate"]
-    if min(sim["n_periods"], sim["n_replicates"], sim["slots_per_period"]) < 1 or sim["base_seed"] < 0:
-        raise ConfigError("[simulate] needs n_periods, n_replicates and slots_per_period >= 1 "
-                          "and base_seed >= 0")
-    period_s = sim["slots_per_period"] * cfg.queue.slot_duration_s
+    period_s = cfg.episode.slots_per_period * cfg.queue.slot_duration_s
     if not math.isclose(period_s, cfg.grid.horizon_s, rel_tol=1e-9):
         raise ConfigError(f"the simulated period (slots_per_period x slot_duration_s = "
                           f"{period_s:g} s) must equal the solved one, [solver] horizon_s")
     # bit counts are int64: all buffers full plus an episode's mean arrivals stay below 2**62
     n_ue = grid_side(dep["isd_units"], dep["area_km2"]) ** 2 * dep["k"]
-    bits = (cfg.queue.capacity_bits + cfg.queue.arrival_rate_bps * sim["n_periods"] * period_s) * n_ue
+    bits = (cfg.queue.capacity_bits
+            + cfg.queue.arrival_rate_bps * cfg.episode.n_periods * period_s) * n_ue
     if bits > 2 ** 62:
         raise ConfigError(f"[traffic] capacity_bits and arrival_rate_bps allow {bits:.3g} bits in "
                           f"an episode of {n_ue} UEs, past 2**62: bit counts are int64")
-    if raw["simulate"]["drain_window_slots"] < 1:
-        raise ConfigError("[simulate] drain_window_slots must be at least 1")
     if raw["scheduler"]["qos_min_rate_bps"] < 0:
         raise ConfigError("[scheduler] qos_min_rate_bps must be nonnegative")
     return cfg

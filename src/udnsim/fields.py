@@ -86,8 +86,8 @@ def initial_density(grid: GridSpec, mean: float = 0.5, variance: float = 0.1) ->
         raise ConfigError("initial density mean must be finite")
     if not (math.isfinite(variance) and variance > 0):
         raise ConfigError("initial density variance must be positive and finite")
-    y = grid.queues
-    rho = np.exp(-0.5 * (y - mean) ** 2 / variance)
+    with np.errstate(over="ignore"):  # far off [0, 1]: exp(-inf), no mass, refused below
+        rho = np.exp(-0.5 * (grid.queues - mean) ** 2 / variance)
     mass = np.trapezoid(rho, dx=grid.dq)
     if mass <= 0:
         raise ConfigError("initial density has no mass on [0, 1]")

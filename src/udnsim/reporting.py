@@ -97,11 +97,16 @@ def metrics_csv(metrics: list[EpisodeMetrics]) -> str:
                          for m in metrics))
 
 
+def check_metric(metric: str):
+    """ConfigError unless metric names one of METRIC_FIELDS."""
+    if metric not in METRIC_FIELDS:
+        raise ConfigError(f"unknown metric {metric!r}")
+
+
 def read_metric(paths, metric: str) -> dict[str, list[float]]:
     """One metric's values per method from metrics CSV files, in file and
     row order; ConfigError for anything that is not such a file."""
-    if metric not in METRIC_FIELDS:
-        raise ConfigError(f"unknown metric {metric!r}")
+    check_metric(metric)
     by_method = {}
     for path in paths:
         try:
@@ -153,36 +158,24 @@ def report_table(by_method: dict[str, list[float]]) -> str:
 
 
 def sweep_report(sweep_key: str, points: list, metric: str) -> str:
-    """Summary CSV over a sweep.
-
-    points: list of (sweep_value, {method: [EpisodeMetrics]}), each
-    method's replicates at that value.  Every point must carry the same
-    method set; when both 'mfg' and 'baseline' are present a relative-gain
-    column (mfg - baseline) / baseline of the means is added.
-    """
+    """Summary CSV over a sweep: per point (sweep_value, {"mfg": [...],
+    "baseline": [...]}), each method's replicates at that value, the
+    baseline's and then the mfg arm's mean and 95% interval, and the
+    relative gain (mfg - baseline) / baseline of the means."""
     if not points:
         raise ConfigError("sweep_report needs at least one point")
-    if metric not in METRIC_FIELDS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    methods = sorted(points[0][1])
-    for value, by_method in points:
-        if sorted(by_method) != methods:
-            raise ConfigError(
-                f"sweep point {value!r} carries methods {sorted(by_method)}, "
-                f"expected {methods}")
-    with_gain = "mfg" in methods and "baseline" in methods
-
-    header = ([sweep_key] + [f"{m}_{c}" for m in methods for c in ("mean", "ci_lo", "ci_hi")]
-              + ["relative_gain"] * with_gain)
+    check_metric(metric)
+    methods = ("baseline", "mfg")
+    header = [sweep_key, *(f"{m}_{c}" for m in methods for c in ("mean", "ci_lo", "ci_hi")),
+              "relative_gain"]
     rows = []
     for value, runs in points:
+        base, mfg = (summarize_replications(runs[m]) for m in methods)
         row = [float(value) if isinstance(value, (int, float)) else value]
-        summaries = {meth: summarize_replications(runs[meth]) for meth in methods}
-        for s in summaries.values():
+        for s in (base, mfg):
             row += [s.mean[metric], s.lo(metric), s.hi(metric)]
-        if with_gain:
-            base, prop = summaries["baseline"].mean[metric], summaries["mfg"].mean[metric]
-            row.append((prop - base) / base if base != 0 else float("nan"))
+        ref = base.mean[metric]
+        row.append((mfg.mean[metric] - ref) / ref if ref != 0 else float("nan"))
         rows.append(row)
     return _csv(header, rows)
 

@@ -1,11 +1,12 @@
 """Two-timescale episode simulation: one EpisodeMetrics per episode.
 
 Scheduling decisions happen once per period; power, transmission,
-interference and queue dynamics run every slot (100 slots per period in the
-reference setup).  All SBSs move simultaneously within a slot: powers are
-fixed first, then every scheduled UE sees the interference of that joint
-choice.  Bits are integers end to end, so arrivals, service, drops and
-backlog balance exactly.
+interference and queue dynamics run every slot.  An ``EpisodeParams`` (the
+[simulate] section) sets an episode's periods and slots per period, its base
+seed, the baseline's estimate and drain window, and how the queues start.
+All SBSs move simultaneously within a slot: powers are fixed first, then
+every scheduled UE sees the interference of that joint choice.  Bits are
+integers end to end, so arrivals, service, drops and backlog balance exactly.
 
 The slot kernel runs L lanes in lockstep.  A lane is an (arm, replicate)
 pair: an arm is a method with its scheduler parameters, and a replicate is
@@ -79,6 +80,30 @@ METHODS = ("mfg", "baseline")
 INITIAL_BACKLOGS = ("empty", "density")
 
 
+@dataclass(frozen=True)
+class EpisodeParams:
+    """The [simulate] section: episode length, replicates and base seed, the
+    baseline's interference estimate and drain window, the queues' start."""
+
+    n_periods: int = 30
+    slots_per_period: int = 100
+    n_replicates: int = 20
+    base_seed: int = 20240
+    estimate_mode: str = "arithmetic"
+    initial_backlog: str = "empty"
+    drain_window_slots: int = 40
+
+    def __post_init__(self):
+        if min(self.n_periods, self.slots_per_period, self.n_replicates,
+               self.drain_window_slots) < 1 or self.base_seed < 0:
+            raise ConfigError("n_periods, slots_per_period, n_replicates and "
+                              "drain_window_slots must be at least 1 and base_seed nonnegative")
+        for name, choices in (("estimate_mode", ESTIMATE_MODES),
+                              ("initial_backlog", INITIAL_BACKLOGS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+
+
 @dataclass
 class EpisodeMetrics:
     method: str
@@ -140,23 +165,22 @@ class Arm(NamedTuple):
 
 
 def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueueParams,
-                 *, n_periods: int, seed: int, replicates, qos_min_rate_bps: float | None = None,
-                 slots_per_period: int = 100, initial_backlog: str = "empty",
-                 estimate_mode: str = "arithmetic",
-                 drain_window_slots: int = 40) -> list[list[EpisodeMetrics]]:
+                 episode: EpisodeParams, *, replicates,
+                 qos_min_rate_bps: float | None = None) -> list[list[EpisodeMetrics]]:
     """Simulate every arm on every deployment, all in lockstep, and return
     one list of metrics per arm, in the order of arms and deploys.
 
     deploys[i] runs as replicate replicates[i], whose traffic (and density
-    draw) comes from derived_rng(seed, replicates[i], 1) and is drawn once
-    for all arms; every deployment must have the same n_sbs and k.  Each
-    mfg arm plays its own solution.  Each episode's metrics equal those of
-    running its arm and replicate alone.
+    draw) comes from derived_rng(episode.base_seed, replicates[i], 1) and is
+    drawn once for all arms; every deployment must have the same n_sbs and
+    k.  Each mfg arm plays its own solution.  Each episode's metrics equal
+    those of running its arm and replicate alone.  episode.n_replicates is
+    not read: the caller draws the deployments.
 
-    initial_backlog: 'empty' starts all queues at zero; 'density' samples
-    each UE's backlog from the initial density of the arms' solutions,
-    which must share it and the grid (mean-field consistency checks want
-    the simulated population to start where the solver's density starts).
+    With episode.initial_backlog 'density' each UE's backlog is sampled
+    from the initial density of the arms' solutions, which must share it and
+    the grid (mean-field consistency checks want the simulated population to
+    start where the solver's density starts).
     """
     arms = list(arms)
     if not arms:
@@ -166,12 +190,6 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
             raise ConfigError(f"unknown method {arm.method!r}")
         if arm.method == "mfg" and arm.solution is None:
             raise ConfigError("the mfg method needs a solved policy")
-    if estimate_mode not in ESTIMATE_MODES:
-        raise ConfigError(f"unknown estimate mode {estimate_mode!r}")
-    if drain_window_slots < 1:
-        raise ConfigError("drain_window_slots must be at least 1")
-    if n_periods < 1 or slots_per_period < 1:
-        raise ConfigError("an episode needs at least one period of at least one slot")
     replicates = list(replicates)
     if not deploys or len(replicates) != len(deploys):
         raise ConfigError("give one replicate index per deployment, at least one")
@@ -181,7 +199,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     if qos_min_rate_bps is None:
         qos_min_rate_bps = queue.arrival_rate_bps
 
-    n_rep, n_ue, spp = len(deploys), n_sbs * k, slots_per_period
+    n_rep, n_ue, spp = len(deploys), n_sbs * k, episode.slots_per_period
     n_arm, n_rep_ue = len(arms), n_rep * n_ue
     # lane a * n_rep + r runs arm order[a] on replicate r: the mfg arms come
     # first, so each method's lanes are one slice
@@ -198,18 +216,16 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     # flat index of UE (b, 0) of lane l, shape (n_lane, n_sbs)
     lane_base = np.arange(n_lane)[:, None] * n_ue + np.arange(n_sbs) * k
 
-    traffic = [derived_rng(seed, r, 1) for r in replicates]
-    if initial_backlog == "density":
+    traffic = [derived_rng(episode.base_seed, r, 1) for r in replicates]
+    if episode.initial_backlog == "density":
         sols = [arm.solution for arm in arms if arm.solution is not None]
         if not sols or any(s.grid != sols[0].grid
                            or not np.array_equal(s.density[0], sols[0].density[0]) for s in sols):
             raise ConfigError("initial_backlog=density needs solutions of one grid and density[0]")
         queues = np.tile(np.concatenate([_sample_initial_backlog(sols[0], n_ue, cap, rng)
                                          for rng in traffic]), (n_arm, 1))
-    elif initial_backlog == "empty":
-        queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     else:
-        raise ConfigError(f"initial_backlog must be one of {INITIAL_BACKLOGS}")
+        queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
 
     runs, stop = [], 0   # (lanes, solution) per run of adjacent mfg arms on one solution
@@ -250,7 +266,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     arrivals = np.empty((spp, n_rep_ue), dtype=np.int64)
     arrival_blocks = arrivals.reshape(spp, n_rep, n_ue)
 
-    for period in range(n_periods):
+    for period in range(episode.n_periods):
         # --- slow timescale: pick one UE per SBS for the whole period
         cells = queues.reshape(n_lane, n_sbs, k)
         if n_mfg:
@@ -292,7 +308,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                 powers[base] = drain_power(
                     p_ee, beta, own_bits[base],
                     queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
-                    (spp - s) * dt, drain_window_slots * dt, phy, floor_w)
+                    (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
 
             interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
                                        out=interference_rows[s])
@@ -305,7 +321,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
             if n_base:
                 achieved[base_lanes] = pot_rate
-                pf_state.observe(interference[base], base_achieved, estimate_mode)
+                pf_state.observe(interference[base], base_achieved, episode.estimate_mode)
 
         offered[lanes] = 0
         if n_base:
@@ -320,9 +336,9 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         _fold_in_order(sched_rate_hz, lanes, served_rows, dt * phy.bandwidth_hz)
         _fold_in_order(sched_power, lanes, power_rows)
 
-    n_slots_total = n_periods * spp
+    n_slots_total = episode.n_periods * spp
     sched_slots = sched_periods * spp
-    share = sched_periods / n_periods
+    share = sched_periods / episode.n_periods
     mean_rate = np.where(sched_slots > 0, sched_rate_hz / np.maximum(sched_slots, 1), 0.0)
     mean_pow = np.where(sched_slots > 0, sched_power / np.maximum(sched_slots, 1), 0.0)
     utility = (share * mean_rate / (mean_pow + phy.circuit_power_w)).reshape(n_lane, n_ue)
@@ -338,8 +354,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         arrived_l, delivered_l = int(arrived[lane]), int(delivered[lane])
         dropped_l, energy_l = int(dropped_total[lane]), float(energy[lane])
         out[arm].append(EpisodeMetrics(
-            method=arms[arm].method, seed=seed, replicate=replicates[lane % n_rep],
-            n_periods=n_periods, n_sbs=n_sbs, n_ue=n_ue,
+            method=arms[arm].method, seed=episode.base_seed, replicate=replicates[lane % n_rep],
+            n_periods=episode.n_periods, n_sbs=n_sbs, n_ue=n_ue,
             arrived_bits=arrived_l, delivered_bits=delivered_l, dropped_bits=dropped_l,
             backlog_delta_bits=int(backlog_delta[lane]), energy_j=energy_l,
             ee_bits_per_j=delivered_l / energy_l if energy_l > 0 else 0.0,
@@ -355,16 +371,18 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueueParams,
                 *, n_periods: int, seed: int, solution: MfgSolution | None = None,
                 dpp: DppParams = DppParams(), qos_min_rate_bps: float | None = None,
-                slots_per_period: int = 100, initial_backlog: str = "empty",
-                estimate_mode: str = "arithmetic", drain_window_slots: int = 40,
+                slots_per_period: int = EpisodeParams.slots_per_period,
+                initial_backlog: str = EpisodeParams.initial_backlog,
+                estimate_mode: str = EpisodeParams.estimate_mode,
+                drain_window_slots: int = EpisodeParams.drain_window_slots,
                 replicate: int = 0) -> EpisodeMetrics:
     """Simulate one episode (replicate `replicate`) and return its metrics;
-    run_episodes with one arm on one deployment."""
-    return run_episodes(
-        [deploy], [Arm(method, dpp, solution)], phy, queue, n_periods=n_periods, seed=seed,
-        replicates=[replicate], qos_min_rate_bps=qos_min_rate_bps,
-        slots_per_period=slots_per_period, initial_backlog=initial_backlog,
-        estimate_mode=estimate_mode, drain_window_slots=drain_window_slots)[0][0]
+    run_episodes with one arm on one deployment, seed as the base seed."""
+    episode = EpisodeParams(n_periods, slots_per_period, base_seed=seed,
+                            estimate_mode=estimate_mode, initial_backlog=initial_backlog,
+                            drain_window_slots=drain_window_slots)
+    return run_episodes([deploy], [Arm(method, dpp, solution)], phy, queue, episode,
+                        replicates=[replicate], qos_min_rate_bps=qos_min_rate_bps)[0][0]
 
 
 METRIC_FIELDS = ("ee_bits_per_j", "outage_fraction", "dropped_ratio",

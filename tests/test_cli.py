@@ -461,6 +461,57 @@ def test_sweep_with_a_bad_value_exits_2_before_any_solve(tmp_path, monkeypatch, 
     assert not Path(out).exists()
 
 
+def test_sweep_with_an_unknown_metric_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    """A --metrics name is checked with the config, before the first batch:
+    no value runs and no file is written."""
+    calls = []
+    monkeypatch.setattr(udnsim.cli, "solve_mfg", lambda *a, **kw: calls.append(a))
+    cfg, out = write_cfg(tmp_path, SIM_CFG + "[sweep]\nkey = v\nvalues = 1, 10\n")
+    assert main(["sweep", "--config", cfg, "--metrics", "ee_bits_per_j", "bogus"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert "swept" not in captured.out
+    assert captured.err.startswith("configuration error: unknown metric 'bogus'")
+    assert not Path(out).exists()
+
+
+# the smoke geometry (9 SBSs, k = 2) over two periods: its mfg arm runs below
+# the 1 W cap, so its rows move with the terminal condition, where SIM_CFG's
+# one SBS radiates the cap in every slot
+SMOKE_BOUNDARY_CFG = """
+[solver]
+n_t = 801
+n_q = 31
+[deployment]
+isd_units = 12.5
+k = 2
+[simulate]
+n_periods = 2
+n_replicates = 2
+base_seed = 7
+[sweep]
+key = boundary
+values = exponential, uniform
+[output]
+dir = {out}
+"""
+
+
+def test_boundary_sweep_reaches_the_mfg_arm(tmp_path):
+    """A boundary sweep is one batch: the baseline rows repeat at each value
+    and the mfg rows, on each value's own solve, differ."""
+    cfg, out = write_cfg(tmp_path, SMOKE_BOUNDARY_CFG)
+    assert main(["sweep", "--config", cfg]) == 0
+    with open(Path(out, "sweep_metrics.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    base = [r for r in rows if r["method"] == "baseline"]
+    mfg = [r for r in rows if r["method"] == "mfg"]
+    assert len(base) == len(mfg) == 4
+    assert all(float(r["mean_power_w"]) < 1.0 for r in mfg)
+    assert base[:2] == base[2:]
+    assert mfg[:2] != mfg[2:]
+
+
 def test_sweep_reports_each_value_as_its_batch_returns(tmp_path, monkeypatch, capsys):
     """A value's `swept` line is printed before the next geometry's batch
     starts, not after the whole sweep."""
@@ -553,6 +604,16 @@ def test_zero_slots_per_period_exits_2(tmp_path):
     cfg, _ = write_cfg(tmp_path, SIM_CFG.replace("slots_per_period = 10",
                                                  "slots_per_period = 0"))
     assert main(["simulate", "--config", cfg]) == 2
+
+
+def test_bad_initial_density_exits_2_without_a_solve(tmp_path, capsys):
+    """[solver] rho0_variance reaches only the solve, and the config refuses
+    a bad one at load time, so a baseline-only run exits 2 too."""
+    cfg, out = write_cfg(tmp_path, SIM_CFG.replace("[solver]\n", "[solver]\nrho0_variance = 0\n"))
+    assert main(["simulate", "--config", cfg, "--method", "baseline"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: [solver] initial density variance")
+    assert not Path(out).exists()
 
 
 def test_sweep_requires_sweep_section(tmp_path):

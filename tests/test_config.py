@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from udnsim import ConfigError, PathlossModel, PhyParams, QueueParams
+from udnsim import ConfigError, EpisodeParams, PathlossModel, PhyParams, QueueParams
 from udnsim.config import SCHEMA, load_config
 
 
@@ -77,6 +77,29 @@ def test_radio_traffic_and_pathloss_sections_are_their_records(tmp_path):
     assert cfg.pathloss == PathlossModel(**OTHER_VALUES["pathloss"])
 
 
+def test_simulate_section_is_its_record(tmp_path):
+    """[simulate] keeps its seven keys, their order and their defaults, and
+    builds the record EpisodeParams whole."""
+    assert list(SCHEMA["simulate"]) == [
+        "n_periods", "slots_per_period", "n_replicates", "base_seed", "estimate_mode",
+        "initial_backlog", "drain_window_slots"]
+    assert list(SCHEMA["simulate"]) == [f.name for f in dataclasses.fields(EpisodeParams)]
+    assert [default for _, default in SCHEMA["simulate"].values()] == [
+        30, 100, 20, 20240, "arithmetic", "empty", 40]
+    assert load_config(None).episode == EpisodeParams()
+
+    # every key off its default; 50 slots of 20 ms fill the solved 1 s period
+    values = dict(n_periods=3, slots_per_period=50, n_replicates=2, base_seed=5,
+                  estimate_mode="exponential", initial_backlog="density", drain_window_slots=7)
+    assert all(value != SCHEMA["simulate"][key][1] for key, value in values.items())
+    text = "[traffic]\nslot_duration_s = 0.02\n[simulate]\n" + "".join(
+        f"{key} = {value}\n" for key, value in values.items())
+    cfg = load_config(write(tmp_path, text))
+    assert cfg.episode == EpisodeParams(**values)
+    assert [type(getattr(cfg.episode, key)) for key in values] == [type(v) for v in values.values()]
+    assert cfg.raw["simulate"] == values
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="section"):
         load_config(write(tmp_path, "[nonsense]\nx = 1\n"))
@@ -128,6 +151,11 @@ def test_missing_file_rejected(tmp_path):
     "[simulate]\nslots_per_period = 0\n",
     "[simulate]\nestimate_mode = kalman\n",
     "[simulate]\ninitial_backlog = full\n",
+    "[simulate]\ndrain_window_slots = 0\n",
+    "[simulate]\nn_periods = 2.5\n",             # an int key
+    "[solver]\nrho0_variance = 0\n",              # the solve's initial density
+    "[solver]\nrho0_variance = -0.1\n",
+    "[solver]\nrho0_mean = 1e300\n",              # no mass on [0, 1]
     "[sweep]\nkey = frequency\n",
     "[scheduler]\ngradient_model = zero\n",
     "bandwidth_hz = 1e6\n",                       # no section header
@@ -147,6 +175,10 @@ def test_bad_values_rejected(tmp_path, body):
     ("[solver]\nn_q = 1\n", "[solver] grid needs at least 2 nodes per axis"),
     ("[solver]\nhorizon_s = 0\n", "[solver] horizon_s must be positive"),
     ("[scheduler]\nv_coeff = 1\n", "[scheduler] v_coeff must be nonpositive"),
+    ("[simulate]\nn_periods = 0\n", "[simulate] n_periods, slots_per_period"),
+    ("[simulate]\nestimate_mode = kalman\n", "[simulate] estimate_mode must be one of"),
+    ("[solver]\nrho0_variance = 0\n", "[solver] initial density variance must be positive"),
+    ("[solver]\nrho0_mean = 1e300\n", "[solver] initial density has no mass"),
 ])
 def test_record_range_errors_name_their_section(tmp_path, body, message):
     # each record checks its own ranges, and the config names the section

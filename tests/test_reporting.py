@@ -185,20 +185,12 @@ def test_sweep_report_table():
     assert lines[2] == "6.5,4,3.75,4.25,3,2.75,3.25,-0.25"
 
 
-def test_sweep_report_single_method_has_no_gain_column():
-    table = sweep_report("k", [(2, {"mfg": replicates_at(1.0)})], "utility")
-    assert "relative_gain" not in table.split("\n")[0]
-
-
 def test_sweep_report_validation():
     with pytest.raises(ConfigError):
         sweep_report("isd", [], "ee_bits_per_j")
     with pytest.raises(ConfigError):
-        sweep_report("isd", [(1.0, {"mfg": replicates_at(1.0)})], "nonsense")
-    points = [(1.0, {"mfg": replicates_at(1.0)}),
-              (2.0, {"mfg": replicates_at(1.0), "baseline": replicates_at(1.0)})]
-    with pytest.raises(ConfigError):
-        sweep_report("isd", points, "ee_bits_per_j")
+        sweep_report("isd", [(1.0, {"mfg": replicates_at(1.0),
+                                    "baseline": replicates_at(1.0)})], "nonsense")
 
 
 def test_csv_to_dat():

@@ -6,8 +6,8 @@ import pytest
 
 import udnsim.simulate
 from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
-                    GridSpec, PhyParams, QueueParams, generate_deployment, run_episode,
-                    run_episodes, solve_mfg)
+                    EpisodeParams, GridSpec, PhyParams, QueueParams, generate_deployment,
+                    run_episode, run_episodes, solve_mfg)
 from udnsim.fields import initial_density
 from udnsim.simulate import _fold_in_order, _sample_initial_backlog, derived_rng
 
@@ -23,6 +23,11 @@ def synthetic_deployment(n_sbs, k, gain_scale, noise=0.05, eta=0.0):
 
 def metrics_tuple(m: EpisodeMetrics):
     return tuple(dataclasses.asdict(m).values())
+
+
+def episode_of(n_periods, seed, **kw):
+    """The EpisodeParams that run_episode builds from these keywords."""
+    return EpisodeParams(n_periods=n_periods, base_seed=seed, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +160,7 @@ def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode
     kw = dict(n_periods=3, seed=2024, slots_per_period=15,
               estimate_mode=estimate_mode, initial_backlog=start)
     [batch] = run_episodes(deploys, [Arm(method, solution=small_solution)], phy, queue,
-                           replicates=[2, 0, 5], **kw)
+                           episode_of(**kw), replicates=[2, 0, 5])
     alone = [run_episode(d, method, phy, queue, solution=small_solution, replicate=r, **kw)
              for d, r in zip(deploys, (2, 0, 5))]
     assert batch == alone
@@ -179,7 +184,7 @@ def test_arms_batch_equals_each_arm_alone(phy, small_solution, uniform_solution,
     arms = [Arm("mfg", DppParams(-1.0), small_solution), Arm("baseline", solution=small_solution),
             Arm("mfg", DppParams(-1.0), uniform_solution),
             Arm("mfg", DppParams(-1e5), small_solution)]
-    batch = run_episodes(deploys, arms, phy, queue, replicates=[2, 0, 5], **kw)
+    batch = run_episodes(deploys, arms, phy, queue, episode_of(**kw), replicates=[2, 0, 5])
     assert len(batch) == len(arms)
     for arm, metrics in zip(arms, batch):
         alone = [run_episode(d, arm.method, phy, queue, dpp=arm.dpp, solution=arm.solution,
@@ -205,10 +210,12 @@ def test_density_batch_needs_one_initial_density(small_deploy, phy, queue, small
         density[0] = initial_density(small_solution.grid, 0.3, 0.1)
         other = dataclasses.replace(small_solution, density=density)
     arms = [Arm("mfg", solution=small_solution), Arm("mfg", solution=other)]
-    kw = dict(n_periods=1, seed=0, replicates=[0], slots_per_period=5)
+    kw = dict(n_periods=1, base_seed=0, slots_per_period=5)
     with pytest.raises(ConfigError, match="needs solutions of one grid"):
-        run_episodes([small_deploy], arms, phy, queue, initial_backlog="density", **kw)
-    run_episodes([small_deploy], arms, phy, queue, initial_backlog="empty", **kw)
+        run_episodes([small_deploy], arms, phy, queue,
+                     EpisodeParams(initial_backlog="density", **kw), replicates=[0])
+    run_episodes([small_deploy], arms, phy, queue,
+                 EpisodeParams(initial_backlog="empty", **kw), replicates=[0])
 
 
 def test_batch_reads_gains_from_each_deployment(phy, queue):
@@ -216,11 +223,11 @@ def test_batch_reads_gains_from_each_deployment(phy, queue):
     holds no stacked copy: a batch of four 121-SBS deployments allocates
     less than their gain matrices together (a copy alone would fill it)."""
     deploys = [generate_deployment(3.5, 5, phy, seed=s) for s in range(4)]
-    kw = dict(n_periods=1, seed=3, slots_per_period=2)
-    run_episodes(deploys[:1], [Arm("baseline")], phy, queue, replicates=[0], **kw)
+    episode = EpisodeParams(n_periods=1, base_seed=3, slots_per_period=2)
+    run_episodes(deploys[:1], [Arm("baseline")], phy, queue, episode, replicates=[0])
     tracemalloc.start()
     try:
-        run_episodes(deploys, [Arm("baseline")], phy, queue, replicates=range(4), **kw)
+        run_episodes(deploys, [Arm("baseline")], phy, queue, episode, replicates=range(4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,8 +253,9 @@ def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, mon
     monkeypatch.setattr(udnsim.simulate, "queue_step",
                         counted("queue_step", udnsim.simulate.queue_step))
     n_periods, spp = 3, 7
-    run_episodes([small_deploy] * 2, [Arm("baseline")], phy, queue, n_periods=n_periods,
-                 seed=5, replicates=[0, 1], slots_per_period=spp)
+    run_episodes([small_deploy] * 2, [Arm("baseline")], phy, queue,
+                 EpisodeParams(n_periods=n_periods, base_seed=5, slots_per_period=spp),
+                 replicates=[0, 1])
     assert calls == {"myopic_power": n_periods + n_periods * spp,
                      "observe": n_periods * spp, "queue_step": n_periods * spp}
 
@@ -269,23 +277,33 @@ def test_fold_in_order_matches_slot_loop(rng):
     assert total.tolist() == loop.tolist()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_periods", 0), ("slots_per_period", 0), ("n_replicates", 0), ("drain_window_slots", 0),
+    ("base_seed", -1), ("estimate_mode", "kalman"), ("initial_backlog", "full"),
+])
+def test_episode_params_checks(field, value):
+    """The record holds every range and choice check of its settings, so a
+    batch never sees a bad one."""
+    with pytest.raises(ConfigError, match=field):
+        EpisodeParams(**{field: value})
+
+
 def test_batch_validation(small_deploy, phy, queue):
-    kw = dict(seed=0, replicates=[0])
-    base = [Arm("baseline")]
+    episode, base = EpisodeParams(n_periods=1, base_seed=0), [Arm("baseline")]
     with pytest.raises(ConfigError):
-        run_episodes([small_deploy], base, phy, queue, n_periods=0, **kw)
-    with pytest.raises(ConfigError):
-        run_episodes([small_deploy], base, phy, queue, n_periods=1,
-                     slots_per_period=0, **kw)
+        run_episode(small_deploy, "baseline", phy, queue, n_periods=0, seed=0)
     with pytest.raises(ConfigError):
         run_episode(small_deploy, "baseline", phy, queue, n_periods=1, seed=0,
                     slots_per_period=0)
+    with pytest.raises(ConfigError):
+        run_episode(small_deploy, "baseline", phy, queue, n_periods=1, seed=0,
+                    drain_window_slots=0)
     with pytest.raises(ConfigError):  # one replicate index per deployment
-        run_episodes([small_deploy] * 2, base, phy, queue, n_periods=1, **kw)
+        run_episodes([small_deploy] * 2, base, phy, queue, episode, replicates=[0])
     with pytest.raises(ConfigError):  # one shape per batch
         run_episodes([small_deploy, synthetic_deployment(2, 2, gain_scale=0.5)],
-                     base, phy, queue, n_periods=1, seed=0, replicates=[0, 1])
+                     base, phy, queue, episode, replicates=[0, 1])
     with pytest.raises(ConfigError):  # at least one arm
-        run_episodes([small_deploy], [], phy, queue, n_periods=1, **kw)
+        run_episodes([small_deploy], [], phy, queue, episode, replicates=[0])
     with pytest.raises(ConfigError):  # every arm is checked, not only the first
-        run_episodes([small_deploy], base + [Arm("mfg")], phy, queue, n_periods=1, **kw)
+        run_episodes([small_deploy], base + [Arm("mfg")], phy, queue, episode, replicates=[0])
