@@ -6,6 +6,11 @@ empty file is a valid (reference-like) configuration.  The [phy], [traffic],
 PathlossModel and EpisodeParams: their keys are the record's fields, in
 field order, parsed by the field's type, with the record's defaults, and
 each section builds its record whole, which checks its ranges and choices.
+Every other per-key check is its owner's too, run at load with the key's
+section named: the solve's for [solver] (solver.check_iteration,
+solver.check_noise_and_gain, fields.terminal_value, fields.initial_density)
+and the draw's for [deployment] (deployment.check_deployment).  The config
+itself checks only what no other code does or what spans sections.
 The environment variable UDNSIM_OUTDIR overrides the output directory
 without touching the file.
 """
@@ -18,13 +23,13 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
-from .deployment import grid_side
+from .deployment import check_deployment
 from .errors import ConfigError
-from .fields import BOUNDARY_KINDS, GridSpec, initial_density
+from .fields import GridSpec, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import DppParams
 from .simulate import EpisodeParams
-from .solver import FP_DAMPING, FP_MAX_ITERS, FP_TOL, INIT_MODES
+from .solver import FP_DAMPING, FP_MAX_ITERS, FP_TOL, check_iteration, check_noise_and_gain
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
 
@@ -63,7 +68,7 @@ def _prefixed(prefix: str, make, *args, **kwargs):
         raise ConfigError(f"{prefix} {exc}") from None
 
 
-# section -> key -> (parser, default); choices validated after parsing
+# section -> key -> (parser, default); values checked after parsing
 SCHEMA = {
     # [phy] sbs_density reaches PhyParams, which checks it, but feeds no
     # solve: each solve replaces it with a deployment's eta, as it takes
@@ -115,14 +120,6 @@ SCHEMA = {
     },
 }
 
-CHOICES = {
-    ("solver", "boundary"): BOUNDARY_KINDS,
-    ("solver", "init"): INIT_MODES,
-    ("scheduler", "gradient_model"): ("linear_ee",),
-    ("sweep", "key"): ("",) + tuple(SWEEP_KEYS),
-}
-
-
 @dataclass
 class RunConfig:
     phy: PhyParams
@@ -169,57 +166,50 @@ class RunConfig:
         return key, values
 
 
-def _parse_file(path) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        read = parser.read(path, encoding="utf-8")
-        sections = {section: parser.items(section) for section in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    values = {}
-    for section, items in sections.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, text in items:
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            values[(section, key)] = text
-    return values
-
-
 def load_config(path=None) -> RunConfig:
     """Parse, type-check and assemble a run configuration.
 
     path None loads pure defaults.  Raises ConfigError on unknown keys, type
-    errors, bad choices or inconsistent parameter values.
+    errors, bad choices or inconsistent parameter values; of several faults
+    in the file, the first in file order.
     """
-    text_values = _parse_file(path) if path is not None else {}
-    raw = {}
-    for section, keys in SCHEMA.items():
-        raw[section] = {}
-        for key, (parse, default) in keys.items():
-            if (section, key) in text_values:
-                text = text_values[(section, key)]
+    raw = {section: {key: default for key, (_, default) in keys.items()}
+           for section, keys in SCHEMA.items()}
+    if path is None:
+        return _build(raw)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, text in parser.items(section):
+                if key not in SCHEMA[section]:
+                    raise ConfigError(f"unknown config key {key!r} in section [{section}]")
                 try:
-                    raw[section][key] = parse(text)
+                    raw[section][key] = SCHEMA[section][key][0](text)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-            else:
-                raw[section][key] = default
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     return _build(raw)
 
 
 def _build(raw: dict) -> RunConfig:
     """The run configuration of typed values (section -> key -> value):
-    checks the choices and ranges and assembles the typed records."""
-    for (section, key), choices in CHOICES.items():
+    runs each key's owner's check, naming its section, and the checks that
+    no other code makes, and assembles the typed records."""
+    for section, key, choices in (("scheduler", "gradient_model", ("linear_ee",)),
+                                  ("sweep", "key", ("",) + tuple(SWEEP_KEYS))):
         if raw[section][key] not in choices:
             raise ConfigError(
                 f"[{section}] {key} must be one of {choices}, got {raw[section][key]!r}")
-
+    if raw["scheduler"]["qos_min_rate_bps"] < 0:
+        raise ConfigError("[scheduler] qos_min_rate_bps must be nonnegative")
     outdir = os.environ.get(OUTDIR_ENV, raw["output"]["dir"])
+    if not outdir:
+        raise ConfigError(f"the output directory ([output] dir, or {OUTDIR_ENV} if set) is empty")
 
     # each record checks its own ranges; its error names the section
     s = raw["solver"]
@@ -229,31 +219,20 @@ def _build(raw: dict) -> RunConfig:
         ("solver", GridSpec, {k: s[k] for k in ("n_t", "n_q", "horizon_s")}),
         ("scheduler", DppParams, {"v_coeff": raw["scheduler"]["v_coeff"]}),
         ("simulate", EpisodeParams, raw["simulate"]))), raw=raw, output_dir=outdir)
+    _prefixed("[solver]", check_iteration, s["damping"], s["tol"], s["max_iters"], s["init"])
+    _prefixed("[solver]", check_noise_and_gain, s["noise_norm"], s["mean_sq_gain"])
+    _prefixed("[solver]", terminal_value, s["boundary"], cfg.grid.queues)
     _prefixed("[solver]", initial_density, cfg.grid, s["rho0_mean"], s["rho0_variance"])
-    if raw["solver"]["noise_norm"] <= 0:
-        raise ConfigError("[solver] noise_norm must be positive")
-    if raw["solver"]["mean_sq_gain"] <= 0:
-        raise ConfigError("[solver] mean_sq_gain must be positive")
-    if raw["solver"]["tol"] <= 0 or raw["solver"]["max_iters"] < 1:
-        raise ConfigError("[solver] tol must be positive and max_iters at least 1")
-    if not 0 < raw["solver"]["damping"] <= 1:
-        raise ConfigError("[solver] damping must lie in (0, 1]")
-    dep = raw["deployment"]
-    if (dep["k"] < 1 or dep["isd_units"] <= 0 or dep["area_km2"] <= 0 or dep["jitter_frac"] < 0
-            or dep["cross_isolation_db"] < 0 or dep["rician_k_db"] >= 3080):
-        raise ConfigError("[deployment] needs k >= 1, isd_units > 0, area_km2 > 0, jitter_frac and "
-                          "cross_isolation_db >= 0, and rician_k_db < 3080 (K-factor below 1e308)")
+    n_side = _prefixed("[deployment]", check_deployment, **raw["deployment"])
     period_s = cfg.episode.slots_per_period * cfg.queue.slot_duration_s
     if not math.isclose(period_s, cfg.grid.horizon_s, rel_tol=1e-9):
         raise ConfigError(f"the simulated period (slots_per_period x slot_duration_s = "
                           f"{period_s:g} s) must equal the solved one, [solver] horizon_s")
     # bit counts are int64: all buffers full plus an episode's mean arrivals stay below 2**62
-    n_ue = grid_side(dep["isd_units"], dep["area_km2"]) ** 2 * dep["k"]
+    n_ue = n_side ** 2 * raw["deployment"]["k"]
     bits = (cfg.queue.capacity_bits
             + cfg.queue.arrival_rate_bps * cfg.episode.n_periods * period_s) * n_ue
     if bits > 2 ** 62:
         raise ConfigError(f"[traffic] capacity_bits and arrival_rate_bps allow {bits:.3g} bits in "
                           f"an episode of {n_ue} UEs, past 2**62: bit counts are int64")
-    if raw["scheduler"]["qos_min_rate_bps"] < 0:
-        raise ConfigError("[scheduler] qos_min_rate_bps must be nonnegative")
     return cfg

@@ -81,6 +81,21 @@ def grid_side(isd_units: float, area_km2: float = DEFAULT_AREA_KM2) -> int:
     return max(1, round(side_m / (isd_units * ISD_UNIT_M)))
 
 
+def check_deployment(isd_units, k, area_km2, jitter_frac, fading, cross_isolation_db,
+                     rician_k_db) -> int:
+    """The grid side of a draw with these settings (the [deployment] keys;
+    fading needs no check); ConfigError unless each is in range."""
+    if k < 1:
+        raise ConfigError("k must be at least 1")
+    if not jitter_frac >= 0:
+        raise ConfigError("jitter_frac must be nonnegative")
+    if not cross_isolation_db >= 0:
+        raise ConfigError("cross_isolation_db must be nonnegative")
+    if not rician_k_db < 3080:
+        raise ConfigError("rician_k_db must be below 3080 (a K-factor below 1e308)")
+    return grid_side(isd_units, area_km2)
+
+
 def generate_deployment(isd_units: float, k: int, phy: PhyParams,
                         pathloss: PathlossModel = PathlossModel(),
                         seed=0, area_km2: float = DEFAULT_AREA_KM2,
@@ -93,14 +108,9 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     Non-serving links are attenuated by cross_isolation_db.  rician_k_db
     sets the fading K-factor (line-of-sight to scattered power ratio);
     K -> -inf dB recovers Rayleigh fading."""
-    if k < 1:
-        raise ConfigError("k must be at least 1")
-    if not jitter_frac >= 0:
-        raise ConfigError("jitter_frac must be nonnegative")
-    if not cross_isolation_db >= 0:
-        raise ConfigError("cross_isolation_db must be nonnegative")
+    n_side = check_deployment(isd_units, k, area_km2, jitter_frac, fading,
+                              cross_isolation_db, rician_k_db)
     rng = np.random.default_rng(seed)
-    n_side = grid_side(isd_units, area_km2)
     side_m = np.sqrt(area_km2) * 1e3
     cell = side_m / n_side
 

@@ -92,7 +92,15 @@ def _rate_coeffs(phy: PhyParams, queue: QueueParams):
     return abar, rcoef
 
 
-def _check_noise_and_gain(noise_norm, mean_sq_gain):
+def check_iteration(damping, tol, max_iters, init):
+    """ConfigError unless solve_mfg's fixed-point loop settings are in range."""
+    if not (0.0 < damping <= 1.0 and tol > 0.0 and max_iters >= 1):
+        raise ConfigError("damping must lie in (0, 1], tol be positive and max_iters >= 1")
+    if init not in INIT_MODES:
+        raise ConfigError(f"interference init must be one of {INIT_MODES}")
+
+
+def check_noise_and_gain(noise_norm, mean_sq_gain):
     if not (math.isfinite(noise_norm) and noise_norm > 0):
         raise ConfigError("noise_norm must be positive and finite")
     if not (math.isfinite(mean_sq_gain) and mean_sq_gain > 0):
@@ -110,7 +118,7 @@ def beta_trajectory(interference, noise_norm, mean_sq_gain):
     """Gain-to-noise ratio mean_sq_gain / (interference + noise_norm) per
     slice; ConfigError unless it is positive and finite."""
     interference = np.asarray(interference, dtype=float)
-    _check_noise_and_gain(noise_norm, mean_sq_gain)
+    check_noise_and_gain(noise_norm, mean_sq_gain)
     if interference.min() < 0:
         raise ConfigError("interference trajectory must be nonnegative")
     with np.errstate(over="ignore"):  # an overflow fails the test below
@@ -254,7 +262,7 @@ def _queue_blind_interference(x, noise_norm, mean_sq_gain, phy: PhyParams, tol):
     START_MAX_ITERS steps.  p* comes from power_opt.ee_power, the sweep's
     zero-gradient lane without maximize_rate_value around it, so that
     function's vgrad = 0 case keeps serving only the episodes' power."""
-    _check_noise_and_gain(noise_norm, mean_sq_gain)
+    check_noise_and_gain(noise_norm, mean_sq_gain)
     noise, gain = float(noise_norm), float(mean_sq_gain)
     for _ in range(START_MAX_ITERS):
         nxt = phy.sbs_density * gain * float(ee_power(gain / (x + noise), phy))
@@ -298,10 +306,7 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     relative to the (normalized) noise power.  Raises ConvergenceError with
     the residual history when max_iters is exhausted.
     """
-    if not (0.0 < damping <= 1.0 and tol > 0.0 and max_iters >= 1):
-        raise ConfigError("damping must lie in (0, 1], tol be positive and max_iters >= 1")
-    if init not in INIT_MODES:
-        raise ConfigError(f"interference init must be one of {INIT_MODES}")
+    check_iteration(damping, tol, max_iters, init)
     eta = phy.sbs_density
     terminal = terminal_value(boundary, grid.queues)
     if rho0 is None:

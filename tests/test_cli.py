@@ -352,7 +352,7 @@ def test_sweep_outputs_and_determinism(tmp_path):
 
 
 @pytest.mark.parametrize("key, values, solves",
-                         [("v", "1, 10, 100", 1), ("k", "1, 2", 2),
+                         [("v", "1, 10, 100", 1), ("k", "1, 2", 2), ("isd", "37.5, 12.5", 2),
                           ("boundary", "exponential, uniform", 2)])
 def test_sweep_solves_once_per_geometry(tmp_path, monkeypatch, key, values, solves):
     solve = udnsim.cli.solve_mfg
@@ -411,13 +411,14 @@ def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("key, values, mfg_runs, baseline_runs, draws",
                          [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4),
+                          ("isd", "37.5, 12.5", 2, 2, 4),
                           ("boundary", "exponential, uniform", 2, 1, 2)])
 def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
                                         mfg_runs, baseline_runs, draws):
     """Values that differ only in [solver] or v share one batch: one draw
     of the deployments, the mfg arm of each value and the baseline once.  A
-    k sweep changes the geometry, so it runs one batch per value, each with
-    its own deployments and baseline."""
+    k or isd sweep changes the geometry, so it runs one batch per value,
+    each with its own deployments and baseline."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
@@ -430,7 +431,7 @@ def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
     assert len(seeds) == draws
     rows = Path(out, "sweep_metrics.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
-    if key != "k":
+    if key not in ("k", "isd"):
         # one geometry: the baseline reads neither v nor the terminal
         # condition, so its rows repeat at every value
         baseline = [r for r in rows[1:] if r.startswith("baseline,")]

@@ -161,6 +161,7 @@ def test_missing_file_rejected(tmp_path):
     "bandwidth_hz = 1e6\n",                       # no section header
     "[phy]\nmax_power_w = 1\nmax_power_w = 2\n",  # duplicate key
     "[phy]\nbandwidth_hz = 5%\n",                  # bad interpolation
+    "[output]\ndir =\n",                          # os.makedirs("") fails
 ])
 def test_bad_values_rejected(tmp_path, body):
     with pytest.raises(ConfigError):
@@ -179,6 +180,13 @@ def test_bad_values_rejected(tmp_path, body):
     ("[simulate]\nestimate_mode = kalman\n", "[simulate] estimate_mode must be one of"),
     ("[solver]\nrho0_variance = 0\n", "[solver] initial density variance must be positive"),
     ("[solver]\nrho0_mean = 1e300\n", "[solver] initial density has no mass"),
+    # the solve's and the draw's own checks, run at load
+    ("[solver]\ndamping = 0\n", "[solver] damping must lie in (0, 1]"),
+    ("[solver]\ninit = warm\n", "[solver] interference init must be one of"),
+    ("[solver]\nboundary = parabolic\n", "[solver] unknown boundary kind 'parabolic'"),
+    ("[solver]\nmean_sq_gain = 0\n", "[solver] mean_sq_gain must be positive"),
+    ("[deployment]\nk = 0\n", "[deployment] k must be at least 1"),
+    ("[deployment]\nrician_k_db = 3083\n", "[deployment] rician_k_db must be below 3080"),
 ])
 def test_record_range_errors_name_their_section(tmp_path, body, message):
     # each record checks its own ranges, and the config names the section
@@ -206,6 +214,9 @@ def test_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("UDNSIM_OUTDIR", str(tmp_path / "env-out"))
     cfg = load_config(None)
     assert cfg.output_dir == str(tmp_path / "env-out")
+    monkeypatch.setenv("UDNSIM_OUTDIR", "")  # os.makedirs("") fails
+    with pytest.raises(ConfigError, match="output directory"):
+        load_config(None)
 
 
 def test_sweep_values_typed(tmp_path):
@@ -238,7 +249,8 @@ def test_sweep_values_errors(tmp_path):
         cfg.sweep_values()
     # every swept config is built, so a value out of its key's range fails too
     cfg = load_config(write(tmp_path, "[sweep]\nkey = k\nvalues = 2, 0\n"))
-    with pytest.raises(ConfigError, match=r"^\[sweep\] k = 0: \[deployment\] needs k >= 1"):
+    with pytest.raises(ConfigError,
+                       match=r"^\[sweep\] k = 0: \[deployment\] k must be at least 1$"):
         cfg.sweep_values()
     cfg = load_config(write(tmp_path, "[sweep]\nkey = isd\nvalues = 12.5, -1\n"))
     with pytest.raises(ConfigError, match=r"^\[sweep\] isd = -1.0: "):

@@ -91,7 +91,8 @@ def test_k_validation(phy):
                                 # each sends every serving gain to 0
                                 dict(jitter_frac=1e300),
                                 dict(pathloss=PathlossModel(ref_loss_db=4000.0)),
-                                dict(pathloss=PathlossModel(min_distance_m=1e300))])
+                                dict(pathloss=PathlossModel(min_distance_m=1e300)),
+                                dict(rician_k_db=3083.0)])  # 10^308.3 overflows
 def test_geometry_validation(phy, kw):
     with pytest.raises(ConfigError):
         generate_deployment(3.5, 2, phy, seed=1, **kw)
