@@ -13,8 +13,8 @@ pair: an arm is a method with its scheduler parameters, and a replicate is
 one of R deployments of one (n_sbs, k) shape, with its own normalized noise
 and its own traffic stream.  Lane a * R + r runs arm a on replicate r, the
 mfg arms first, so each method's lanes are one slice.  Each replicate's
-arrivals are drawn once per period into one (slots, R * n_ue) block, held
-once and broadcast to every arm, and every arm reads its link gains from the
+arrivals are drawn once per period into a (slots, R * n_ue) block that every
+arm reads by broadcast, and every arm reads its link gains from the
 replicate's own deployment, so no gain matrix is copied.
 Per-UE state is one flat vector in which UE u of lane l sits at l * n_ue +
 u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so reshaping it
@@ -36,7 +36,7 @@ slice of lanes and everything else once over all of them:
   units) and ``phy.queue_step``, which serves the bits a link offers,
   floor(rate * dt) for a scheduled UE and 0 for the others; once per period
   ``phy.sample_arrivals`` draws each replicate's arrivals, one row per
-  slot, the same stream as one draw per slot;
+  slot, the same stream as one draw per slot (see below for the thread);
 - mfg: ``fields.bilinear`` for the slot power and, once per period,
   ``scheduler.expected_rate`` at the period start, each once per run of
   arms that play one solution, and ``scheduler.dpp_step`` (one V per lane);
@@ -52,6 +52,21 @@ values go into per-period rows, and ``np.add.accumulate`` (which adds
 strictly in row order, unlike the pairwise ``sum``) folds each period into
 running per-UE and per-lane totals.  Integer ledgers are exact in any order.
 
+Where a replicate's period of arrivals, slots_per_period * n_ue draws, is
+at least PREFETCH_MIN_DRAWS (20 000), one worker thread draws period p + 1's
+block while the slots of period p run: two blocks take turns, and at the
+start of period p the kernel collects block p and submits block p + 1.
+``Generator.poisson`` releases the GIL while it fills its array, so the
+draws take a second core.  Below the constant the thread's handoffs cost
+more than the overlap saves, and one block is drawn inline at each period's
+start.  Either way each replicate's block comes from its own generator, the
+replicates in order, and the first block is drawn only after the initial
+backlogs have drawn from those generators, so every output is the same on
+both sides.  The worker's pool lives inside run_episodes: an error on either
+thread reaches the caller, and no thread outlives the call.  The worker calls
+only ``phy.sample_arrivals``; no layer that ``bench/tracer.py`` wraps may run
+on it, because the tracer takes calls to be strictly nested on one thread.
+
 Energy accounting matches the solver's utility ln(1 + beta p) / (p + p0):
 every scheduled SBS radiates its chosen power p for the whole slot, so a
 slot costs (p + p0) * dt per SBS whatever the buffer delivers.  Circuit
@@ -63,6 +78,8 @@ the full slot.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -78,6 +95,11 @@ from .scheduler import DppParams, SchedulerState, dpp_step, expected_rate
 
 METHODS = ("mfg", "baseline")
 INITIAL_BACKLOGS = ("empty", "density")
+# a replicate's period of arrivals, slots_per_period * n_ue Poisson draws,
+# is drawn on a worker thread from this many up: below about 1e4 the
+# thread's handoffs cost more than the overlap saves, from 6e4 it wins, and
+# in between the two are even (the sweep in BENCH_arrival_prefetch.json)
+PREFETCH_MIN_DRAWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -142,6 +164,17 @@ def _sample_initial_backlog(solution: MfgSolution, n_ue: int, cap: int,
     cdf /= cdf[-1]
     u = rng.uniform(size=n_ue)
     return (np.interp(u, cdf, grid.queues) * cap).astype(np.int64)
+
+
+def _draw_arrivals(traffic: list[np.random.Generator], queue: QueueParams,
+                   block: np.ndarray) -> np.ndarray:
+    """Fill block, (slots, R * n_ue), with one period of arrivals: replicate
+    r's UEs from traffic[r], the replicates in order, each the same stream
+    as one draw per slot."""
+    per_replicate = block.reshape(len(block), len(traffic), -1)
+    for r, rng in enumerate(traffic):
+        per_replicate[:, r] = sample_arrivals(rng, queue, per_replicate[:, r].shape)
+    return block
 
 
 def _fold_in_order(total: np.ndarray, index, rows: np.ndarray, divisor: float = 1.0):
@@ -260,81 +293,89 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     served_rows = np.empty((spp, n_lane, n_sbs), dtype=np.int64)
     infeasible_rows = np.zeros((spp, n_lane, n_sbs), dtype=bool)
     energy, power_sum, interference_sum = np.zeros((3, n_lane))  # per-lane running totals
-    # per-period inputs, refilled in place: the cross gains, row b of lane l
-    # holding the gains at b's scheduled UE, and each replicate's arrivals
+    # the cross gains of a period, refilled in place: row b of lane l holds
+    # the gains at b's scheduled UE
     g_cross = np.empty((n_lane, n_sbs, n_sbs))
-    arrivals = np.empty((spp, n_rep_ue), dtype=np.int64)
-    arrival_blocks = arrivals.reshape(spp, n_rep, n_ue)
 
-    for period in range(episode.n_periods):
-        # --- slow timescale: pick one UE per SBS for the whole period
-        cells = queues.reshape(n_lane, n_sbs, k)
-        if n_mfg:
-            p_cand, r_bps = map(np.concatenate, zip(*(
-                expected_rate(sol, cells[run] / cap, serving_gain[run], phy)
-                for run, sol in runs)))
-            local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
-        if n_base:
-            beta = serving_gain[base] / (pf_state.interference_est[..., None]
-                                         + base_noise[..., None])
-            cand = myopic_power(beta, qos_min_rate_bps, phy)[1]
-            local[base] = pf_schedule(cand, pf_state.rate_avg)
-        lanes = lane_base + local
-        sched_periods[lanes] += 1
-        # lane a * n_rep + r reads replicate r's gains, at its UEs' own numbers
-        for r, d in enumerate(deploys):
-            d.gains.take(lanes[r::n_rep] % n_ue, axis=0, out=g_cross[r::n_rep])
-        g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
-        # each replicate's arrivals, drawn once and broadcast to every arm
-        for r, rng in enumerate(traffic):
-            arrival_blocks[:, r] = sample_arrivals(rng, queue, (spp, n_ue))
-        if n_base:
-            base_lanes, base_g_own = lanes[base], g_own[base]
-
-        # --- fast timescale
-        for s in range(spp):
-            own_bits = queues.take(lanes)
-            # every scheduled SBS radiates its power for the full slot
-            powers = power_rows[s]
-            for run, sol in runs:
-                powers[run] = bilinear(sol.grid, sol.policy, s * dt, own_bits[run] / cap)
+    # each period's arrivals, drawn once for every arm: inline, or on the
+    # worker into the block that the period before did not read
+    prefetch = spp * n_ue >= PREFETCH_MIN_DRAWS
+    blocks = np.empty((1 + prefetch, spp, n_rep_ue), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=1) if prefetch else nullcontext() as pool:
+        if pool:
+            pending = pool.submit(_draw_arrivals, traffic, queue, blocks[0])
+        for period in range(episode.n_periods):
+            if pool:
+                arrivals = pending.result()
+                if period + 1 < episode.n_periods:
+                    pending = pool.submit(_draw_arrivals, traffic, queue, blocks[(period + 1) % 2])
+            else:
+                arrivals = _draw_arrivals(traffic, queue, blocks[0])
+            # --- slow timescale: pick one UE per SBS for the whole period
+            cells = queues.reshape(n_lane, n_sbs, k)
+            if n_mfg:
+                p_cand, r_bps = map(np.concatenate, zip(*(
+                    expected_rate(sol, cells[run] / cap, serving_gain[run], phy)
+                    for run, sol in runs)))
+                local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
             if n_base:
-                beta = base_g_own / (pf_state.interference_est + base_noise)
-                # PF averaging tracks the rate the channel would support at the
-                # myopic power, not the buffer-limited served rate; otherwise a
-                # freshly drained UE looks starved and the rotation collapses.
-                p_ee, pot_rate, floor_w, infeasible_rows[s, base] = myopic_power(
-                    beta, qos_min_rate_bps, phy)
-                powers[base] = drain_power(
-                    p_ee, beta, own_bits[base],
-                    queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
-                    (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
-
-            interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
-                                       out=interference_rows[s])
-            rate = instantaneous_rate(powers, g_own, interference, phy, noise)
-            offered[lanes] = (rate * dt).astype(np.int64)
-            # (arms, replicate UEs) against the replicates' arrivals
-            queues, served, dropped = queue_step(queues, arrivals[s], offered_by_arm, queue)
-            served.take(lanes, out=served_rows[s])
-            dropped_per_ue += dropped
-
+                beta = serving_gain[base] / (pf_state.interference_est[..., None]
+                                             + base_noise[..., None])
+                cand = myopic_power(beta, qos_min_rate_bps, phy)[1]
+                local[base] = pf_schedule(cand, pf_state.rate_avg)
+            lanes = lane_base + local
+            sched_periods[lanes] += 1
+            # lane a * n_rep + r reads replicate r's gains, at its UEs' own numbers
+            for r, d in enumerate(deploys):
+                d.gains.take(lanes[r::n_rep] % n_ue, axis=0, out=g_cross[r::n_rep])
+            g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
             if n_base:
-                achieved[base_lanes] = pot_rate
-                pf_state.observe(interference[base], base_achieved, episode.estimate_mode)
+                base_lanes, base_g_own = lanes[base], g_own[base]
 
-        offered[lanes] = 0
-        if n_base:
-            achieved[base_lanes] = 0
-        radiated = power_rows.sum(axis=2)
-        _fold_in_order(energy, ..., (radiated + n_sbs * phy.circuit_power_w) * dt)
-        _fold_in_order(power_sum, ..., radiated)
-        _fold_in_order(interference_sum, ..., interference_rows.mean(axis=2))
-        arrived += np.tile(arrival_blocks.sum(axis=(0, 2)), n_arm)
-        delivered += served_rows.sum(axis=(0, 2))
-        infeasible += infeasible_rows.sum(axis=(0, 2))
-        _fold_in_order(sched_rate_hz, lanes, served_rows, dt * phy.bandwidth_hz)
-        _fold_in_order(sched_power, lanes, power_rows)
+            # --- fast timescale
+            for s in range(spp):
+                own_bits = queues.take(lanes)
+                # every scheduled SBS radiates its power for the full slot
+                powers = power_rows[s]
+                for run, sol in runs:
+                    powers[run] = bilinear(sol.grid, sol.policy, s * dt, own_bits[run] / cap)
+                if n_base:
+                    beta = base_g_own / (pf_state.interference_est + base_noise)
+                    # PF averaging tracks the rate the channel would support at the
+                    # myopic power, not the buffer-limited served rate; otherwise a
+                    # freshly drained UE looks starved and the rotation collapses.
+                    p_ee, pot_rate, floor_w, infeasible_rows[s, base] = myopic_power(
+                        beta, qos_min_rate_bps, phy)
+                    powers[base] = drain_power(
+                        p_ee, beta, own_bits[base],
+                        queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
+                        (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
+
+                interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
+                                           out=interference_rows[s])
+                rate = instantaneous_rate(powers, g_own, interference, phy, noise)
+                offered[lanes] = (rate * dt).astype(np.int64)
+                # (arms, replicate UEs) against the replicates' arrivals
+                queues, served, dropped = queue_step(queues, arrivals[s], offered_by_arm, queue)
+                served.take(lanes, out=served_rows[s])
+                dropped_per_ue += dropped
+
+                if n_base:
+                    achieved[base_lanes] = pot_rate
+                    pf_state.observe(interference[base], base_achieved, episode.estimate_mode)
+
+            offered[lanes] = 0
+            if n_base:
+                achieved[base_lanes] = 0
+            radiated = power_rows.sum(axis=2)
+            _fold_in_order(energy, ..., (radiated + n_sbs * phy.circuit_power_w) * dt)
+            _fold_in_order(power_sum, ..., radiated)
+            _fold_in_order(interference_sum, ..., interference_rows.mean(axis=2))
+            arrived += np.tile(arrivals.reshape(spp, n_rep, n_ue).sum(axis=(0, 2)), n_arm)
+            delivered += served_rows.sum(axis=(0, 2))
+            infeasible += infeasible_rows.sum(axis=(0, 2))
+            _fold_in_order(sched_rate_hz, lanes, served_rows, dt * phy.bandwidth_hz)
+            _fold_in_order(sched_power, lanes, power_rows)
 
     n_slots_total = episode.n_periods * spp
     sched_slots = sched_periods * spp

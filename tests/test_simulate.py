@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -79,6 +81,76 @@ def test_episode_ledger_is_pinned(small_deploy, phy, small_solution, method, bit
     assert (m.arrived_bits, m.delivered_bits, m.dropped_bits, m.backlog_delta_bits) == bits
     assert m.infeasible_slots == infeasible
     assert m.energy_j == pytest.approx(energy, rel=1e-12)
+
+
+def test_worker_side_batch_ledger_is_pinned(phy, small_solution):
+    """Exact ledgers of a batch whose arrivals are drawn on the worker thread
+    (605 UEs times 100 slots per replicate and period): three replicates, an
+    mfg and a baseline arm, backlogs drawn from the density first.  A change
+    to which generator feeds which replicate, or to the order of the draws,
+    shows here."""
+    deploys = [generate_deployment(3.5, 5, phy, seed=s) for s in (99, 100, 101)]
+    episode = EpisodeParams(n_periods=3, slots_per_period=100, base_seed=2024,
+                            initial_backlog="density")
+    batch = run_episodes(deploys, [Arm("mfg", solution=small_solution), Arm("baseline")],
+                         phy, QueueParams(capacity_bits=60_000), episode, replicates=[2, 0, 5])
+    ledgers = [[(m.arrived_bits, m.delivered_bits, m.dropped_bits, m.backlog_delta_bits,
+                 m.infeasible_slots) for m in metrics] for metrics in batch]
+    assert ledgers == [
+        [(362989891, 91162285, 260979844, 10847762, 0),
+         (363003612, 91366758, 260643086, 10993768, 0),
+         (363009015, 91211322, 261105760, 10691933, 0)],
+        [(362989891, 89521436, 262288548, 11179907, 0),
+         (363003612, 89576326, 262073593, 11353693, 0),
+         (363009015, 89640672, 262349015, 11019328, 0)]]
+    assert [m.energy_j for metrics in batch for m in metrics] == pytest.approx(
+        [725.9999999999975] * 3 + [364.188694475717, 364.1206634678901, 364.45486722603624],
+        rel=1e-12)
+
+
+class Fault(Exception):
+    pass
+
+
+def _fail_on_call(fn, n, threads):
+    """fn, raising Fault on its n-th call; each call's thread goes to threads."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if next(calls) == n:
+            raise Fault(f"call {n}")
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("fault", [None, "sample_arrivals", "queue_step"])
+def test_arrival_worker_ends_with_the_call(phy, queue, monkeypatch, fault):
+    """Above the threshold one worker thread draws the arrivals, and it is
+    gone when run_episodes returns or raises: whether the second block's
+    draw fails on the worker or a slot of period 2 fails on the caller, the
+    call re-raises that error."""
+    dep = synthetic_deployment(100, 1, gain_scale=0.5)
+    spp = 250
+    assert spp * dep.n_ue >= udnsim.simulate.PREFETCH_MIN_DRAWS
+    fail_at = {"sample_arrivals": 2, "queue_step": 2 * spp + 1}
+    threads = {name: [] for name in fail_at}
+    for name, n in fail_at.items():
+        monkeypatch.setattr(udnsim.simulate, name, _fail_on_call(
+            getattr(udnsim.simulate, name), n if name == fault else 0, threads[name]))
+    episode = EpisodeParams(n_periods=4, base_seed=1, slots_per_period=spp)
+    before = threading.active_count()
+    if fault:
+        with pytest.raises(Fault, match=f"call {fail_at[fault]}"):
+            run_episodes([dep], [Arm("baseline")], phy, queue, episode, replicates=[0])
+    else:
+        run_episodes([dep], [Arm("baseline")], phy, queue, episode, replicates=[0])
+    assert threading.active_count() == before
+    # every draw ran on the one worker, every slot on the caller's thread
+    draws = threads["sample_arrivals"]
+    assert len(set(draws)) == 1 and draws[0] is not threading.current_thread()
+    assert set(threads["queue_step"]) == {threading.current_thread()}
+    assert len(draws) == {None: 4, "sample_arrivals": 2, "queue_step": 4}[fault]
 
 
 def test_validation_errors(small_deploy, phy, queue, small_solution):
@@ -168,18 +240,23 @@ def test_batch_equals_single_episodes(phy, small_solution, method, estimate_mode
     assert len({m.delivered_bits for m in batch}) == 3
 
 
-@pytest.mark.parametrize("start", ["empty", "density"])
-@pytest.mark.parametrize("estimate_mode", ["arithmetic", "exponential"])
+@pytest.mark.parametrize("estimate_mode, start, isd, spp, worker", [
+    *(pytest.param(mode, start, 12.5, 15, False, id=f"{mode}-{start}")
+      for mode in ("arithmetic", "exponential") for start in ("empty", "density")),
+    pytest.param("exponential", "density", 3.5, 100, True, id="exponential-density-worker"),
+])
 def test_arms_batch_equals_each_arm_alone(phy, small_solution, uniform_solution,
-                                         estimate_mode, start):
+                                         estimate_mode, start, isd, spp, worker):
     """Two mfg arms at different V, an mfg arm on a second solution and the
     baseline share one lockstep batch: the baseline sits between mfg arms,
     so the lanes are reordered, and the second solution splits the first
     one's arms into two runs.  Each (arm, replicate) lane gets exactly the
-    metrics of running it alone."""
-    deploys = [generate_deployment(12.5, 2, phy, seed=s) for s in (99, 100, 101)]
+    metrics of running it alone, with the arrivals drawn inline or, for
+    121 SBSs, on the worker thread."""
+    deploys = [generate_deployment(isd, 2, phy, seed=s) for s in (99, 100, 101)]
+    assert (spp * deploys[0].n_ue >= udnsim.simulate.PREFETCH_MIN_DRAWS) == worker
     queue = QueueParams(capacity_bits=60_000)
-    kw = dict(n_periods=3, seed=2024, slots_per_period=15,
+    kw = dict(n_periods=3, seed=2024, slots_per_period=spp,
               estimate_mode=estimate_mode, initial_backlog=start)
     arms = [Arm("mfg", DppParams(-1.0), small_solution), Arm("baseline", solution=small_solution),
             Arm("mfg", DppParams(-1.0), uniform_solution),
