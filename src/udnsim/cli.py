@@ -97,7 +97,7 @@ def _check_solution(cfg: RunConfig, sol: MfgSolution, dep):
                                  f"{want!r}, the config's with replicate 0's calibration")
     if not np.array_equal(sol.value[-1], terminal_value(sol.boundary, sol.grid.queues)):
         raise InvariantError("stored terminal values do not match their kind")
-    # not below: an empty residual list reads nan
+    # not below: a nan residual fails too
     if not sol.residual < cfg.raw["solver"]["tol"]:
         raise InvariantError(
             f"stored residual {sol.residual:.3e} is not below the config tolerance")
@@ -251,7 +251,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # reads map their OSErrors to ConfigError: an OSError is a failed write
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -11,11 +11,12 @@ integers end to end, so arrivals, service, drops and backlog balance exactly.
 The slot kernel runs L lanes in lockstep.  A lane is an (arm, replicate)
 pair: an arm is a method with its scheduler parameters, and a replicate is
 one of R deployments of one (n_sbs, k) shape, with its own normalized noise
-and its own traffic stream.  Lane a * R + r runs arm a on replicate r, the
-mfg arms first, so each method's lanes are one slice.  Each replicate's
-arrivals are drawn once per period into a (slots, R * n_ue) block that every
-arm reads by broadcast, and every arm reads its link gains from the
-replicate's own deployment, so no gain matrix is copied.
+and its own traffic stream.  Lane a * R + r runs arm a on replicate r, and a
+group, a run of adjacent arms of one method and one solution, carries its
+scheduler state on one slice of lanes.  Each replicate's arrivals are drawn
+once per period into a (slots, R * n_ue) block that every arm reads by
+broadcast, and every arm reads its link gains from the replicate's own
+deployment, so no gain matrix is copied.
 Per-UE state is one flat vector in which UE u of lane l sits at l * n_ue +
 u, and the UEs of SBS b are u = b * k .. b * k + k - 1, so reshaping it
 gives the (L, n_sbs, k) view that the period step works on; the queues are
@@ -29,8 +30,8 @@ replicate at a time from that replicate's gain matrix, and the interference
 is one batched matrix-vector product over it.
 
 The kernel holds no physics of its own; it calls the tested functions
-once per slot or period on these batched arrays, each method on its own
-slice of lanes and everything else once over all of them:
+once per slot or period on these batched arrays, once per group for the
+calls of its method and once over all lanes for everything else:
 
 - every slot: ``phy.instantaneous_rate`` (in each deployment's normalized
   units) and ``phy.queue_step``, which serves the bits a link offers,
@@ -38,8 +39,7 @@ slice of lanes and everything else once over all of them:
   ``phy.sample_arrivals`` draws each replicate's arrivals, one row per
   slot, the same stream as one draw per slot (see below for the thread);
 - mfg: ``fields.bilinear`` for the slot power and, once per period,
-  ``scheduler.expected_rate`` at the period start, each once per run of
-  arms that play one solution, and ``scheduler.dpp_step`` (one V per lane);
+  ``scheduler.expected_rate`` at the period start and ``scheduler.dpp_step``;
 - baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
   slot power and ``BaselineState.observe`` after it, and once per period
   ``baseline.myopic_power`` (the candidates' rates) and
@@ -190,7 +190,8 @@ def _fold_in_order(total: np.ndarray, index, rows: np.ndarray, divisor: float = 
 
 class Arm(NamedTuple):
     """One policy of a batch: a method and, for mfg, its scheduler
-    parameters and the solution it plays (any arm's seeds a density start)."""
+    parameters and the solution it plays (any arm's seeds a density start).
+    Arm a of a batch runs on lanes a * R .. a * R + R - 1."""
 
     method: str
     dpp: DppParams = DppParams()
@@ -234,13 +235,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
     n_rep, n_ue, spp = len(deploys), n_sbs * k, episode.slots_per_period
     n_arm, n_rep_ue = len(arms), n_rep * n_ue
-    # lane a * n_rep + r runs arm order[a] on replicate r: the mfg arms come
-    # first, so each method's lanes are one slice
-    order = sorted(range(n_arm), key=lambda a: arms[a].method != "mfg")
-    n_lane = n_arm * n_rep
-    n_mfg = n_rep * sum(arm.method == "mfg" for arm in arms)
-    n_base = n_lane - n_mfg
-    mfg, base = slice(0, n_mfg), slice(n_mfg, n_lane)
+    n_lane = n_arm * n_rep   # lane a * n_rep + r runs arm a on replicate r
     serving_gain = np.tile(np.stack([d.serving_gains() for d in deploys]),
                            (n_arm, 1)).reshape(n_lane, n_sbs, k)
     noise = np.tile([d.noise_norm for d in deploys], n_arm)[:, None]
@@ -261,21 +256,23 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
         queues = np.zeros((n_arm, n_rep_ue), dtype=np.int64)
     backlog_start = queues.reshape(n_lane, n_ue).sum(axis=1)
 
-    runs, stop = [], 0   # (lanes, solution) per run of adjacent mfg arms on one solution
-    for _, run in groupby([arms[a].solution for a in order[:n_mfg // n_rep]], key=id):
+    # a group is a run of adjacent arms of one method and one solution, as
+    # (its lanes, its first arm with one V per lane, its scheduler state)
+    groups, stop = [], 0
+    for _, run in groupby(arms, key=lambda arm: (arm.method, id(arm.solution))):
         run = list(run)
-        runs.append((slice(stop, stop + len(run) * n_rep), run[0]))
-        stop += len(run) * n_rep
-    if n_mfg:
-        dpp_state = SchedulerState.fresh((n_mfg, n_sbs, k))
+        g_lanes = slice(stop, stop + len(run) * n_rep)
         # one V per lane, a column against (lanes, n_sbs, k)
-        v = np.repeat([arms[a].dpp.v_coeff for a in order[:n_mfg // n_rep]], n_rep)
-        dpp = DppParams(v_coeff=v[:, None, None])
-    if n_base:
-        pf_state = BaselineState.fresh((n_base, n_sbs, k))
-        base_noise = noise[base]
-        achieved = np.zeros(n_lane * n_ue)
-        base_achieved = achieved.reshape(n_lane, n_sbs, k)[base]
+        v = np.repeat([arm.dpp.v_coeff for arm in run], n_rep)[:, None, None]
+        state = (SchedulerState if run[0].method == "mfg" else BaselineState).fresh(
+            (g_lanes.stop - stop, n_sbs, k))
+        groups.append((g_lanes, run[0]._replace(dpp=DppParams(v)), state))
+        stop = g_lanes.stop
+    # PF averaging tracks the rate the channel would support at the myopic
+    # power, not the buffer-limited served rate; otherwise a freshly drained
+    # UE looks starved and the rotation collapses
+    achieved = np.zeros(n_lane * n_ue)
+    pf_input = achieved.reshape(n_lane, n_sbs, k)
 
     arrived = np.zeros(n_lane, dtype=np.int64)
     delivered = np.zeros(n_lane, dtype=np.int64)
@@ -313,43 +310,43 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                 arrivals = _draw_arrivals(traffic, queue, blocks[0])
             # --- slow timescale: pick one UE per SBS for the whole period
             cells = queues.reshape(n_lane, n_sbs, k)
-            if n_mfg:
-                p_cand, r_bps = map(np.concatenate, zip(*(
-                    expected_rate(sol, cells[run] / cap, serving_gain[run], phy)
-                    for run, sol in runs)))
-                local[mfg] = dpp_step(dpp_state, cells[mfg], r_bps, p_cand, phy, dpp)
-            if n_base:
-                beta = serving_gain[base] / (pf_state.interference_est[..., None]
-                                             + base_noise[..., None])
-                cand = myopic_power(beta, qos_min_rate_bps, phy)[1]
-                local[base] = pf_schedule(cand, pf_state.rate_avg)
+            for g_lanes, arm, state in groups:
+                if arm.method == "mfg":
+                    p_cand, r_bps = expected_rate(arm.solution, cells[g_lanes] / cap,
+                                                  serving_gain[g_lanes], phy)
+                    local[g_lanes] = dpp_step(state, cells[g_lanes], r_bps, p_cand, phy, arm.dpp)
+                else:
+                    beta = serving_gain[g_lanes] / (state.interference_est[..., None]
+                                                    + noise[g_lanes, :, None])
+                    cand = myopic_power(beta, qos_min_rate_bps, phy)[1]
+                    local[g_lanes] = pf_schedule(cand, state.rate_avg)
             lanes = lane_base + local
             sched_periods[lanes] += 1
             # lane a * n_rep + r reads replicate r's gains, at its UEs' own numbers
             for r, d in enumerate(deploys):
                 d.gains.take(lanes[r::n_rep] % n_ue, axis=0, out=g_cross[r::n_rep])
             g_own = np.diagonal(g_cross, axis1=1, axis2=2).copy()
-            if n_base:
-                base_lanes, base_g_own = lanes[base], g_own[base]
+            # per group: its scheduled UEs, their own gains, its noise, its PF input
+            views = [(g_lanes, arm, state, lanes[g_lanes], g_own[g_lanes], noise[g_lanes],
+                      pf_input[g_lanes]) for g_lanes, arm, state in groups]
 
             # --- fast timescale
             for s in range(spp):
                 own_bits = queues.take(lanes)
                 # every scheduled SBS radiates its power for the full slot
                 powers = power_rows[s]
-                for run, sol in runs:
-                    powers[run] = bilinear(sol.grid, sol.policy, s * dt, own_bits[run] / cap)
-                if n_base:
-                    beta = base_g_own / (pf_state.interference_est + base_noise)
-                    # PF averaging tracks the rate the channel would support at the
-                    # myopic power, not the buffer-limited served rate; otherwise a
-                    # freshly drained UE looks starved and the rotation collapses.
-                    p_ee, pot_rate, floor_w, infeasible_rows[s, base] = myopic_power(
-                        beta, qos_min_rate_bps, phy)
-                    powers[base] = drain_power(
-                        p_ee, beta, own_bits[base],
-                        queues.reshape(n_lane, n_sbs, k)[base].sum(axis=2),
-                        (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
+                for g_lanes, arm, state, sched, gain, g_noise, _ in views:
+                    if arm.method == "mfg":
+                        powers[g_lanes] = bilinear(arm.solution.grid, arm.solution.policy,
+                                                   s * dt, own_bits[g_lanes] / cap)
+                    else:
+                        beta = gain / (state.interference_est + g_noise)
+                        p_ee, achieved[sched], floor_w, infeasible_rows[s, g_lanes] = (
+                            myopic_power(beta, qos_min_rate_bps, phy))
+                        powers[g_lanes] = drain_power(
+                            p_ee, beta, own_bits[g_lanes],
+                            queues.reshape(n_lane, n_sbs, k)[g_lanes].sum(axis=2),
+                            (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
 
                 interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
                                            out=interference_rows[s])
@@ -359,14 +356,12 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                 queues, served, dropped = queue_step(queues, arrivals[s], offered_by_arm, queue)
                 served.take(lanes, out=served_rows[s])
                 dropped_per_ue += dropped
-
-                if n_base:
-                    achieved[base_lanes] = pot_rate
-                    pf_state.observe(interference[base], base_achieved, episode.estimate_mode)
+                for g_lanes, arm, state, _, _, _, g_input in views:
+                    if arm.method == "baseline":
+                        state.observe(interference[g_lanes], g_input, episode.estimate_mode)
 
             offered[lanes] = 0
-            if n_base:
-                achieved[base_lanes] = 0
+            achieved[lanes] = 0
             radiated = power_rows.sum(axis=2)
             _fold_in_order(energy, ..., (radiated + n_sbs * phy.circuit_power_w) * dt)
             _fold_in_order(power_sum, ..., radiated)
@@ -391,11 +386,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
     out = [[] for _ in arms]
     for lane in range(n_lane):
-        arm = order[lane // n_rep]
+        a = lane // n_rep
         arrived_l, delivered_l = int(arrived[lane]), int(delivered[lane])
         dropped_l, energy_l = int(dropped_total[lane]), float(energy[lane])
-        out[arm].append(EpisodeMetrics(
-            method=arms[arm].method, seed=episode.base_seed, replicate=replicates[lane % n_rep],
+        out[a].append(EpisodeMetrics(
+            method=arms[a].method, seed=episode.base_seed, replicate=replicates[lane % n_rep],
             n_periods=episode.n_periods, n_sbs=n_sbs, n_ue=n_ue,
             arrived_bits=arrived_l, delivered_bits=delivered_l, dropped_bits=dropped_l,
             backlog_delta_bits=int(backlog_delta[lane]), energy_j=energy_l,

@@ -68,8 +68,9 @@ def load_solution(path) -> MfgSolution:
             # JSON numbers load as int or float, and true as a bool
             if type(meta["iterations"]) is not int or meta["iterations"] < 1:
                 raise ConfigError("iterations must be a positive integer")
-            if not all(type(r) in (int, float) for r in meta["residuals"]):
-                raise ConfigError("residuals must be numbers")
+            if (len(meta["residuals"]) != meta["iterations"]
+                    or not all(type(r) in (int, float) for r in meta["residuals"])):
+                raise ConfigError("residuals must be one number per iteration")
             beta_trajectory(0.0, meta["noise_norm"], meta["mean_sq_gain"])
             terminal_value(meta["boundary"], grid.queues)
         except (ValueError, KeyError, TypeError, ConfigError) as exc:

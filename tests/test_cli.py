@@ -65,6 +65,27 @@ def test_solve_custom_out_path(tmp_path):
     assert os.path.exists(str(tmp_path / "custom.log"))
 
 
+def test_failed_writes_exit_2_and_name_their_path(tmp_path, capsys):
+    """A write the system refuses is a configuration error that names its
+    path: an empty or missing report directory, an output directory that
+    is a file, a solution file in a directory that does not exist."""
+    metrics = tmp_path / "m.csv"
+    metrics.write_text("method,ee_bits_per_j\nmfg,1\n")
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    cfg, _ = write_cfg(tmp_path, SOLVE_CFG, out=a_file)
+    missing = tmp_path / "missing" / "x.mfg"
+    good_cfg, _ = write_cfg(tmp_path, SOLVE_CFG, name="good.cfg")
+    for argv, path in ((["report", "--metrics", str(metrics), "--out", ""], ""),
+                       (["report", "--metrics", str(metrics), "--out", str(a_file)], a_file),
+                       (["solve", "--config", cfg], a_file),
+                       (["solve", "--config", good_cfg, "--out", str(missing)], missing)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(str(path)) in err
+    assert not missing.parent.exists()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     cfg, _ = write_cfg(tmp_path, SOLVE_CFG)
     env_out = tmp_path / "env-out"
@@ -124,11 +145,15 @@ def test_validate_roundtrip_and_mismatches(tmp_path):
     version_1.write_bytes(blob.replace(b"UDNSIM-MFG 2\n", b"UDNSIM-MFG 1\n", 1))
     assert main(["validate", "--config", cfg, "--solution", str(version_1)]) == 2
 
-    # no residuals: the stored residual reads nan, which is not below tol
+    # no residuals: fewer than the header's iterations, so the file is refused
     no_residuals = tmp_path / "no-residuals.mfg"
-    sol = dataclasses.replace(load_solution(sol_path), residuals=[])
-    save_solution(no_residuals, sol)
-    assert main(["validate", "--config", cfg, "--solution", str(no_residuals)]) == 4
+    sol = load_solution(sol_path)
+    save_solution(no_residuals, dataclasses.replace(sol, residuals=[]))
+    assert main(["validate", "--config", cfg, "--solution", str(no_residuals)]) == 2
+    # a nan residual is not below tol
+    nan_residuals = tmp_path / "nan-residuals.mfg"
+    save_solution(nan_residuals, dataclasses.replace(sol, residuals=[np.nan] * sol.iterations))
+    assert main(["validate", "--config", cfg, "--solution", str(nan_residuals)]) == 4
 
 
 def test_simulate_with_saved_solution(tmp_path):

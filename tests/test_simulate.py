@@ -249,10 +249,9 @@ def test_arms_batch_equals_each_arm_alone(phy, small_solution, uniform_solution,
                                          estimate_mode, start, isd, spp, worker):
     """Two mfg arms at different V, an mfg arm on a second solution and the
     baseline share one lockstep batch: the baseline sits between mfg arms,
-    so the lanes are reordered, and the second solution splits the first
-    one's arms into two runs.  Each (arm, replicate) lane gets exactly the
-    metrics of running it alone, with the arrivals drawn inline or, for
-    121 SBSs, on the worker thread."""
+    and the second solution splits the first one's arms into two groups.
+    Each (arm, replicate) lane gets exactly the metrics of running it alone,
+    with the arrivals drawn inline or, for 121 SBSs, on the worker thread."""
     deploys = [generate_deployment(isd, 2, phy, seed=s) for s in (99, 100, 101)]
     assert (spp * deploys[0].n_ue >= udnsim.simulate.PREFETCH_MIN_DRAWS) == worker
     queue = QueueParams(capacity_bits=60_000)
@@ -311,12 +310,17 @@ def test_batch_reads_gains_from_each_deployment(phy, queue):
     assert peak < sum(d.gains.nbytes for d in deploys)
 
 
-def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, monkeypatch):
-    """The slot kernel's baseline takes its power from baseline.myopic_power,
-    once per period for the PF candidates and once per slot, and folds each
-    slot into its state with one BaselineState.observe; every lane's queues
-    move by one phy.queue_step per slot."""
-    calls = {"myopic_power": 0, "observe": 0, "queue_step": 0}
+def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, small_solution,
+                                                  uniform_solution, monkeypatch):
+    """The slot kernel takes its power from baseline.myopic_power, once per
+    period for the PF candidates and once per slot, per baseline group, and
+    from fields.bilinear once per slot per mfg group, whose candidates come
+    from one scheduler.expected_rate per period; it folds each slot into the
+    baseline state with one BaselineState.observe, and every lane's queues
+    move by one phy.queue_step per slot.  A mixed batch makes no more calls
+    than its groups need."""
+    calls = dict.fromkeys(("myopic_power", "bilinear", "expected_rate", "observe",
+                           "queue_step"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -324,17 +328,21 @@ def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, mon
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(udnsim.simulate, "myopic_power",
-                        counted("myopic_power", udnsim.simulate.myopic_power))
+    for name in ("myopic_power", "bilinear", "expected_rate", "queue_step"):
+        monkeypatch.setattr(udnsim.simulate, name, counted(name, getattr(udnsim.simulate, name)))
     monkeypatch.setattr(BaselineState, "observe", counted("observe", BaselineState.observe))
-    monkeypatch.setattr(udnsim.simulate, "queue_step",
-                        counted("queue_step", udnsim.simulate.queue_step))
     n_periods, spp = 3, 7
-    run_episodes([small_deploy] * 2, [Arm("baseline")], phy, queue,
-                 EpisodeParams(n_periods=n_periods, base_seed=5, slots_per_period=spp),
-                 replicates=[0, 1])
-    assert calls == {"myopic_power": n_periods + n_periods * spp,
-                     "observe": n_periods * spp, "queue_step": n_periods * spp}
+    episode = EpisodeParams(n_periods=n_periods, base_seed=5, slots_per_period=spp)
+    # the second solution splits the mfg arms into two groups
+    mixed = [Arm("mfg", solution=small_solution), Arm("baseline"),
+             Arm("mfg", solution=uniform_solution)]
+    for arms, n_mfg_groups in (([Arm("baseline")], 0), (mixed, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        run_episodes([small_deploy] * 2, arms, phy, queue, episode, replicates=[0, 1])
+        assert calls == {"myopic_power": n_periods + n_periods * spp,
+                         "bilinear": n_mfg_groups * n_periods * spp,
+                         "expected_rate": n_mfg_groups * n_periods,
+                         "observe": n_periods * spp, "queue_step": n_periods * spp}
 
 
 def test_fold_in_order_matches_slot_loop(rng):

@@ -103,6 +103,23 @@ def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
         load_solution(path)
 
 
+@pytest.mark.parametrize("edit", ["iterations", "residuals"])
+def test_residual_count_must_equal_iterations(tmp_path, small_solution, edit):
+    """A solve writes one residual per iteration, so a header edited to
+    claim more iterations, or to hold one more residual, is refused."""
+    n = small_solution.iterations
+    assert len(small_solution.residuals) == n
+    path = tmp_path / "sol.mfg"
+    save_solution(path, small_solution)
+    blob = path.read_bytes()
+    old, new = {"iterations": (f'"iterations": {n},', f'"iterations": {n + 6},'),
+                "residuals": (']}\n', ', 0.5]}\n')}[edit]
+    assert blob.count(old.encode()) == 1
+    path.write_bytes(blob.replace(old.encode(), new.encode()))
+    with pytest.raises(ConfigError, match="one number per iteration"):
+        load_solution(path)
+
+
 def test_version_1_rejected(tmp_path, small_solution):
     """A version-1 file (its header has eta and max_power_w, no phy or
     queue) names too few of its solve's inputs to be checked: it is refused
