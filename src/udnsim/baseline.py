@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .phy import LN2, PhyParams, instantaneous_rate
-from .power_opt import maximize_rate_value
+from .power_opt import ee_power
 
 PF_FLOOR = 1e-6
 ESTIMATE_MODES = ("arithmetic", "exponential")
@@ -86,10 +86,11 @@ def myopic_power(beta, qos_min_rate_bps, phy: PhyParams):
     at max power and infeasible is set.  A dead link (beta <= 0) stays
     silent without a floor and is infeasible with one.
     """
-    with np.errstate(over="ignore"):
+    # ee_power takes the log of beta <= 0 too; np.where drops those lanes
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p_lo = np.expm1(qos_min_rate_bps * LN2 / phy.bandwidth_hz) / np.maximum(beta, BETA_FLOOR)
-    floor_w = np.minimum(p_lo, phy.max_power_w)
-    power_w = maximize_rate_value(beta, 0.0, floor_w, phy.max_power_w, phy)[0]
+        floor_w = np.minimum(p_lo, phy.max_power_w)
+        power_w = np.where(beta > 0.0, ee_power(beta, phy, floor_w), floor_w)
     # beta is an SINR per Watt, so the rate takes it as the gain over a
     # unit noise floor
     rate_bps = instantaneous_rate(power_w, beta, 0.0, phy, 1.0)

@@ -113,9 +113,11 @@ def _run_arms(cfg: RunConfig, arms: list, deploys: list) -> list:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    outdir = _ensure_outdir(cfg)
+    # the target is checked before the solve; only the default one makes the output dir
+    out = args.out or os.path.join(_ensure_outdir(cfg), "solution.mfg")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"the directory of {out!r} does not exist or is not a directory")
     sol = _calibrate_and_solve(cfg, _deployment(cfg, 0))
-    out = args.out or os.path.join(outdir, "solution.mfg")
     save_solution(out, sol)
     print(f"wrote {out}")
     log_path = os.path.splitext(out)[0] + ".log"

@@ -35,7 +35,8 @@ OUTDIR_ENV = "UDNSIM_OUTDIR"
 
 # sweep key -> the [section] key each of its values sets (v sets v_coeff = -|v|)
 SWEEP_KEYS = {"isd": ("deployment", "isd_units"), "k": ("deployment", "k"),
-              "v": ("scheduler", "v_coeff"), "boundary": ("solver", "boundary")}
+              "v": ("scheduler", "v_coeff"), "boundary": ("solver", "boundary"),
+              "rate": ("traffic", "arrival_rate_bps")}
 
 
 def _bool(text: str) -> bool:

@@ -50,9 +50,9 @@ the step leaves p* above 4e7 p0, as the true p* is, so any cap below
 
 Why NumPy rather than scipy's Lambert W: importing scipy.special took about
 0.3 s and 25 MB, over half of a solve's set-up, for this one function.  Per
-call the kernel is a few microseconds slower up to about 50 lanes (the
-solver's scalar beta among them) and faster above: about half the time at
-121 lanes (one slot) and a seventh at 2420 (a 20-replicate slot).
+ee_power call the kernel is about 10 us slower up to about 40 lanes (the
+solver's scalar start, a smoke slot) and faster above: about half the time
+at 121 lanes (one reference slot) and an eighth at 2420 (20 replicates).
 
 Value-weighted case (vgrad != 0, the HJB nodes).  Write psi = s^2 (v - g(p))
 with s = p + p0 and
@@ -118,16 +118,15 @@ runs of equal beta (once for a constant trajectory), so each step's call
 runs only the search and the selection.  With the step's scalar beta > 0
 every lane carries rate, and the selection skips the np.where of beta <= 0.
 
-A call whose gradients are all zero and that is given no terms (the
-baseline's myopic power) builds only the first six terms and returns p*
-and its phi, or lo and 0 where beta <= 0.  Any other call takes one pass
-over the broadcast inputs instead of gathering each case's elements: the
-search on every element (when some vgrad is nonzero), _box_best's
-comparison of its root with the box ends, then np.where gives
-p* and its phi to the elements with vgrad == 0, and lo and 0 to those with
-beta <= 0.  The search runs at the shape of v = vgrad beta, and _box_best
-broadcasts its root against the boxes: n gradients against (2, 1) boxes take
-n searches for the 2 n elements.  The backward sweep's fill lane at node j
+A call whose gradients are all zero returns p* and its phi, or lo and 0
+where beta <= 0 (building only the first six terms if given none); the
+package calls ee_power for that p* instead.  Any other call takes one pass
+over the broadcast inputs: the search on every element, _box_best's
+comparison of its root with the box ends, then np.where gives p* and its
+phi to the elements with vgrad == 0, and lo and 0 to those with beta <= 0.
+The search runs at the shape of v = vgrad beta, and _box_best broadcasts
+its root against the boxes: n gradients against (2, 1) boxes take n
+searches for the 2 n elements.  The backward sweep's fill lane at node j
 and drain lane at node j + 1 read the same difference of the value, so one
 search serves both.  Built per call or ahead, each element takes the same
 floating-point operations, so the sweep equals, bit for bit, a sweep that
@@ -270,12 +269,13 @@ def _box_best(x, has_root, beta, vgrad, lo, hi, log_hi, inv_hi, p0):
     return np.where(up, hi, r), np.where(up, f_hi, f_r)
 
 
-def ee_power(beta, phy: PhyParams):
-    """The EE power p* on [0, p_max] of beta > 0: what maximize_rate_value
-    returns for vgrad = 0, lo = 0 and hi = p_max, bit for bit, without the
-    box and lane handling around it (the solver's queue-blind start)."""
+def ee_power(beta, phy: PhyParams, lo=0.0):
+    """The EE power p* of beta > 0 on [lo, p_max], lo in [0, p_max]: what
+    maximize_rate_value returns for vgrad = 0 and hi = p_max, bit for bit,
+    without its boxes and selection (the solver's queue-blind start and the
+    baseline's myopic power).  Meaningless, and warns, where beta <= 0."""
     with np.errstate(over="ignore"):  # a subnormal beta clips to p_max
-        return _ee_power(np.asarray(beta, dtype=float), 0.0, phy.max_power_w,
+        return _ee_power(np.asarray(beta, dtype=float), lo, phy.max_power_w,
                          phy.circuit_power_w)
 
 
@@ -370,14 +370,10 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
             if t.live is np.True_:
                 return p, val
         else:
-            # every gradient zero (the baseline's myopic power): the EE
-            # power alone.  A gradient array may be wider than the box and
-            # widens the result; a scalar one (the slot kernel's per-slot
-            # call) skips that shape work
-            p, val = t.p_ee, t.phi_ee
-            if vgrad.ndim:
-                shape = np.broadcast_shapes(vgrad.shape, np.shape(p))
-                p, val = np.broadcast_to(p, shape), np.broadcast_to(val, shape)
+            # every gradient zero: the EE power alone.  A gradient array may
+            # be wider than the box and widens the result
+            shape = np.broadcast_shapes(vgrad.shape, np.shape(t.p_ee))
+            p, val = np.broadcast_to(t.p_ee, shape), np.broadcast_to(t.phi_ee, shape)
         p = np.where(t.live, p, t.lo)
         val = np.where(t.live, val, 0.0)
     return p, val

@@ -257,11 +257,9 @@ def mf_interference(grid: GridSpec, policy, rho, eta: float, mean_sq_gain: float
 
 def _queue_blind_interference(x, noise_norm, mean_sq_gain, phy: PhyParams, tol):
     """Fixed point of x -> eta * mean_sq_gain * p*(mean_sq_gain / (x + noise_norm)),
-    eta = phy.sbs_density and p* the EE power on [0, p_max], iterated from x
-    until a step moves it by at most 1e-3 * tol * max(noise_norm, x), or for
-    START_MAX_ITERS steps.  p* comes from power_opt.ee_power, the sweep's
-    zero-gradient lane without maximize_rate_value around it, so that
-    function's vgrad = 0 case keeps serving only the episodes' power."""
+    eta = phy.sbs_density and p* = power_opt.ee_power, the EE power on
+    [0, p_max], iterated from x until a step moves it by at most
+    1e-3 * tol * max(noise_norm, x), or for START_MAX_ITERS steps."""
     check_noise_and_gain(noise_norm, mean_sq_gain)
     noise, gain = float(noise_norm), float(mean_sq_gain)
     for _ in range(START_MAX_ITERS):

@@ -4,7 +4,7 @@ import pytest
 from udnsim import BaselineState, ConfigError, myopic_power, pf_schedule
 from udnsim.baseline import drain_power
 from udnsim.phy import LN2, instantaneous_rate
-from udnsim.power_opt import _phi
+from udnsim.power_opt import _phi, maximize_rate_value
 
 
 def grid_scan_ee(beta, p_lo, p_max, p0, n=200001):
@@ -70,6 +70,32 @@ def test_myopic_array_matches_scalar_calls(phy, rng, qos):
     # the rate is the Shannon rate at the chosen power, bit for bit
     assert rate.tolist() == instantaneous_rate(p, beta, 0.0, phy, 1.0).tolist()
     assert infeasible.any() == (qos > 0)
+
+
+def test_myopic_power_is_the_zero_gradient_optimum_bitwise(phy):
+    """The power equals what maximize_rate_value returns for vgrad = 0 on
+    [floor_w, p_max], bit for bit: dead, subnormal, tiny, ordinary and huge
+    beta; no floor, a free floor (2e5), a binding one (3.2e6) and an
+    infeasible one (50e6); scalar calls and one (L, n_sbs, k) array."""
+    beta = np.concatenate([[0.0, -1.0, 5e-324, 1e-300, 1e-20, 1e300],
+                           np.logspace(-3, 15, 42)]).reshape(2, 4, 6)
+    p_max = phy.max_power_w
+    free = maximize_rate_value(beta, 0.0, 0.0, p_max, phy)[0]  # the optimum without a floor
+    # beta = -1 under a floor transmits at p_max = 1 W, whose rate takes
+    # log1p(-1); the rate is not what this test reads
+    with np.errstate(divide="ignore"):
+        for qos in (0.0, 2e5, 3.2e6, 50e6):
+            p, _, floor_w, infeasible = myopic_power(beta, qos, phy)
+            want = maximize_rate_value(beta, 0.0, floor_w, p_max, phy)[0]
+            assert p.shape == want.shape == beta.shape and p.tolist() == want.tolist()
+            for b, lo in zip(beta.ravel().tolist(), floor_w.ravel().tolist()):
+                one = myopic_power(b, qos, phy)[0]
+                assert one.tolist() == maximize_rate_value(b, 0.0, lo, p_max, phy)[0].tolist()
+            # the floors are the cases they are named for: 2e5 binds on no
+            # lane, 3.2e6 on some, and 50e6 is infeasible on most live lanes
+            binding = ~infeasible & (beta > 0.0) & (p == floor_w) & (p > free)
+            assert binding.any() == (qos == 3.2e6)
+            assert ((beta >= 1.0) & infeasible).sum() == {0.0: 0, 2e5: 0, 3.2e6: 2, 50e6: 35}[qos]
 
 
 def test_drain_power_cases(phy):

@@ -86,6 +86,28 @@ def test_failed_writes_exit_2_and_name_their_path(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_solve_checks_out_before_solving(tmp_path, monkeypatch, capsys):
+    """--out is resolved before the solve: a directory that does not exist,
+    or a parent that is a file, exits 2 without a solve, and the config's
+    output directory is made only when --out is not given."""
+    cfg, _ = write_cfg(tmp_path, SOLVE_CFG)
+    (tmp_path / "a-file").write_text("")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(udnsim.cli, "_calibrate_and_solve", no_solve)
+        for bad in (tmp_path / "missing" / "x.mfg", tmp_path / "a-file" / "x.mfg"):
+            assert main(["solve", "--config", cfg, "--out", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and repr(str(bad)) in err
+    unused = tmp_path / "unused"
+    monkeypatch.setenv("UDNSIM_OUTDIR", str(unused))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x.mfg")]) == 0
+    assert (tmp_path / "x.mfg").exists() and not unused.exists()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     cfg, _ = write_cfg(tmp_path, SOLVE_CFG)
     env_out = tmp_path / "env-out"
@@ -436,14 +458,15 @@ def test_simulate_pairs_deployments_across_methods(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("key, values, mfg_runs, baseline_runs, draws",
                          [("v", "1, 10, 100", 3, 1, 2), ("k", "1, 2", 2, 2, 4),
-                          ("isd", "37.5, 12.5", 2, 2, 4),
+                          ("isd", "37.5, 12.5", 2, 2, 4), ("rate", "1e5, 2e5", 2, 2, 4),
                           ("boundary", "exponential, uniform", 2, 1, 2)])
 def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
                                         mfg_runs, baseline_runs, draws):
     """Values that differ only in [solver] or v share one batch: one draw
     of the deployments, the mfg arm of each value and the baseline once.  A
-    k or isd sweep changes the geometry, so it runs one batch per value,
-    each with its own deployments and baseline."""
+    k or isd sweep changes the geometry and a rate sweep the traffic, so
+    each runs one batch per value, each with its own deployments and
+    baseline."""
     calls = record_episodes(monkeypatch)
     seeds = count_deployments(monkeypatch)
     cfg, out = write_cfg(tmp_path, SIM_CFG + f"[sweep]\nkey = {key}\nvalues = {values}\n")
@@ -456,7 +479,7 @@ def test_sweep_runs_one_batch_per_solve(tmp_path, monkeypatch, key, values,
     assert len(seeds) == draws
     rows = Path(out, "sweep_metrics.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 2 * 2 * len(values.split(","))  # 2 methods x 2 replicates
-    if key not in ("k", "isd"):
+    if key not in ("k", "isd", "rate"):
         # one geometry: the baseline reads neither v nor the terminal
         # condition, so its rows repeat at every value
         baseline = [r for r in rows[1:] if r.startswith("baseline,")]

@@ -270,6 +270,7 @@ def test_non_finite_sweep_values_rejected(tmp_path, key, values):
     ("k", 3, "[deployment]\nk = 3\n"),
     ("v", 20.0, "[scheduler]\nv_coeff = -20\n"),
     ("boundary", "linear", "[solver]\nboundary = linear\n"),
+    ("rate", 1e5, "[traffic]\narrival_rate_bps = 1e5\n"),
 ])
 def test_swept_config_equals_the_file_that_sets_it(tmp_path, key, value, line):
     sweep = f"[sweep]\nkey = {key}\nvalues = {value}\n"

@@ -483,6 +483,10 @@ def test_public_ee_power_is_the_zero_gradient_lane_bitwise(rng, phy):
         ref = maximize_rate_value(beta, 0.0, 0.0, phy.max_power_w, phy)[0]
         assert np.array_equal(p, ref)
         assert ee_power(float(beta[0]), phy) == ref[0]
+        # and on [lo, p_max] for an array lo
+        lo = np.linspace(0.0, phy.max_power_w, beta.size)
+        p = ee_power(beta, phy, lo)
+        assert p.tolist() == maximize_rate_value(beta, 0.0, lo, phy.max_power_w, phy)[0].tolist()
 
 
 def test_strong_queue_pressure_saturates(phy):
