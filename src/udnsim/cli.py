@@ -113,14 +113,18 @@ def _run_arms(cfg: RunConfig, arms: list, deploys: list) -> list:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    # the target is checked before the solve; only the default one makes the output dir
+    # the targets are checked before the solve; only the default one makes the output dir
     out = args.out or os.path.join(_ensure_outdir(cfg), "solution.mfg")
+    log_path = os.path.splitext(out)[0] + ".log"
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"the directory of {out!r} does not exist or is not a directory")
+    if os.path.isdir(out) or os.path.isdir(log_path):
+        raise ConfigError(f"{out!r} or its residual log {log_path!r} is a directory")
+    if log_path == out:
+        raise ConfigError(f"{out!r} is its residual log's path: give it another extension")
     sol = _calibrate_and_solve(cfg, _deployment(cfg, 0))
     save_solution(out, sol)
     print(f"wrote {out}")
-    log_path = os.path.splitext(out)[0] + ".log"
     log_lines = [f"{i + 1} {r:.6e}" for i, r in enumerate(sol.residuals)]
     _write(log_path, "\n".join(log_lines) + "\n")
     print(f"converged in {sol.iterations} iterations, residual {sol.residual:.3e}")

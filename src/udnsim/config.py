@@ -6,6 +6,9 @@ empty file is a valid (reference-like) configuration.  The [phy], [traffic],
 PathlossModel and EpisodeParams: their keys are the record's fields, in
 field order, parsed by the field's type, with the record's defaults, and
 each section builds its record whole, which checks its ranges and choices.
+A key of [solver], [scheduler] or [deployment] that a record or function
+takes as a parameter gets its parser and default from it the same way
+(_params); only a key that no code takes with a default has one written here.
 Every other per-key check is its owner's too, run at load with the key's
 section named: the solve's for [solver] (solver.check_iteration,
 solver.check_noise_and_gain, fields.terminal_value, fields.initial_density)
@@ -18,18 +21,19 @@ without touching the file.
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
-from .deployment import check_deployment
+from .deployment import check_deployment, generate_deployment
 from .errors import ConfigError
 from .fields import GridSpec, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import DppParams
 from .simulate import EpisodeParams
-from .solver import FP_DAMPING, FP_MAX_ITERS, FP_TOL, check_iteration, check_noise_and_gain
+from .solver import check_iteration, check_noise_and_gain, solve_mfg
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
 
@@ -54,11 +58,15 @@ def _float(text: str) -> float:
     return value
 
 
-def _record(cls) -> dict:
-    """A record's section: each field a key with its default, parsed by its type."""
-    types = get_type_hints(cls)  # int and str as such, any other as a finite float
-    return {f.name: ({int: int, str: str}.get(types[f.name], _float), f.default)
-            for f in fields(cls)}
+def _params(owner, *names) -> dict:
+    """Keys for the parameters names of owner, a record or a function (all
+    of them if none is named), in that order: each with the parameter's
+    default, parsed by its type, int, str and bool as such and any other as
+    a finite float."""
+    params = inspect.signature(owner).parameters
+    types = get_type_hints(owner)
+    return {name: ({int: int, str: str, bool: _bool}.get(types[name], _float),
+                   params[name].default) for name in names or params}
 
 
 def _prefixed(prefix: str, make, *args, **kwargs):
@@ -76,26 +84,21 @@ SCHEMA = {
     # the noise from that deployment and not [solver] noise_norm.  Both keys
     # stay because unknown keys are rejected and bench/configs/reference.cfg
     # still sets them.
-    "phy": _record(PhyParams),
-    "traffic": _record(QueueParams),
-    "pathloss": _record(PathlossModel),
+    "phy": _params(PhyParams),
+    "traffic": _params(QueueParams),
+    "pathloss": _params(PathlossModel),
     "solver": {
         "n_t": (int, 2601),
         "n_q": (int, 101),
-        "horizon_s": (_float, 1.0),
-        "boundary": (str, "exponential"),
-        "damping": (_float, FP_DAMPING),
-        "tol": (_float, FP_TOL),
-        "max_iters": (int, FP_MAX_ITERS),
-        "init": (str, "half"),
+        **_params(GridSpec, "horizon_s"),
+        **_params(solve_mfg, "boundary", "damping", "tol", "max_iters", "init"),
         # feeds no solve; see the comment on [phy]
         "noise_norm": (_float, 0.03),
-        "mean_sq_gain": (_float, 1.0),
-        "rho0_mean": (_float, 0.5),
-        "rho0_variance": (_float, 0.1),
+        **_params(solve_mfg, "mean_sq_gain"),
+        **_params(initial_density, "rho0_mean", "rho0_variance"),
     },
     "scheduler": {
-        "v_coeff": (_float, -1.0),
+        **_params(DppParams, "v_coeff"),
         # one model only (the EE penalty; V = 0 drops it); the key stays
         # because unknown keys are rejected and bench/configs/reference.cfg
         # still sets it
@@ -105,13 +108,10 @@ SCHEMA = {
     "deployment": {
         "isd_units": (_float, 3.5),
         "k": (int, 5),
-        "area_km2": (_float, 0.5625),
-        "jitter_frac": (_float, 0.15),
-        "fading": (_bool, True),
-        "cross_isolation_db": (_float, 15.0),
-        "rician_k_db": (_float, 10.0),
+        **_params(generate_deployment, "area_km2", "jitter_frac", "fading",
+                  "cross_isolation_db", "rician_k_db"),
     },
-    "simulate": _record(EpisodeParams),
+    "simulate": _params(EpisodeParams),
     "sweep": {
         "key": (str, ""),
         "values": (str, ""),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,15 +79,16 @@ def terminal_value(kind: str, q_norm) -> np.ndarray:
     raise ConfigError(f"unknown boundary kind {kind!r}; choose from {BOUNDARY_KINDS}")
 
 
-def initial_density(grid: GridSpec, mean: float = 0.5, variance: float = 0.1) -> np.ndarray:
+def initial_density(grid: GridSpec, rho0_mean: float = 0.5,
+                    rho0_variance: float = 0.1) -> np.ndarray:
     """Truncated Gaussian backlog density on the grid nodes, renormalized so
     the trapezoid mass is exactly 1."""
-    if not math.isfinite(mean):
+    if not math.isfinite(rho0_mean):
         raise ConfigError("initial density mean must be finite")
-    if not (math.isfinite(variance) and variance > 0):
+    if not (math.isfinite(rho0_variance) and rho0_variance > 0):
         raise ConfigError("initial density variance must be positive and finite")
     with np.errstate(over="ignore"):  # far off [0, 1]: exp(-inf), no mass, refused below
-        rho = np.exp(-0.5 * (grid.queues - mean) ** 2 / variance)
+        rho = np.exp(-0.5 * (grid.queues - rho0_mean) ** 2 / rho0_variance)
     mass = np.trapezoid(rho, dx=grid.dq)
     if mass <= 0:
         raise ConfigError("initial density has no mass on [0, 1]")
@@ -141,12 +142,12 @@ class MfgSolution:
     policy: np.ndarray        # (n_t, n_q), Watts
     interference: np.ndarray  # (n_t,), normalized Watts
     iterations: int
-    residuals: list = field(default_factory=list)
-    phy: PhyParams = PhyParams()
-    queue: QueueParams = QueueParams()
-    noise_norm: float = 0.0
-    mean_sq_gain: float = 1.0
-    boundary: str = "exponential"
+    residuals: list
+    phy: PhyParams
+    queue: QueueParams
+    noise_norm: float
+    mean_sq_gain: float
+    boundary: str
 
     @property
     def residual(self) -> float:

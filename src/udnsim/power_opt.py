@@ -110,17 +110,18 @@ from ln(1 + beta hi) and 1 / (hi + p0) given to it.
 
 What depends on beta and the box alone is kept apart from the gradients, in
 a BoxTerms: the clipped box, p* and its phi, the g table, beta^2 / 2,
-ln(1 + beta hi), 1 / (hi + p0) and the table's nodes.  maximize_rate_value
-builds them per call (the last five only when some vgrad is nonzero), or
-takes them from step_terms, which builds them for a run of scalar betas in
-one vectorized pass.  solver.hjb_backward calls step_terms once per block of
+ln(1 + beta hi), 1 / (hi + p0) and the table's nodes.  _box_terms builds all
+eleven, in one place: maximize_rate_value calls it when given no terms (only
+the tests do), and step_terms calls it once for a run of scalar betas, one
+vectorized pass.  solver.hjb_backward calls step_terms once per block of
 runs of equal beta (once for a constant trajectory), so each step's call
 runs only the search and the selection.  With the step's scalar beta > 0
 every lane carries rate, and the selection skips the np.where of beta <= 0.
 
 A call whose gradients are all zero returns p* and its phi, or lo and 0
-where beta <= 0 (building only the first six terms if given none); the
-package calls ee_power for that p* instead.  Any other call takes one pass
+where beta <= 0, without the search: the backward sweep makes one where the
+later value slice is flat, as at every step of a uniform terminal's sweep.
+The package calls ee_power for p* elsewhere.  Any other call takes one pass
 over the broadcast inputs: the search on every element, _box_best's
 comparison of its root with the box ends, then np.where gives p* and its
 phi to the elements with vgrad == 0, and lo and 0 to those with beta <= 0.
@@ -281,9 +282,8 @@ def ee_power(beta, phy: PhyParams, lo=0.0):
 
 class BoxTerms(NamedTuple):
     """What maximize_rate_value computes from beta and the box [lo, hi]
-    alone.  lo, hi, p_ee and phi_ee are at the broadcast shape of beta, lo
-    and hi; live and hb2 at beta's, and g at beta's plus a node axis.  The
-    last five are None in a call whose gradients are all zero."""
+    alone, at the broadcast shape of the three; live and hb2 at beta's, g at
+    beta's plus a node axis, and pn along that axis."""
 
     beta: np.ndarray
     lo: np.ndarray  # lo and hi clipped to [0, p_max], hi >= lo
@@ -291,28 +291,24 @@ class BoxTerms(NamedTuple):
     live: np.ndarray  # beta > 0
     p_ee: np.ndarray  # p* clipped to [lo, hi]
     phi_ee: np.ndarray  # phi at p_ee for vgrad = 0
-    g: np.ndarray | None  # _g_table
-    hb2: np.ndarray | None  # beta^2 / 2
-    log_hi: np.ndarray | None  # ln(1 + beta hi)
-    inv_hi: np.ndarray | None  # 1 / (hi + p0)
-    pn: np.ndarray | None  # the nodes of g, p_max * NODE_FRAC
+    g: np.ndarray  # _g_table
+    hb2: np.ndarray  # beta^2 / 2
+    log_hi: np.ndarray  # ln(1 + beta hi)
+    inv_hi: np.ndarray  # 1 / (hi + p0)
+    pn: np.ndarray  # the nodes of g, p_max * NODE_FRAC
 
 
-def _ee_terms(beta, lo, hi, phy):
-    """The first six BoxTerms: the boxes and the EE power in them."""
+def _box_terms(beta, lo, hi, phy) -> BoxTerms:
+    """The BoxTerms of beta and the box [lo, hi]."""
     p0, p_max = phy.circuit_power_w, phy.max_power_w
     beta = np.asarray(beta, dtype=float)
     lo = np.minimum(np.maximum(lo, 0.0), p_max)
     hi = np.minimum(np.maximum(hi, lo), p_max)
     p_ee = _ee_power(beta, lo, hi, p0)
-    return beta, lo, hi, beta > 0.0, p_ee, _phi(p_ee, beta, 0.0, p0)
-
-
-def _hjb_terms(beta, hi, phy):
-    """The last five BoxTerms, which only the table search reads."""
-    p0 = phy.circuit_power_w
-    pn = phy.max_power_w * NODE_FRAC
-    return _g_table(beta, pn, p0), 0.5 * beta * beta, np.log1p(beta * hi), 1.0 / (hi + p0), pn
+    pn = p_max * NODE_FRAC
+    return BoxTerms(beta, lo, hi, beta > 0.0, p_ee, _phi(p_ee, beta, 0.0, p0),
+                    _g_table(beta, pn, p0), 0.5 * beta * beta, np.log1p(beta * hi),
+                    1.0 / (hi + p0), pn)
 
 
 def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
@@ -324,8 +320,7 @@ def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
     # double, and inf clips to hi as the true p* does
     b = beta.reshape((-1,) + (1,) * (np.ndim(lo) - 1))
     with np.errstate(over="ignore"):
-        ee = _ee_terms(b, lo, hi, phy)
-        t = BoxTerms(*ee, *_hjb_terms(ee[0], ee[2], phy))
+        t = _box_terms(b, lo, hi, phy)
     # the fields at beta's shape back to scalars
     one = (slice(None),) + (0,) * (np.ndim(lo) - 1)
     return [BoxTerms(*f, t.pn) for f in zip(t.beta[one], t.lo, t.hi, t.live[one], t.p_ee,
@@ -353,11 +348,7 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     # those results.  A subnormal beta takes p* past the largest double, and
     # inf clips to hi as the true p* does
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if terms is None:
-            ee = _ee_terms(beta, lo, hi, phy)
-            terms = BoxTerms(*ee, *(_hjb_terms(ee[0], ee[2], phy) if search
-                                    else (None,) * 5))
-        t = terms
+        t = _box_terms(beta, lo, hi, phy) if terms is None else terms
         if search:
             x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2, t.pn, p0)
             p, val = _box_best(x, has_root, t.beta, vgrad, t.lo, t.hi, t.log_hi,
@@ -371,7 +362,9 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
                 return p, val
         else:
             # every gradient zero: the EE power alone.  A gradient array may
-            # be wider than the box and widens the result
+            # be wider than the box and widens the result.  Kept for speed: a
+            # uniform-terminal 651x51 backward sweep took 21-39 ms with this
+            # branch and 61-114 ms through the search (2-core Xeon)
             shape = np.broadcast_shapes(vgrad.shape, np.shape(t.p_ee))
             p, val = np.broadcast_to(t.p_ee, shape), np.broadcast_to(t.phi_ee, shape)
         p = np.where(t.live, p, t.lo)

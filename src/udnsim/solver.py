@@ -75,13 +75,13 @@ from .power_opt import ee_power, maximize_rate_value, step_terms
 log = logging.getLogger(__name__)
 
 FP_TOL = 1e-4
-FP_MAX_ITERS = 200
 # scalar steps of the queue-blind start; reference physics takes 12 to 15
 START_MAX_ITERS = 1000
-FP_DAMPING = 0.5
 INIT_MODES = ("zero", "half")  # the queue-blind start's seed: 0 or 0.5 * eta * p_max
 EXISTENCE_TOL = 1e-12
-# runs of equal beta per block of the backward sweep's step_terms
+# runs of equal beta per block of the backward sweep's step_terms: all runs
+# at once raised sweep-v-smoke's peak RSS from 41.0-41.2 to 43.3-44.3 MB on
+# its seeds 7, 10 and 13, which solve queue-aware (2-core Xeon)
 G_BLOCK = 64
 
 
@@ -283,8 +283,8 @@ def _existence_violations(grid, value, policy, beta, phy, queue):
 def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
               boundary: str = "exponential", *, noise_norm: float,
               mean_sq_gain: float = 1.0, rho0=None,
-              damping: float = FP_DAMPING, tol: float = FP_TOL,
-              max_iters: int = FP_MAX_ITERS, init: str = "half") -> MfgSolution:
+              damping: float = 0.5, tol: float = FP_TOL,
+              max_iters: int = 200, init: str = "half") -> MfgSolution:
     """Damped fixed-point iteration over the interference trajectory.
 
     The iteration starts from the constant trajectory at the queue-blind

@@ -88,17 +88,22 @@ def test_failed_writes_exit_2_and_name_their_path(tmp_path, capsys):
 
 def test_solve_checks_out_before_solving(tmp_path, monkeypatch, capsys):
     """--out is resolved before the solve: a directory that does not exist,
-    or a parent that is a file, exits 2 without a solve, and the config's
-    output directory is made only when --out is not given."""
+    a parent that is a file, a path that is a directory or whose residual
+    log is one, and a .log path that the log would overwrite exit 2 without
+    a solve, and the config's output directory is made only when --out is
+    not given."""
     cfg, _ = write_cfg(tmp_path, SOLVE_CFG)
     (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "y.log").mkdir()
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before --out was checked")
 
     with monkeypatch.context() as m:
         m.setattr(udnsim.cli, "_calibrate_and_solve", no_solve)
-        for bad in (tmp_path / "missing" / "x.mfg", tmp_path / "a-file" / "x.mfg"):
+        for bad in (tmp_path / "missing" / "x.mfg", tmp_path / "a-file" / "x.mfg",
+                    tmp_path / "a-dir", tmp_path / "y.mfg", tmp_path / "x.log"):
             assert main(["solve", "--config", cfg, "--out", str(bad)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("configuration error:") and repr(str(bad)) in err

@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 
 import pytest
 
-from udnsim import ConfigError, EpisodeParams, PathlossModel, PhyParams, QueueParams
-from udnsim.config import SCHEMA, load_config
+from udnsim import (ConfigError, DppParams, EpisodeParams, GridSpec, PathlossModel, PhyParams,
+                    QueueParams, generate_deployment, initial_density, solve_mfg)
+from udnsim.config import SCHEMA, _bool, _float, load_config
 
 
 def write(tmp_path, text):
@@ -98,6 +100,40 @@ def test_simulate_section_is_its_record(tmp_path):
     assert cfg.episode == EpisodeParams(**values)
     assert [type(getattr(cfg.episode, key)) for key in values] == [type(v) for v in values.values()]
     assert cfg.raw["simulate"] == values
+
+
+def test_solver_scheduler_and_deployment_defaults_are_their_owners():
+    """[solver], [scheduler] and [deployment] keep their keys, their order,
+    their defaults and their parsers, and a key that some code takes as a
+    parameter has that parameter's default."""
+    assert {section: [(key, parse, default, type(default))
+                      for key, (parse, default) in SCHEMA[section].items()]
+            for section in ("solver", "scheduler", "deployment")} == {
+        "solver": [("n_t", int, 2601, int), ("n_q", int, 101, int),
+                   ("horizon_s", _float, 1.0, float), ("boundary", str, "exponential", str),
+                   ("damping", _float, 0.5, float), ("tol", _float, 1e-4, float),
+                   ("max_iters", int, 200, int), ("init", str, "half", str),
+                   ("noise_norm", _float, 0.03, float), ("mean_sq_gain", _float, 1.0, float),
+                   ("rho0_mean", _float, 0.5, float), ("rho0_variance", _float, 0.1, float)],
+        "scheduler": [("v_coeff", _float, -1.0, float),
+                      ("gradient_model", str, "linear_ee", str),
+                      ("qos_min_rate_bps", _float, 200e3, float)],
+        "deployment": [("isd_units", _float, 3.5, float), ("k", int, 5, int),
+                       ("area_km2", _float, 0.5625, float), ("jitter_frac", _float, 0.15, float),
+                       ("fading", _bool, True, bool), ("cross_isolation_db", _float, 15.0, float),
+                       ("rician_k_db", _float, 10.0, float)],
+    }
+    owned = [(GridSpec, "solver", ["horizon_s"]),
+             (solve_mfg, "solver", ["boundary", "damping", "tol", "max_iters", "init",
+                                    "mean_sq_gain"]),
+             (initial_density, "solver", ["rho0_mean", "rho0_variance"]),
+             (DppParams, "scheduler", ["v_coeff"]),
+             (generate_deployment, "deployment", ["area_km2", "jitter_frac", "fading",
+                                                  "cross_isolation_db", "rician_k_db"])]
+    for owner, section, names in owned:
+        params = inspect.signature(owner).parameters
+        for name in names:
+            assert SCHEMA[section][name][1] == params[name].default, (owner, name)
 
 
 def test_unknown_section_rejected(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from udnsim import (ConfigError, GridSpec, InvariantError, MfgSolution, PhyParams,
-                    initial_density, terminal_value)
+                    QueueParams, initial_density, terminal_value)
 from udnsim.fields import bilinear, density_from_samples, density_mass
 
 
@@ -45,12 +45,12 @@ def test_terminal_values():
 
 def test_initial_density_normalized():
     grid = GridSpec(11, 101)
-    rho = initial_density(grid, mean=0.5, variance=0.1)
+    rho = initial_density(grid, rho0_mean=0.5, rho0_variance=0.1)
     assert np.trapezoid(rho, dx=grid.dq) == pytest.approx(1.0, abs=1e-12)
     assert rho.min() >= 0.0
     assert grid.queues[np.argmax(rho)] == pytest.approx(0.5, abs=grid.dq)
     with pytest.raises(ConfigError):
-        initial_density(grid, variance=0.0)
+        initial_density(grid, rho0_variance=0.0)
     # a nan mean or variance made every node nan, and an infinite variance a
     # flat density
     for bad in (np.nan, np.inf):
@@ -133,7 +133,9 @@ def test_field_validation():
     rho = np.tile(initial_density(grid), (4, 1))
     good = MfgSolution(grid=grid, value=np.zeros((4, 6)), density=rho,
                        policy=np.full((4, 6), 0.5), interference=np.zeros(4),
-                       iterations=1, phy=PhyParams(max_power_w=1.0))
+                       iterations=1, residuals=[0.0], phy=PhyParams(max_power_w=1.0),
+                       queue=QueueParams(), noise_norm=0.1, mean_sq_gain=1.0,
+                       boundary="exponential")
     good.validate()
     negative = rho.copy()
     negative[0, 0] = -1e-6

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from udnsim import ConfigError, DppParams, GridSpec, MfgSolution, SchedulerState, dpp_step
+from udnsim import (ConfigError, DppParams, GridSpec, MfgSolution, QueueParams, SchedulerState,
+                    dpp_step)
 from udnsim.phy import LN2
 from udnsim.scheduler import expected_rate
 
@@ -158,7 +159,7 @@ def test_expected_rate_formula(phy):
         policy=np.full((3, 3), 0.5),
         interference=np.array([0.2, 0.9, 0.5]),
         iterations=1, residuals=[0.0], phy=dataclasses.replace(phy, sbs_density=0.25),
-        noise_norm=0.05,
+        queue=QueueParams(), noise_norm=0.05, mean_sq_gain=1.0, boundary="exponential",
     )
     # the period start reads the first interference slice
     p, r = expected_rate(sol, 0.7, 2.0, phy)
