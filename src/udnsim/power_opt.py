@@ -72,12 +72,18 @@ for the 1/beta scale of ln(1 + beta p) at large beta, to p_max / 64 at p_max.
 The running minimum of a row is g on the falling part and the node minimum
 past it, so the count c of its nodes with g >= v brackets the root in
 [p_(c-1), p_c], where psi <= 0 at the left node and psi > 0 at the right.
-The row does not increase, so those nodes are a prefix.  A table of one row
-(a scalar beta, as every step of the backward sweep has) finds c by one
-binary search in the reversed, sorted row, eight comparisons per lane; a
-table of several rows (an array beta) compares each lane with all nodes of
-its row.  Both give the same c, nan in v counting 0, so the same
-floating-point operations follow.
+The row does not increase, so those nodes are a prefix.  _bracket_table
+holds, for each count c = 0 .. N_NODES, what the search needs of its
+bracket: g at the left node ga, ga - gb, the node interval and its two
+ends, and whether c has a root, built once per beta.  A table of one row (a
+scalar beta, as every step of the backward sweep has) finds c by one binary
+search in the row kept reversed, ascending and contiguous, eight
+comparisons per lane, and its bracket by one gather at the position the
+search returns, N_NODES - c; this replaced about twelve clamp, gather and
+subtract calls per step.  A table of several rows (an array beta) compares
+each lane with all nodes of its row and gathers from the same table.  Both
+give the same c, nan in v counting 0, so the same floating-point
+operations follow.
 c = 0 (v > beta / p0, psi(0) > 0) and c = N_NODES (v at or below the node
 minimum) have no root, and the better endpoint wins.  So lanes whose root
 pair lies inside one node interval, with v between the node minimum and the true minimum, take the
@@ -109,14 +115,26 @@ best of lo and the root, and _box_best lets phi decide between it and hi,
 from ln(1 + beta hi) and 1 / (hi + p0) given to it.
 
 What depends on beta and the box alone is kept apart from the gradients, in
-a BoxTerms: the clipped box, p* and its phi, the g table, beta^2 / 2,
-ln(1 + beta hi), 1 / (hi + p0) and the table's nodes.  _box_terms builds all
-eleven, in one place: maximize_rate_value calls it when given no terms (only
-the tests do), and step_terms calls it once for a run of scalar betas, one
-vectorized pass.  solver.hjb_backward calls step_terms once per block of
-runs of equal beta (once for a constant trajectory), so each step's call
-runs only the search and the selection.  With the step's scalar beta > 0
-every lane carries rate, and the selection skips the np.where of beta <= 0.
+a BoxTerms: the clipped box, beta > 0, p* and its phi, the reversed g table
+and its bracket table, beta^2 / 2, ln(1 + beta hi), 1 / (hi + p0) and p0.
+_box_terms builds all twelve, in one place: maximize_rate_value calls it
+when given no terms (only the tests do), and step_terms calls it once for a
+run of scalar betas, one vectorized pass, and hands out each beta's fields
+as views, its scalars (beta, beta > 0, beta^2 / 2 and p0) as 0-d arrays.
+solver.hjb_backward calls step_terms once per block of runs of equal beta
+(once for a constant trajectory), so each step's call runs only the search
+and the selection.  With the step's 0-d beta > 0 every lane carries rate,
+and the selection skips the np.where of beta <= 0.
+
+Every operand of a step's NumPy calls is an array: the terms' scalars, the
+literals of _up_crossing and _box_best (the 0-d _ZERO, _HALF and _ONE, or an
+exact array sum such as vs + vs for 2 vs) and hjb_backward's abar, rcoef,
+dq and dt.  At the sweep's 31 to 121 elements a call costs little more than
+its dispatch, and NumPy 2 takes a Python float or NumPy scalar operand
+through its weak-scalar conversion (NEP 50) on every call: at 121 elements
+a * 2.0 took 1447 ns, a * np.float64(2.0) 1393 ns, a * np.array(2.0) 933 ns
+and a * b 963 ns (median of five, shared 2-vCPU Xeon, NumPy 2.4).  The
+arithmetic is the same, so no result bit changes.
 
 A call whose gradients are all zero returns p* and its phi, or lo and 0
 where beta <= 0, without the search: the backward sweep makes one where the
@@ -148,6 +166,9 @@ from .phy import PhyParams
 N_NODES = 129
 NODE_FRAC = np.linspace(0.0, 1.0, N_NODES) ** 2
 N_STEPS = 2
+# the literals of the search as 0-d float64 arrays, which NumPy takes
+# without the weak-scalar conversion of a Python float (module docstring)
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
 
 
 def _ee_halley(u, z):
@@ -183,7 +204,7 @@ _EE_Z_LO, _EE_Z_HI = float(_EE_Z[0]), float(_EE_Z[-1])
 
 
 def _phi(p, beta, vgrad, p0):
-    return np.log1p(beta * p) * (1.0 / (p + p0) - vgrad)
+    return np.log1p(beta * p) * (_ONE / (p + p0) - vgrad)
 
 
 def _ee_power(beta, lo, hi, p0):
@@ -209,65 +230,83 @@ def _g_table(beta, pn, p0):
     return np.minimum.accumulate((b * s - (1.0 + bp) * np.log1p(bp)) / (s * s), axis=-1)
 
 
-def _row_count(g, v):
-    """The count of nodes with g >= v in one non-increasing table row g, at
-    the shape of v: those nodes are a prefix, so one binary search in the
-    reversed (sorted) row finds its end."""
-    return N_NODES - g[::-1].searchsorted(v, side="left")
-
-
-def _up_crossing(g, v, beta, hb2, pn, p0):
-    """The up-crossing of psi on [0, p_max] at the shape of v: the bracket
-    that g, a _g_table on the nodes pn at beta's shape, gives each lane, its
-    linear start and N_STEPS safeguarded Cauchy steps; hb2 = beta^2 / 2.
-    Returns (root, has_root); the root is meaningless where has_root is
-    False."""
-    one_row = g.ndim == 1
-    if one_row:
-        c = _row_count(g, v)
-    else:
-        g = g.reshape(-1, N_NODES)
-        row = np.arange(len(g)).reshape(np.shape(beta))
-        c = np.count_nonzero(g[row] >= v[..., None], axis=-1)
-    has_root = (c > 0) & (c < N_NODES)
+def _bracket_table(g, pn):
+    """The bracket of every count c = 0 .. N_NODES of nodes with g >= v, for
+    the _g_table g on the nodes pn: shape g.shape[:-1] + (6, N_NODES + 1),
+    rows ga, ga - gb, bhi - blo, blo, bhi and has_root (1 or 0), with the
+    bracket of c at column N_NODES - c, the position _row_index returns."""
+    c = np.arange(N_NODES, -1, -1)
     k = np.minimum(np.maximum(c, 1), N_NODES - 1)
     km = k - 1
-    ga, gb = (g[km], g[k]) if one_row else (g[row, km], g[row, k])
-    blo, bhi = pn[km], pn[k]
+    ga, gb = g[..., km], g[..., k]
+    out = np.empty(g.shape[:-1] + (6, N_NODES + 1))
+    out[..., 0, :] = ga
+    out[..., 1, :] = ga - gb
+    out[..., 2, :] = pn[k] - pn[km]
+    out[..., 3, :] = pn[km]
+    out[..., 4, :] = pn[k]
+    out[..., 5, :] = (c > 0) & (c < N_NODES)
+    return out
+
+
+def _row_index(rg, v):
+    """N_NODES - c at the shape of v, c the count of nodes with g >= v in one
+    non-increasing table row given reversed (ascending) as rg: those nodes
+    are a prefix of g, so one binary search in rg finds its end.  nan in v
+    sorts past every node and counts 0."""
+    return rg.searchsorted(v)
+
+
+def _up_crossing(t, v):
+    """The up-crossing of psi on [0, p_max] at the shape of v, for the
+    BoxTerms t: the bracket that t's table gives each lane, its linear
+    start and N_STEPS safeguarded Cauchy steps.  Returns (root, has_root),
+    has_root 1 or 0; the root is meaningless where has_root is 0."""
+    if t.rg.ndim == 1:
+        br = t.bracket.take(_row_index(t.rg, v), axis=1)
+    else:
+        # a row per beta: each lane counts against all nodes of its row
+        rg = t.rg.reshape(-1, N_NODES)
+        row = np.arange(len(rg)).reshape(np.shape(t.beta))
+        j = N_NODES - np.count_nonzero(rg[row] >= v[..., None], axis=-1)
+        br = np.moveaxis(t.bracket.reshape(len(rg), 6, N_NODES + 1)[row, :, j], -1, 0)
+    ga, dg, db, blo, bhi, has_root = br
+    beta, hb2, p0 = t.beta, t.hb2, t.p0
     # ga >= v > gb keeps the linear start inside the bracket
-    x = blo + (ga - v) / (ga - gb) * (bhi - blo)
+    x = blo + (ga - v) / dg * db
     for _ in range(N_STEPS):
         s = x + p0
         bx = beta * x
-        w = 1.0 + bx
+        w = _ONE + bx
         lg = np.log1p(bx)
         vs = v * s
         f = (vs - beta) * s + w * lg
-        pos = f > 0.0
+        pos = f > _ZERO
         bhi = np.where(pos, x, bhi)
         blo = np.where(pos, blo, x)
-        d1 = 2.0 * vs + beta * lg  # psi'
+        d1 = vs + vs + beta * lg  # psi'
         hd2 = v + hb2 / w  # psi'' / 2
-        # the root of the Taylor parabola where it rises; a parabola without
-        # one gives nan, which the test below sends to the midpoint
-        xn = x - 2.0 * f / (d1 + np.sqrt(d1 * d1 - 4.0 * f * hd2))
+        # the root of the Taylor parabola where it rises, x - 2 f / (d1 +
+        # sqrt(d1^2 - 4 f hd2)); a parabola without one gives nan, which the
+        # test below sends to the midpoint
+        f2 = f + f
+        xn = x - f2 / (d1 + np.sqrt(d1 * d1 - (f2 + f2) * hd2))
         # closed test: a converged step lands on the end just moved to x
-        x = np.where((xn >= blo) & (xn <= bhi), xn, 0.5 * (blo + bhi))
+        x = np.where((xn >= blo) & (xn <= bhi), xn, _HALF * (blo + bhi))
     return x, has_root
 
 
-def _box_best(x, has_root, beta, vgrad, lo, hi, log_hi, inv_hi, p0):
-    """The up-crossing compared with the ends of [lo, hi], given
-    log_hi = ln(1 + beta hi) and inv_hi = 1 / (hi + p0); returns (p, phi at
-    p) at the inputs' broadcast shape."""
+def _box_best(x, has_root, vgrad, t):
+    """The up-crossing compared with the ends of the BoxTerms t's box
+    [lo, hi]; returns (p, phi at p) at the inputs' broadcast shape."""
     # phi rises up to the root, so lo can beat it only where there is none
     # or it lies below lo: the root clipped to [lo, hi], or lo where there
     # is none, is the best of lo and the root, and competes with hi
-    r = np.where(has_root, np.minimum(np.maximum(x, lo), hi), lo)
-    f_r = _phi(r, beta, vgrad, p0)
-    f_hi = log_hi * (inv_hi - vgrad)
+    r = np.where(has_root, np.minimum(np.maximum(x, t.lo), t.hi), t.lo)
+    f_r = _phi(r, t.beta, vgrad, t.p0)
+    f_hi = t.log_hi * (t.inv_hi - vgrad)
     up = f_hi > f_r
-    return np.where(up, hi, r), np.where(up, f_hi, f_r)
+    return np.where(up, t.hi, r), np.where(up, f_hi, f_r)
 
 
 def ee_power(beta, phy: PhyParams, lo=0.0):
@@ -282,8 +321,8 @@ def ee_power(beta, phy: PhyParams, lo=0.0):
 
 class BoxTerms(NamedTuple):
     """What maximize_rate_value computes from beta and the box [lo, hi]
-    alone, at the broadcast shape of the three; live and hb2 at beta's, g at
-    beta's plus a node axis, and pn along that axis."""
+    alone, at the broadcast shape of the three; live and hb2 at beta's, rg
+    at beta's plus a node axis and bracket at beta's plus its two axes."""
 
     beta: np.ndarray
     lo: np.ndarray  # lo and hi clipped to [0, p_max], hi >= lo
@@ -291,11 +330,12 @@ class BoxTerms(NamedTuple):
     live: np.ndarray  # beta > 0
     p_ee: np.ndarray  # p* clipped to [lo, hi]
     phi_ee: np.ndarray  # phi at p_ee for vgrad = 0
-    g: np.ndarray  # _g_table
+    rg: np.ndarray  # the _g_table reversed, ascending
+    bracket: np.ndarray  # _bracket_table
     hb2: np.ndarray  # beta^2 / 2
     log_hi: np.ndarray  # ln(1 + beta hi)
     inv_hi: np.ndarray  # 1 / (hi + p0)
-    pn: np.ndarray  # the nodes of g, p_max * NODE_FRAC
+    p0: np.ndarray  # the circuit power, 0-d
 
 
 def _box_terms(beta, lo, hi, phy) -> BoxTerms:
@@ -306,9 +346,10 @@ def _box_terms(beta, lo, hi, phy) -> BoxTerms:
     hi = np.minimum(np.maximum(hi, lo), p_max)
     p_ee = _ee_power(beta, lo, hi, p0)
     pn = p_max * NODE_FRAC
+    g = _g_table(beta, pn, p0)
     return BoxTerms(beta, lo, hi, beta > 0.0, p_ee, _phi(p_ee, beta, 0.0, p0),
-                    _g_table(beta, pn, p0), 0.5 * beta * beta, np.log1p(beta * hi),
-                    1.0 / (hi + p0), pn)
+                    np.ascontiguousarray(g[..., ::-1]), _bracket_table(g, pn),
+                    0.5 * beta * beta, np.log1p(beta * hi), 1.0 / (hi + p0), np.array(p0))
 
 
 def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
@@ -321,11 +362,13 @@ def step_terms(beta, lo, hi, phy: PhyParams) -> list[BoxTerms]:
     b = beta.reshape((-1,) + (1,) * (np.ndim(lo) - 1))
     with np.errstate(over="ignore"):
         t = _box_terms(b, lo, hi, phy)
-    # the fields at beta's shape back to scalars
+    # run k's fields as views, those at beta's shape as 0-d arrays
     one = (slice(None),) + (0,) * (np.ndim(lo) - 1)
-    return [BoxTerms(*f, t.pn) for f in zip(t.beta[one], t.lo, t.hi, t.live[one], t.p_ee,
-                                            t.phi_ee, t.g[one], t.hb2[one], t.log_hi,
-                                            t.inv_hi)]
+    beta, live, hb2 = t.beta[one], t.live[one], t.hb2[one]
+    rest = zip(t.lo, t.hi, t.p_ee, t.phi_ee, t.rg[one], t.bracket[one], t.log_hi, t.inv_hi)
+    return [BoxTerms(beta[k, ...], lo_k, hi_k, live[k, ...], p_ee, phi_ee, rg, bracket,
+                     hb2[k, ...], log_hi, inv_hi, t.p0)
+            for k, (lo_k, hi_k, p_ee, phi_ee, rg, bracket, log_hi, inv_hi) in enumerate(rest)]
 
 
 def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | None = None):
@@ -336,12 +379,13 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     carries no rate and stays at lo with value 0.  Returns (p, phi_at_p).
 
     terms: the BoxTerms of beta, lo and hi from step_terms, for a caller
-    that reuses them with other gradients; built in the call when None.
+    that reuses them with other gradients, given as float64 arrays; built
+    in the call when None.
 
     One pass with no lane split, as the module docstring describes.
     """
-    p0 = phy.circuit_power_w
-    vgrad = np.asarray(vgrad, dtype=float)
+    if terms is None:
+        vgrad = np.asarray(vgrad, dtype=float)
     search = np.count_nonzero(vgrad)  # nan counts, as in vgrad.any()
     # both cases also run on elements they do not serve (beta = 0 divides
     # by zero), and the search on lanes without a root; np.where discards
@@ -350,22 +394,22 @@ def maximize_rate_value(beta, vgrad, lo, hi, phy: PhyParams, terms: BoxTerms | N
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = _box_terms(beta, lo, hi, phy) if terms is None else terms
         if search:
-            x, has_root = _up_crossing(t.g, vgrad * t.beta, t.beta, t.hb2, t.pn, p0)
-            p, val = _box_best(x, has_root, t.beta, vgrad, t.lo, t.hi, t.log_hi,
-                               t.inv_hi, p0)
-            ee = vgrad == 0.0
+            x, has_root = _up_crossing(t, vgrad * t.beta)
+            p, val = _box_best(x, has_root, vgrad, t)
+            ee = vgrad == _ZERO
             p = np.where(ee, t.p_ee, p)
             val = np.where(ee, t.phi_ee, val)
-            # a scalar beta > 0 (every sweep step): every lane is live, and
-            # p and val are fresh and at the full shape already
-            if t.live is np.True_:
+            # a scalar beta > 0 (every sweep step; live a 0-d array or a
+            # NumPy bool): every lane is live, and p and val are fresh and at
+            # the full shape already
+            if t.live.ndim == 0 and t.live:
                 return p, val
         else:
             # every gradient zero: the EE power alone.  A gradient array may
             # be wider than the box and widens the result.  Kept for speed: a
             # uniform-terminal 651x51 backward sweep took 21-39 ms with this
             # branch and 61-114 ms through the search (2-core Xeon)
-            shape = np.broadcast_shapes(vgrad.shape, np.shape(t.p_ee))
+            shape = np.broadcast_shapes(np.shape(vgrad), np.shape(t.p_ee))
             p, val = np.broadcast_to(t.p_ee, shape), np.broadcast_to(t.phi_ee, shape)
         p = np.where(t.live, p, t.lo)
         val = np.where(t.live, val, 0.0)

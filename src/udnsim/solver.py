@@ -13,18 +13,23 @@ marginal value of rate, the same units that _existence_violations uses.  At
 the walls the upwinded gradient is clamped to zero, the drain gradient at
 y=0 and the fill gradient at y=1: backlog cannot leave [0, capacity].
 
-Each step makes one maximize_rate_value call.  The balance power, and with
-it both boxes, depends on beta alone, and so does what power_opt.step_terms
-builds from beta and the boxes (the EE power and its phi in each box, and
-the g table with its companion terms).  Steps of a run of equal betas share
-them: the sweep builds them once per run, for G_BLOCK runs at a time, so
-memory does not grow with n_t, and a constant trajectory (the first sweep of
-every solve) builds one set.  The call's n_q gradients are 0 and the n_q - 1
+Each step makes one maximize_rate_value call on 2 n_q lanes.  The balance
+power, and with it both boxes, depends on beta alone, and so does what
+power_opt.step_terms builds from beta and the boxes (the EE power and its
+phi in each box, the g table and the bracket table of its counts, and their
+companion terms).  Steps of a run of equal betas share them: the sweep
+builds them once per run, for G_BLOCK runs at a time, so memory does not
+grow with n_t, and a constant trajectory (the first sweep of every solve)
+builds one set.  The call's n_q gradients are 0 and the n_q - 1
 differences of the later value slice, against the fill and the drain box:
 the fill lane at node j and the drain lane at node j + 1 upwind onto the
 same difference, so one search serves both, and the zero lane gives both
-walls.  The result equals, bit for bit, a sweep that hands each step's 2 n_q
-lanes to maximize_rate_value with its terms built per call.
+walls.  The sweep's scalars abar, rcoef, dq and dt are 0-d arrays, like
+the terms' own, so a step runs only array-array NumPy calls on what changes
+per step: the differences, one binary search and one gather for the
+brackets, the Cauchy steps, the selection and the Hamiltonian (power_opt
+docstring).  The result equals, bit for bit, a sweep that hands each
+step's 2 n_q lanes to maximize_rate_value with its terms built per call.
 
 The forward sweep is the transpose of the backward step at a fixed policy
 (Achdou & Capuzzo-Dolcetta 2010; Gomes, Mohr & Souza 2010).  A step reads
@@ -79,9 +84,10 @@ FP_TOL = 1e-4
 START_MAX_ITERS = 1000
 INIT_MODES = ("zero", "half")  # the queue-blind start's seed: 0 or 0.5 * eta * p_max
 EXISTENCE_TOL = 1e-12
-# runs of equal beta per block of the backward sweep's step_terms: all runs
-# at once raised sweep-v-smoke's peak RSS from 41.0-41.2 to 43.3-44.3 MB on
-# its seeds 7, 10 and 13, which solve queue-aware (2-core Xeon)
+# runs of equal beta per block of the backward sweep's step_terms, whose
+# bracket tables take about 400 KB: on sweep-v-smoke's seeds 7, 10 and 13,
+# which solve queue-aware, peak RSS read 40.8-41.4 MB (40.7-41.2 MB before
+# the tables), and all runs at once 48.8-50.4 MB (2-core Xeon)
 G_BLOCK = 64
 
 
@@ -146,7 +152,9 @@ def hjb_backward(grid: GridSpec, terminal, beta, phy: PhyParams, queue: QueuePar
     abar, rcoef = _rate_coeffs(phy, queue)
     _check_cfl(max(abar, rcoef * np.log1p(float(beta.max()) * phy.max_power_w) - abar), grid)
 
-    n_t, n_q, dq, dt = grid.n_t, grid.n_q, grid.dq, grid.dt
+    n_t, n_q = grid.n_t, grid.n_q
+    # the step's scalars as 0-d float64 arrays (power_opt docstring)
+    abar, rcoef, dq, dt = (np.array(x) for x in (abar, rcoef, grid.dq, grid.dt))
     p_max = phy.max_power_w
     value = np.empty((n_t, n_q))
     policy = np.empty((n_t, n_q))

@@ -6,8 +6,9 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from udnsim import GridSpec, PhyParams
-from udnsim.power_opt import (N_NODES, NODE_FRAC, _ee_power, _g_table, _phi, _row_count,
-                               _up_crossing, ee_power, maximize_rate_value, step_terms)
+from udnsim.power_opt import (N_NODES, NODE_FRAC, _box_terms, _ee_power, _g_table, _phi,
+                               _row_index, _up_crossing, ee_power, maximize_rate_value,
+                               step_terms)
 from udnsim.solver import _existence_violations, _rate_coeffs
 
 
@@ -179,11 +180,10 @@ def _g(p, beta, p0):
 def _has_root(beta, v, p0, p_max):
     """Whether _up_crossing brackets a root for a scalar beta, with the
     errstate its callers give it."""
-    pn = p_max * NODE_FRAC
+    phy = PhyParams(circuit_power_w=p0, max_power_w=p_max)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = _g_table(np.asarray(beta, dtype=float), pn, p0)
-        return _up_crossing(g, np.asarray(v, dtype=float), beta, 0.5 * beta * beta, pn,
-                            p0)[1]
+        t = _box_terms(beta, 0.0, p_max, phy)
+        return _up_crossing(t, np.asarray(v, dtype=float))[1] != 0.0
 
 
 def test_solver_shaped_calls_match_bisection_reference(phy, queue, rng):
@@ -355,7 +355,8 @@ def test_one_pass_matches_lane_split_bitwise(phy, rng):
             p, val = maximize_rate_value(beta, vgrad, lo, hi, phy)
         p_ref, val_ref = _lane_split_reference(beta, vgrad, lo, hi, phy)
         for got, ref in ((p, p_ref), (val, val_ref)):
-            assert isinstance(got, np.ndarray) and got.flags.writeable
+            # fully scalar calls give 0-d arrays, array calls their broadcast shape
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.flags.writeable
             assert got.shape == ref.shape
             assert np.array_equal(got, ref), (np.shape(beta), np.shape(vgrad))
 
@@ -374,7 +375,7 @@ def test_row_count_matches_node_comparison(rng):
                             rng.uniform(g[-1] - 1.0, g[0] + 1.0, 41)])
         for vv in (v, v.reshape(-1, 2)):
             want = np.count_nonzero(g >= vv[..., None], axis=-1)
-            got = _row_count(g, vv)
+            got = N_NODES - _row_index(np.ascontiguousarray(g[::-1]), vv)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -401,25 +402,113 @@ EPS = np.finfo(float).eps
 
 def test_step_terms_match_terms_built_per_call_bitwise(phy, rng):
     # step_terms builds a run of betas' terms in one pass; handed to a call,
-    # they give what the call builds itself, on gradients with zero,
-    # negative and positive lanes, on all-zero gradients and on boxes that
-    # clip (lo < 0, hi > p_max, hi < lo)
+    # they give what the call builds itself, bit for bit, on gradients with
+    # zero, negative and positive lanes, with 0, nan, +-inf, the smallest
+    # subnormal and 1e300, on all-zero gradients and on boxes that clip
+    # (lo < 0, hi > p_max, hi < lo)
     p_max = phy.max_power_w
     beta = 10.0 ** rng.uniform(-3.0, 7.0, 40) / phy.circuit_power_w
     lo = rng.uniform(-0.2, 1.0, (40, 2, 1)) * p_max
     hi = rng.uniform(0.0, 1.2, (40, 2, 1)) * p_max
+    special = [0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300]
     steps = step_terms(beta, lo, hi, phy)
     assert len(steps) == beta.size
     for k, t in enumerate(steps):
         vgrad = -(10.0 ** rng.uniform(-4.0, 2.0, 17))
         vgrad[rng.random(17) < 0.3] *= -0.1
         vgrad[rng.random(17) < 0.2] = 0.0
-        for g in (vgrad, np.zeros(17)):
+        edges = vgrad.copy()
+        edges[rng.permutation(17)[:len(special)]] = special
+        for g in (vgrad, edges, np.zeros(17)):
             got = maximize_rate_value(t.beta, g, t.lo, t.hi, phy, terms=t)
             want = maximize_rate_value(beta[k], g, lo[k], hi[k], phy)
-            assert got[0].shape == want[0].shape == (2, 17)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == (2, 17) and a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes()
+
+
+def _row_count(g, v):
+    """The count of nodes with g >= v in one non-increasing row g, at the
+    shape of v, by the binary search a step made before the bracket table:
+    in the reversed row, nan in v counting 0."""
+    return N_NODES - g[::-1].searchsorted(v, side="left")
+
+
+def _bracket_reference(g, pn, c):
+    """The per-lane bracket arithmetic the table replaced, at the counts c:
+    (ga, gb, blo, bhi, ga - gb, bhi - blo, has_root)."""
+    has_root = (c > 0) & (c < N_NODES)
+    k = np.minimum(np.maximum(c, 1), N_NODES - 1)
+    km = k - 1
+    ga, gb = g[km], g[k]
+    blo, bhi = pn[km], pn[k]
+    return ga, gb, blo, bhi, ga - gb, bhi - blo, has_root
+
+
+def test_bracket_table_matches_per_lane_arithmetic(phy):
+    # each run's table holds, at position N_NODES - c, the bracket of every
+    # count c = 0 .. N_NODES, the ends without a root included; a step's
+    # lookup (one search in the reversed row, one gather) gives the bracket
+    # of the count, for v at every node value, between nodes, past both
+    # ends, +-inf and nan
+    pn = phy.max_power_w * NODE_FRAC
+    beta = 10.0 ** np.arange(-3.0, 10.5, 0.5)
+    lo = np.zeros((beta.size, 2, 1))
+    steps = step_terms(beta, lo, lo + phy.max_power_w, phy)
+    c = np.arange(N_NODES + 1)
+    for b, t in zip(beta, steps):
+        g = t.rg[::-1]
+        assert t.rg.flags.c_contiguous and t.bracket.flags.c_contiguous
+        assert np.array_equal(g, _g_table(np.asarray(b), pn, phy.circuit_power_w))
+        ga, gb, blo, bhi, dg, db, has_root = _bracket_reference(g, pn, c)
+        assert has_root[1:-1].all() and not has_root[0] and not has_root[-1]
+        assert np.array_equal(t.bracket[:, N_NODES - c], [ga, dg, db, blo, bhi, has_root])
+        v = np.concatenate([g, 0.5 * (g[1:] + g[:-1]),
+                            [g[0] + 1.0, g[-1] - 1.0, np.inf, -np.inf, np.nan]])
+        cv = _row_count(g, v)
+        assert cv[-1] == 0 and cv[-2] == N_NODES and cv[-3] == 0
+        ga, gb, blo, bhi, dg, db, has_root = _bracket_reference(g, pn, cv)
+        got = t.bracket.take(_row_index(t.rg, v), axis=1)
+        assert np.array_equal(got, [ga, dg, db, blo, bhi, has_root])
+
+
+def test_sweep_call_types_and_live_shortcut(phy, monkeypatch):
+    # step_terms' scalars are 0-d arrays; the sweep's call returns fresh,
+    # writable float64 (2, n_q) arrays, and with those 0-d fields and
+    # beta > 0 it skips the np.where of beta <= 0
+    n_q = 31
+    beta = np.array([0.5, 40.0, 1e4])
+    lo = np.zeros((3, 2, 1))
+    lo[:, 1] = 0.3
+    hi = np.full((3, 2, 1), phy.max_power_w)
+    hi[:, 0] = 0.3
+    grad = np.r_[0.0, -(10.0 ** np.linspace(-3.0, 1.0, n_q - 1))]
+    conds = []
+    where = np.where
+
+    def counting_where(cond, *args):
+        conds.append(cond)
+        return where(cond, *args)
+
+    monkeypatch.setattr(np, "where", counting_where)
+    for t in step_terms(beta, lo, hi, phy):
+        for name in ("beta", "live", "hb2", "p0"):
+            f = getattr(t, name)
+            assert type(f) is np.ndarray and f.shape == ()
+        for g in (grad, np.zeros(n_q)):
+            conds.clear()
+            got = maximize_rate_value(t.beta, g, t.lo, t.hi, phy, terms=t)
+            if g.any():
+                assert conds and not any(c is t.live for c in conds)
+            for a in got:
+                assert type(a) is np.ndarray and a.dtype == np.float64
+                assert a.shape == (2, n_q) and a.flags.writeable and a.flags.owndata
+            # a live of shape (1,) takes the selection, which the count sees
+            conds.clear()
+            t1 = t._replace(live=t.live.reshape(1))
+            again = maximize_rate_value(t.beta, g, t.lo, t.hi, phy, terms=t1)
+            assert sum(c is t1.live for c in conds) == 2
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, again))
 
 
 def _ee_cases(rng, p0):
