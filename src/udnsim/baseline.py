@@ -18,6 +18,8 @@ from .phy import LN2, PhyParams, instantaneous_rate
 from .power_opt import ee_power
 
 PF_FLOOR = 1e-6
+# the users' minimum rate, the baseline's QoS floor unless a run sets another
+QOS_MIN_RATE_BPS = 200e3
 ESTIMATE_MODES = ("arithmetic", "exponential")
 # weight of the newest measurement in the exponential interference estimate
 ALPHA = 0.05
@@ -97,28 +99,29 @@ def myopic_power(beta, qos_min_rate_bps, phy: PhyParams):
     return power_w, rate_bps, floor_w, p_lo > phy.max_power_w
 
 
-def drain_power(power_w, beta, own_bits, cell_bits, horizon_s, window_s,
-                phy: PhyParams, floor_w=0.0):
-    """Finite-buffer refinement of the myopic power, with an overload override.
+def drain_power(beta, qos_min_rate_bps, own_bits, cell_bits, horizon_s, window_s,
+                phy: PhyParams):
+    """The baseline's slot power: myopic_power at channel quality beta =
+    gain / (interference + noise) under the floor qos_min_rate_bps, refined
+    for a finite buffer, with an overload override.
 
-    power_w is the myopic EE power (max power where infeasible) at channel
-    quality beta = gain / (interference + noise).  The server owns k queues
-    and the rotation returns to each only after serving the others, so its
-    clearing duty is the cell's aggregate backlog cell_bits: when that
-    demands more rate over window_s than power_w supplies, the transmitter
-    abandons efficiency and stays at power_w.  Otherwise delivered bits
-    saturate once the scheduled queue (own_bits) is cleared while Joules
-    keep rising, so the efficient move is to spread own_bits over the
-    horizon_s left in the turn at the cheapest sufficient power, capped at
-    power_w as the turn closes.  The QoS floor floor_w (from myopic_power;
-    0 without a floor) holds regardless, so an infeasible link stays at the
-    max power that myopic_power gave it.
+    Returns (power_w, rate_bps, infeasible); the last two are myopic_power's:
+    the rate PF tracks, and where the floor is out of reach.  The server
+    owns k queues and the rotation returns to each only after serving the
+    others, so its clearing duty is the cell's aggregate backlog cell_bits:
+    when that demands more rate over window_s than the myopic power
+    supplies, the transmitter abandons efficiency and stays at it.
+    Otherwise delivered bits saturate once the scheduled queue (own_bits) is
+    cleared while Joules keep rising, so the efficient move is to spread
+    own_bits over the horizon_s left in the turn at the cheapest sufficient
+    power, capped at the myopic power as the turn closes.  The floor holds
+    regardless, so an infeasible link stays at max power.
     """
+    power_w, rate_bps, floor_w, infeasible = myopic_power(beta, qos_min_rate_bps, phy)
     beta_pos = np.maximum(beta, BETA_FLOOR)
     need_cell = np.asarray(cell_bits, dtype=float) * LN2 / (phy.bandwidth_hz * window_s)
     p_emerg = np.expm1(np.minimum(need_cell, NEED_CAP)) / beta_pos
     need_own = np.asarray(own_bits, dtype=float) * LN2 / (phy.bandwidth_hz * horizon_s)
     p_own = np.expm1(np.minimum(need_own, NEED_CAP)) / beta_pos
     drain = np.minimum(np.maximum(p_own, floor_w), power_w)
-    return np.where(p_emerg > power_w, power_w, drain)
-
+    return np.where(p_emerg > power_w, power_w, drain), rate_bps, infeasible

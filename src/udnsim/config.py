@@ -8,7 +8,8 @@ field order, parsed by the field's type, with the record's defaults, and
 each section builds its record whole, which checks its ranges and choices.
 A key of [solver], [scheduler] or [deployment] that a record or function
 takes as a parameter gets its parser and default from it the same way
-(_params); only a key that no code takes with a default has one written here.
+(_params); only n_t, n_q, isd_units, k, the dead noise_norm and
+gradient_model, [sweep] and [output] have theirs written here.
 Every other per-key check is its owner's too, run at load with the key's
 section named: the solve's for [solver] (solver.check_iteration,
 solver.check_noise_and_gain, fields.terminal_value, fields.initial_density)
@@ -32,7 +33,7 @@ from .errors import ConfigError
 from .fields import GridSpec, initial_density, terminal_value
 from .phy import PathlossModel, PhyParams, QueueParams
 from .scheduler import DppParams
-from .simulate import EpisodeParams
+from .simulate import EpisodeParams, run_episodes
 from .solver import check_iteration, check_noise_and_gain, solve_mfg
 
 OUTDIR_ENV = "UDNSIM_OUTDIR"
@@ -103,7 +104,7 @@ SCHEMA = {
         # because unknown keys are rejected and bench/configs/reference.cfg
         # still sets it
         "gradient_model": (str, "linear_ee"),
-        "qos_min_rate_bps": (_float, 200e3),
+        **_params(run_episodes, "qos_min_rate_bps"),
     },
     "deployment": {
         "isd_units": (_float, 3.5),

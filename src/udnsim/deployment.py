@@ -37,7 +37,6 @@ DEFAULT_AREA_KM2 = 0.5625
 class Deployment:
     sbs_xy: np.ndarray        # (B, 2) meters
     ue_xy: np.ndarray         # (M, 2) meters
-    serving: np.ndarray       # (M,) SBS index of each UE
     gains: np.ndarray         # (M, B) normalized link gains
     eta: float                # mean total normalized cross gain at a UE
     noise_norm: float         # noise power / mean serving gain
@@ -51,6 +50,10 @@ class Deployment:
     @property
     def n_ue(self) -> int:
         return self.ue_xy.shape[0]
+
+    @property
+    def serving(self) -> np.ndarray:
+        return np.arange(self.n_ue) // self.k
 
     def serving_gains(self) -> np.ndarray:
         return self.gains[np.arange(self.n_ue), self.serving]
@@ -153,7 +156,7 @@ def generate_deployment(isd_units: float, k: int, phy: PhyParams,
     gains /= ref_serving
     cross = gains.sum(axis=1) - gains[rows, serving]
     return Deployment(
-        sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains,
+        sbs_xy=sbs, ue_xy=ue, gains=gains,
         eta=float(cross.mean()), noise_norm=phy.noise_w / ref_serving,
         mean_serving_gain=ref_serving, k=k,
     )

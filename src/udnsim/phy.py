@@ -76,14 +76,12 @@ class QueueParams:
             raise ConfigError("slot_duration_s must be positive and finite")
 
 
-def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w=None):
+def instantaneous_rate(power_w, gain, interference_w, phy: PhyParams, noise_w):
     """Shannon rate in bits/s; accepts scalars or arrays.
 
-    gain, interference and noise must share one normalization; noise_w
-    defaults to phy.noise_w (Watts), and callers in normalized units pass
-    their own noise (e.g. Deployment.noise_norm).
+    gain, interference and noise_w must share one normalization: Watts with
+    phy.noise_w, or a deployment's normalized units with its noise_norm.
     """
-    noise_w = phy.noise_w if noise_w is None else noise_w
     power_w = np.asarray(power_w, dtype=float)
     sinr = power_w * np.asarray(gain, dtype=float) / (
         np.asarray(interference_w, dtype=float) + noise_w
@@ -95,17 +93,14 @@ def queue_step(q_bits, arrival_bits, offered_bits, queue: QueueParams):
     """One slot of queue dynamics under offered_bits (>= 0) of service.
 
     Returns (q_next, served, dropped): ``served = min(q + arrivals, offered)``
-    and arrivals beyond capacity are dropped, so
+    and arrivals beyond capacity (in the queue's dtype) are dropped, so
     ``q_next = min(cap, q + arrivals - served)`` and
     ``dropped = max(0, q + arrivals - served - cap)``.
     """
     total = np.asarray(q_bits) + np.asarray(arrival_bits)
     served = np.minimum(total, offered_bits)
     after = total - served
-    cap = queue.capacity_bits
-    if isinstance(after, np.ndarray) and after.dtype.kind in "iu":
-        cap = int(cap)
-    dropped = np.maximum(after - cap, 0)
+    dropped = np.maximum(after - np.asarray(queue.capacity_bits, dtype=after.dtype), 0)
     return after - dropped, served, dropped
 
 

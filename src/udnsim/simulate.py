@@ -40,9 +40,9 @@ calls of its method and once over all lanes for everything else:
   slot, the same stream as one draw per slot (see below for the thread);
 - mfg: ``fields.bilinear`` for the slot power and, once per period,
   ``scheduler.expected_rate`` at the period start and ``scheduler.dpp_step``;
-- baseline: ``baseline.myopic_power`` and ``baseline.drain_power`` for the
-  slot power and ``BaselineState.observe`` after it, and once per period
-  ``baseline.myopic_power`` (the candidates' rates) and
+- baseline: ``baseline.drain_power`` for the slot power (it calls
+  ``baseline.myopic_power``) and ``BaselineState.observe`` after it, and
+  once per period ``baseline.myopic_power`` (the candidates' rates) and
   ``baseline.pf_schedule``.
 
 Every lane's metrics equal those of running its arm and replicate alone,
@@ -86,7 +86,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import ESTIMATE_MODES, BaselineState, drain_power, myopic_power, pf_schedule
+from .baseline import (ESTIMATE_MODES, QOS_MIN_RATE_BPS, BaselineState, drain_power,
+                       myopic_power, pf_schedule)
 from .deployment import Deployment
 from .errors import ConfigError
 from .fields import MfgSolution, bilinear
@@ -200,7 +201,7 @@ class Arm(NamedTuple):
 
 def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueueParams,
                  episode: EpisodeParams, *, replicates,
-                 qos_min_rate_bps: float | None = None) -> list[list[EpisodeMetrics]]:
+                 qos_min_rate_bps: float = QOS_MIN_RATE_BPS) -> list[list[EpisodeMetrics]]:
     """Simulate every arm on every deployment, all in lockstep, and return
     one list of metrics per arm, in the order of arms and deploys.
 
@@ -209,7 +210,8 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     drawn once for all arms; every deployment must have the same n_sbs and
     k.  Each mfg arm plays its own solution.  Each episode's metrics equal
     those of running its arm and replicate alone.  episode.n_replicates is
-    not read: the caller draws the deployments.
+    not read: the caller draws the deployments.  qos_min_rate_bps is the
+    baseline's QoS floor, whatever the arrival rate.
 
     With episode.initial_backlog 'density' each UE's backlog is sampled
     from the initial density of the arms' solutions, which must share it and
@@ -230,8 +232,6 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
     n_sbs, k = deploys[0].n_sbs, deploys[0].k
     if any((d.n_sbs, d.k) != (n_sbs, k) for d in deploys):
         raise ConfigError("the deployments of one batch must share n_sbs and k")
-    if qos_min_rate_bps is None:
-        qos_min_rate_bps = queue.arrival_rate_bps
 
     n_rep, n_ue, spp = len(deploys), n_sbs * k, episode.slots_per_period
     n_arm, n_rep_ue = len(arms), n_rep * n_ue
@@ -340,13 +340,11 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
                         powers[g_lanes] = bilinear(arm.solution.grid, arm.solution.policy,
                                                    s * dt, own_bits[g_lanes] / cap)
                     else:
-                        beta = gain / (state.interference_est + g_noise)
-                        p_ee, achieved[sched], floor_w, infeasible_rows[s, g_lanes] = (
-                            myopic_power(beta, qos_min_rate_bps, phy))
-                        powers[g_lanes] = drain_power(
-                            p_ee, beta, own_bits[g_lanes],
+                        powers[g_lanes], achieved[sched], infeasible_rows[s, g_lanes] = drain_power(
+                            gain / (state.interference_est + g_noise), qos_min_rate_bps,
+                            own_bits[g_lanes],
                             queues.reshape(n_lane, n_sbs, k)[g_lanes].sum(axis=2),
-                            (spp - s) * dt, episode.drain_window_slots * dt, phy, floor_w)
+                            (spp - s) * dt, episode.drain_window_slots * dt, phy)
 
                 interference = np.subtract((g_cross @ powers[..., None])[..., 0], g_own * powers,
                                            out=interference_rows[s])
@@ -406,7 +404,7 @@ def run_episodes(deploys: list[Deployment], arms, phy: PhyParams, queue: QueuePa
 
 def run_episode(deploy: Deployment, method: str, phy: PhyParams, queue: QueueParams,
                 *, n_periods: int, seed: int, solution: MfgSolution | None = None,
-                dpp: DppParams = DppParams(), qos_min_rate_bps: float | None = None,
+                dpp: DppParams = DppParams(), qos_min_rate_bps: float = QOS_MIN_RATE_BPS,
                 slots_per_period: int = EpisodeParams.slots_per_period,
                 initial_backlog: str = EpisodeParams.initial_backlog,
                 estimate_mode: str = EpisodeParams.estimate_mode,

@@ -102,21 +102,25 @@ def test_drain_power_cases(phy):
     """Lane 0: the cell's backlog overloads the window, so the EE argmax
     stays.  Lane 1: a small own backlog drains at the cheapest power that
     clears it by the end of the turn.  Lane 2: the same backlog under a QoS
-    floor above that power transmits at the floor."""
+    floor above that power transmits at the floor.  The rate and the
+    infeasible flag are myopic_power's."""
     beta = np.full(3, 10.0)
     p_ee = myopic_power(beta, 0.0, phy)[0]
     own = np.array([1000.0, 1000.0, 1000.0])
     cell = np.array([1e7, 1000.0, 1000.0])
     horizon, window = 0.5, 0.4
-    free = drain_power(p_ee, beta, own, cell, horizon, window, phy)
+    free, rate, infeasible = drain_power(beta, 0.0, own, cell, horizon, window, phy)
     assert free[0] == p_ee[0]
     assert 0.0 < free[1] < p_ee[1]
     cleared = phy.bandwidth_hz * np.log1p(beta[1] * free[1]) / LN2 * horizon
     assert cleared == pytest.approx(own[1], rel=1e-12)
+    _, want_rate, _, want_infeasible = myopic_power(beta, 0.0, phy)
+    assert rate.tolist() == want_rate.tolist() and infeasible.tolist() == want_infeasible.tolist()
     qos = 1e5
-    p_qos, _, floor_w, _ = myopic_power(beta, qos, phy)
-    floored = drain_power(p_qos, beta, own, cell, horizon, window, phy, floor_w)
+    floored, rate, infeasible = drain_power(beta, qos, own, cell, horizon, window, phy)
     assert floored[2] > free[2]
+    _, want_rate, _, want_infeasible = myopic_power(beta, qos, phy)
+    assert rate.tolist() == want_rate.tolist() and infeasible.tolist() == want_infeasible.tolist()
     assert phy.bandwidth_hz * np.log1p(beta[2] * floored[2]) / LN2 == pytest.approx(qos, rel=1e-12)
 
 

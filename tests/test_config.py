@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 from udnsim import (ConfigError, DppParams, EpisodeParams, GridSpec, PathlossModel, PhyParams,
-                    QueueParams, generate_deployment, initial_density, solve_mfg)
+                    QueueParams, generate_deployment, initial_density, run_episodes, solve_mfg)
 from udnsim.config import SCHEMA, _bool, _float, load_config
 
 
@@ -128,6 +128,7 @@ def test_solver_scheduler_and_deployment_defaults_are_their_owners():
                                     "mean_sq_gain"]),
              (initial_density, "solver", ["rho0_mean", "rho0_variance"]),
              (DppParams, "scheduler", ["v_coeff"]),
+             (run_episodes, "scheduler", ["qos_min_rate_bps"]),
              (generate_deployment, "deployment", ["area_km2", "jitter_frac", "fading",
                                                   "cross_isolation_db", "rician_k_db"])]
     for owner, section, names in owned:

@@ -58,6 +58,13 @@ def test_normalization_invariants(phy):
     assert dep.serving_gains() == pytest.approx(serving)
 
 
+def test_serving_gains_follow_the_cells(phy):
+    """UE u is served by SBS u // k, the map the slot kernel's lanes assume."""
+    dep = generate_deployment(12.5, 3, phy, seed=5)
+    u = np.arange(dep.n_ue)
+    assert dep.serving_gains().tobytes() == dep.gains[u, u // dep.k].tobytes()
+
+
 def test_deployment_determinism(phy):
     a = generate_deployment(3.5, 2, phy, seed=42)
     b = generate_deployment(3.5, 2, phy, seed=42)
@@ -134,7 +141,7 @@ def reference_deployment(isd_units, k, phy, pathloss, seed, fading, cross_isolat
     ref_serving = float(gains[rows, serving].mean())
     gains_norm = gains / ref_serving
     cross = gains_norm.sum(axis=1) - gains_norm[rows, serving]
-    return dict(sbs_xy=sbs, ue_xy=ue, serving=serving, gains=gains_norm,
+    return dict(sbs_xy=sbs, ue_xy=ue, gains=gains_norm,
                 eta=float(cross.mean()), noise_norm=phy.noise_w / ref_serving,
                 mean_serving_gain=ref_serving)
 

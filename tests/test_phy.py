@@ -39,14 +39,14 @@ def test_queue_params_validation():
 
 def test_rate_known_value(phy):
     # SINR = 1 * 1 / (0 + 1e-10) scaled: pick gain = noise so SINR = power
-    r = instantaneous_rate(3.0, phy.noise_w, 0.0, phy)
+    r = instantaneous_rate(3.0, phy.noise_w, 0.0, phy, phy.noise_w)
     assert r == pytest.approx(phy.bandwidth_hz * 2.0, rel=1e-12)  # log2(4) = 2
-    assert instantaneous_rate(0.0, 1.0, 0.0, phy) == 0.0
+    assert instantaneous_rate(0.0, 1.0, 0.0, phy, phy.noise_w) == 0.0
 
 
 def test_rate_monotone_in_interference(phy):
-    r1 = instantaneous_rate(1.0, 1.0, 0.1, phy)
-    r2 = instantaneous_rate(1.0, 1.0, 0.2, phy)
+    r1 = instantaneous_rate(1.0, 1.0, 0.1, phy, phy.noise_w)
+    r2 = instantaneous_rate(1.0, 1.0, 0.2, phy, phy.noise_w)
     assert r2 < r1
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import udnsim.simulate
 from udnsim import (Arm, BaselineState, ConfigError, Deployment, DppParams, EpisodeMetrics,
                     EpisodeParams, GridSpec, PhyParams, QueueParams, generate_deployment,
-                    run_episode, run_episodes, solve_mfg)
+                    load_config, run_episode, run_episodes, solve_mfg)
 from udnsim.fields import initial_density
 from udnsim.simulate import _fold_in_order, _sample_initial_backlog, derived_rng
 
@@ -18,8 +19,7 @@ def synthetic_deployment(n_sbs, k, gain_scale, noise=0.05, eta=0.0):
     n_ue = n_sbs * k
     gains = np.full((n_ue, n_sbs), gain_scale)
     return Deployment(
-        sbs_xy=np.zeros((n_sbs, 2)), ue_xy=np.zeros((n_ue, 2)),
-        serving=np.repeat(np.arange(n_sbs), k), gains=gains, eta=eta,
+        sbs_xy=np.zeros((n_sbs, 2)), ue_xy=np.zeros((n_ue, 2)), gains=gains, eta=eta,
         noise_norm=noise, mean_serving_gain=1.0, k=k)
 
 
@@ -189,6 +189,23 @@ def test_infeasible_qos_counts_every_slot(phy, queue):
     assert m.mean_power_w == pytest.approx(phy.max_power_w)
 
 
+def test_baseline_floor_has_one_rule_off_the_default_load():
+    """At a rate sweep's 1e5 b/s, a run_episodes call that sets no QoS floor
+    simulates the baseline that the config's qos_min_rate_bps, the floor the
+    CLI passes, gives: the floor does not follow the arrival rate."""
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "smoke.cfg").with_value("rate", 1e5)
+    assert cfg.queue.arrival_rate_bps != cfg.raw["scheduler"]["qos_min_rate_bps"]
+    deploys = [generate_deployment(**cfg.raw["deployment"], phy=cfg.phy, pathloss=cfg.pathloss,
+                                   seed=derived_rng(cfg.episode.base_seed, i, 0))
+               for i in range(cfg.episode.n_replicates)]
+    args = (deploys, [Arm("baseline")], cfg.phy, cfg.queue, cfg.episode)
+    replicates = range(len(deploys))
+    default = run_episodes(*args, replicates=replicates)[0]
+    configured = run_episodes(*args, replicates=replicates,
+                              qos_min_rate_bps=cfg.raw["scheduler"]["qos_min_rate_bps"])[0]
+    assert [metrics_tuple(m) for m in default] == [metrics_tuple(m) for m in configured]
+
+
 def test_corner_policy_energy_is_exact(phy, queue, small_solution):
     """The shared equilibrium pins power at the cap, so drawn energy is
     (p_max + circuit) per SBS per slot exactly."""
@@ -312,15 +329,16 @@ def test_batch_reads_gains_from_each_deployment(phy, queue):
 
 def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, small_solution,
                                                   uniform_solution, monkeypatch):
-    """The slot kernel takes its power from baseline.myopic_power, once per
-    period for the PF candidates and once per slot, per baseline group, and
-    from fields.bilinear once per slot per mfg group, whose candidates come
-    from one scheduler.expected_rate per period; it folds each slot into the
+    """Per baseline group, the slot kernel takes the PF candidates' rates
+    from baseline.myopic_power once per period and its power from
+    baseline.drain_power once per slot; per mfg group, its power from
+    fields.bilinear once per slot, whose candidates come from one
+    scheduler.expected_rate per period.  It folds each slot into the
     baseline state with one BaselineState.observe, and every lane's queues
     move by one phy.queue_step per slot.  A mixed batch makes no more calls
     than its groups need."""
-    calls = dict.fromkeys(("myopic_power", "bilinear", "expected_rate", "observe",
-                           "queue_step"), 0)
+    calls = dict.fromkeys(("myopic_power", "drain_power", "bilinear", "expected_rate",
+                           "observe", "queue_step"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -328,7 +346,7 @@ def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, sma
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("myopic_power", "bilinear", "expected_rate", "queue_step"):
+    for name in ("myopic_power", "drain_power", "bilinear", "expected_rate", "queue_step"):
         monkeypatch.setattr(udnsim.simulate, name, counted(name, getattr(udnsim.simulate, name)))
     monkeypatch.setattr(BaselineState, "observe", counted("observe", BaselineState.observe))
     n_periods, spp = 3, 7
@@ -339,7 +357,7 @@ def test_baseline_kernel_runs_the_tested_functions(small_deploy, phy, queue, sma
     for arms, n_mfg_groups in (([Arm("baseline")], 0), (mixed, 2)):
         calls.update(dict.fromkeys(calls, 0))
         run_episodes([small_deploy] * 2, arms, phy, queue, episode, replicates=[0, 1])
-        assert calls == {"myopic_power": n_periods + n_periods * spp,
+        assert calls == {"myopic_power": n_periods, "drain_power": n_periods * spp,
                          "bilinear": n_mfg_groups * n_periods * spp,
                          "expected_rate": n_mfg_groups * n_periods,
                          "observe": n_periods * spp, "queue_step": n_periods * spp}
