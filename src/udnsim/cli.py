@@ -36,7 +36,7 @@ from .errors import ConfigError, ConvergenceError, InvariantError, SchemeError
 from .fields import MfgSolution, initial_density, terminal_value
 from .reporting import (cdf_table, check_metric, csv_to_dat, metrics_csv, read_metric,
                         report_table, summary_csv, sweep_report)
-from .simulate import Arm, derived_rng, run_episodes
+from .simulate import METHODS, Arm, derived_rng, run_episodes
 from .solution_io import load_solution, save_solution
 from .solver import solve_mfg
 
@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
     arrivals; write each method's metrics and the summary."""
     cfg = load_config(args.config)
     outdir = _ensure_outdir(cfg)
-    methods = ("mfg", "baseline") if args.method == "both" else (args.method,)
+    methods = METHODS if args.method == "both" else (args.method,)
     deploys = _deployments(cfg)
 
     # a given solution is always checked; otherwise one is solved when the
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded episodes and write metrics")
     p.add_argument("--config", help="configuration file")
-    p.add_argument("--method", choices=("mfg", "baseline", "both"), default="both")
+    p.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p.add_argument("--solution", help="reuse a saved solution instead of solving")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,5 +1,8 @@
 """Run configuration: INI-style key = value files with strict schema checks.
 
+A file is [section] headers and key = value lines, sections and keys spelled
+exactly as in SCHEMA, with # and ; comments and values that continue on
+indented lines; nothing else: no [DEFAULT], no % interpolation, no ':'.
 Unknown sections or keys are rejected; every key has a typed default, so an
 empty file is a valid (reference-like) configuration.  The [phy], [traffic],
 [pathloss] and [simulate] sections are the records PhyParams, QueueParams,
@@ -171,15 +174,20 @@ class RunConfig:
 def load_config(path=None) -> RunConfig:
     """Parse, type-check and assemble a run configuration.
 
-    path None loads pure defaults.  Raises ConfigError on unknown keys, type
-    errors, bad choices or inconsistent parameter values; of several faults
-    in the file, the first in file order.
+    path None loads pure defaults.  A file holds SCHEMA's sections and keys
+    as spelled, key = value lines, # and ; comments (inline too) and
+    multi-line values, and nothing else.  Raises ConfigError on anything
+    else, type errors, bad choices or inconsistent parameter values; of
+    several faults in the file, the first in file order.
     """
     raw = {section: {key: default for key, (_, default) in keys.items()}
            for section, keys in SCHEMA.items()}
     if path is None:
         return _build(raw)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name the default section "", so [DEFAULT] is an unknown one
+    parser = configparser.ConfigParser(delimiters="=", inline_comment_prefixes=("#", ";"),
+                                       default_section="", interpolation=None)
+    parser.optionxform = str
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")

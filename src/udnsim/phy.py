@@ -61,7 +61,7 @@ class PhyParams:
 
 @dataclass(frozen=True)
 class QueueParams:
-    """Traffic constants: mean arrival rate, queue capacity, slot length."""
+    """Traffic constants: mean arrival rate, queue capacity in whole bits, slot length."""
 
     arrival_rate_bps: float = 200e3
     capacity_bits: float = 2e6
@@ -72,6 +72,8 @@ class QueueParams:
             raise ConfigError("arrival_rate_bps must be nonnegative and finite")
         if not (math.isfinite(self.capacity_bits) and self.capacity_bits > 0):
             raise ConfigError("capacity_bits must be positive and finite")
+        if self.capacity_bits != math.floor(self.capacity_bits):
+            raise ConfigError("capacity_bits must be a whole number of bits")
         if not (math.isfinite(self.slot_duration_s) and self.slot_duration_s > 0):
             raise ConfigError("slot_duration_s must be positive and finite")
 

@@ -111,18 +111,22 @@ def read_metric(paths, metric: str) -> dict[str, list[float]]:
     for path in paths:
         try:
             with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.DictReader(fh))
+                reader = csv.DictReader(fh)
+                rows = [(reader.line_num, row) for row in reader]
         except OSError as exc:
             raise ConfigError(f"cannot read metrics file {path} ({exc.strerror})") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"metrics file {path} is not UTF-8 text ({exc.reason})") from exc
         if not rows:
             raise ConfigError(f"no metric rows in {path}")
-        for row in rows:
+        for column in ("method", metric):
+            if column not in reader.fieldnames:
+                raise ConfigError(f"{path} lacks a {column!r} column")
+        for line, row in rows:
+            if None in (row["method"], row[metric]):  # DictReader's fill for a short row
+                raise ConfigError(f"{path}, line {line}: fewer fields than the header")
             try:
                 by_method.setdefault(row["method"], []).append(float(row[metric]))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"{path} lacks a {metric!r} column") from exc
             except ValueError as exc:
                 raise ConfigError(f"{path}: non-numeric {metric!r} value ({exc})") from exc
     return by_method

@@ -6,7 +6,8 @@ interference and queue dynamics run every slot.  An ``EpisodeParams`` (the
 seed, the baseline's estimate and drain window, and how the queues start.
 All SBSs move simultaneously within a slot: powers are fixed first, then
 every scheduled UE sees the interference of that joint choice.  Bits are
-integers end to end, so arrivals, service, drops and backlog balance exactly.
+integers end to end, the buffer capacity a whole number of them, so
+arrivals, service, drops and backlog balance exactly.
 
 The slot kernel runs L lanes in lockstep.  A lane is an (arm, replicate)
 pair: an arm is a method with its scheduler parameters, and a replicate is

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +9,20 @@ from udnsim import (ConfigError, DppParams, EpisodeParams, GridSpec, PathlossMod
 from udnsim.config import SCHEMA, _bool, _float, load_config
 
 
+ROOT = Path(__file__).parents[1]
+
+
 def write(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def test_every_shipped_and_benchmark_config_loads():
+    paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("bench/configs/*.cfg"))
+    assert len(paths) >= 4
+    for path in paths:
+        load_config(path)
 
 
 def test_defaults_without_file():
@@ -197,7 +208,7 @@ def test_missing_file_rejected(tmp_path):
     "[scheduler]\ngradient_model = zero\n",
     "bandwidth_hz = 1e6\n",                       # no section header
     "[phy]\nmax_power_w = 1\nmax_power_w = 2\n",  # duplicate key
-    "[phy]\nbandwidth_hz = 5%\n",                  # bad interpolation
+    "[phy]\nbandwidth_hz = 5%\n",                  # not a float
     "[output]\ndir =\n",                          # os.makedirs("") fails
 ])
 def test_bad_values_rejected(tmp_path, body):
@@ -231,6 +242,38 @@ def test_record_range_errors_name_their_section(tmp_path, body, message):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, body))
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("body, refusal", [
+    ("[DEFAULT]\nn_q = 21\n", r"unknown config section \[DEFAULT\]"),     # no default section
+    ("[DEFAULT]\nk = 2\n[deployment]\n", r"unknown config section \[DEFAULT\]"),
+    ("[solver]\nn_q = 21\nn_t = %(n_q)s01\n", r"bad value for \[solver\] n_t"),  # no interpolation
+    ("[solver]\nN_Q = 21\n", "unknown config key 'N_Q' in section"),     # no case folding
+    ("[solver]\nn_q: 21\n", "malformed config file"),                   # '=' the only delimiter
+    ("[output]\ndir = out%d\n", None),                                   # '%' is a character
+], ids=["default-only", "default-and-deployment", "interpolation", "key-case", "colon",
+        "percent"])
+def test_a_file_is_read_by_its_schema_alone(tmp_path, body, refusal):
+    """The schema is the whole language: no value is set but by a key = value
+    line of a section and key spelled as SCHEMA spells them."""
+    path = write(tmp_path, body)
+    if refusal is None:
+        assert load_config(path).raw["output"]["dir"] == "out%d"
+    else:
+        with pytest.raises(ConfigError, match=refusal):
+            load_config(path)
+
+
+def test_capacity_is_whole_bits(tmp_path):
+    # the simulator's queues are int64 bits: half a bit would be a wall of 0
+    for capacity in (0.5, 1.5, 2e6 + 0.25):
+        with pytest.raises(ConfigError, match="^capacity_bits must be a whole number of bits$"):
+            QueueParams(capacity_bits=capacity)
+    with pytest.raises(ConfigError, match=r"^\[traffic\] capacity_bits must be a whole number"):
+        load_config(write(tmp_path, "[traffic]\ncapacity_bits = 0.5\n"))
+    assert QueueParams(capacity_bits=1).capacity_bits == 1
+    assert load_config(write(tmp_path, "[traffic]\ncapacity_bits = 1e6\n")).queue == \
+        QueueParams(capacity_bits=1e6)
 
 
 def test_non_utf8_file_rejected(tmp_path):
@@ -270,6 +313,10 @@ def test_sweep_values_typed(tmp_path):
     cfg = load_config(write(tmp_path, "[sweep]\nkey = boundary\nvalues = exponential, linear\n"))
     _, values = cfg.sweep_values()
     assert values == ["exponential", "linear"]
+
+    # a value may continue on indented lines
+    cfg = load_config(write(tmp_path, "[sweep]\nkey = k\nvalues = 1,\n    2, 5\n"))
+    assert cfg.sweep_values() == ("k", [1, 2, 5])
 
 
 def test_sweep_values_errors(tmp_path):

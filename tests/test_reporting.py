@@ -113,6 +113,21 @@ def test_metrics_csv_round_trips_through_read_metric(tmp_path):
             for method, metrics in HAND_RUNS.items()}, key
 
 
+def test_read_metric_names_what_is_missing(tmp_path):
+    cases = [("method,ee_bits_per_j\nmfg,1\n", "outage_fraction",
+              "lacks a 'outage_fraction' column"),
+             ("replicate,ee_bits_per_j\n0,1\n", "ee_bits_per_j", "lacks a 'method' column"),
+             # DictReader skips the blank line, but the line number counts it
+             ("method,ee_bits_per_j\n\nmfg,1\nmfg\n", "ee_bits_per_j",
+              "line 4: fewer fields than the header")]
+    for text, metric, message in cases:
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            read_metric([str(path)], metric)
+        assert str(err.value).startswith(str(path)) and str(err.value).endswith(message)
+
+
 @pytest.mark.parametrize("metric, report, cdfs", [
     ("ee_bits_per_j",
      "method,n,mean,median\nbaseline,2,137500,137500\nmfg,3,158333.333333,150000\n",
