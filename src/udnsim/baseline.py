@@ -33,8 +33,9 @@ NEED_CAP = 40.0
 @dataclass
 class BaselineState:
     """PF rate averages (one per UE, shape (..., k)) and the interference
-    estimate (one per SBS, shape (...)) carried across slots; both are
-    running means over the same `slots` observed so far."""
+    estimate (one per SBS, shape (...)) carried across slots: running means
+    over the `slots` so far, but for the estimate under estimate_mode
+    'exponential', an exponentially weighted mean with weight ALPHA."""
 
     rate_avg: np.ndarray
     interference_est: np.ndarray

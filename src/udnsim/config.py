@@ -11,8 +11,8 @@ field order, parsed by the field's type, with the record's defaults, and
 each section builds its record whole, which checks its ranges and choices.
 A key of [solver], [scheduler] or [deployment] that a record or function
 takes as a parameter gets its parser and default from it the same way
-(_params); only n_t, n_q, isd_units, k, the dead noise_norm and
-gradient_model, [sweep] and [output] have theirs written here.
+(_params); only isd_units, k, the dead noise_norm and gradient_model,
+[sweep] and [output] have theirs written here.
 Every other per-key check is its owner's too, run at load with the key's
 section named: the solve's for [solver] (solver.check_iteration,
 solver.check_noise_and_gain, fields.terminal_value, fields.initial_density)
@@ -92,9 +92,7 @@ SCHEMA = {
     "traffic": _params(QueueParams),
     "pathloss": _params(PathlossModel),
     "solver": {
-        "n_t": (int, 2601),
-        "n_q": (int, 101),
-        **_params(GridSpec, "horizon_s"),
+        **_params(GridSpec),
         **_params(solve_mfg, "boundary", "damping", "tol", "max_iters", "init"),
         # feeds no solve; see the comment on [phy]
         "noise_norm": (_float, 0.03),
@@ -226,7 +224,7 @@ def _build(raw: dict) -> RunConfig:
     cfg = RunConfig(*(_prefixed(f"[{section}]", make, **kwargs) for section, make, kwargs in (
         ("phy", PhyParams, raw["phy"]), ("traffic", QueueParams, raw["traffic"]),
         ("pathloss", PathlossModel, raw["pathloss"]),
-        ("solver", GridSpec, {k: s[k] for k in ("n_t", "n_q", "horizon_s")}),
+        ("solver", GridSpec, {k: s[k] for k in _params(GridSpec)}),
         ("scheduler", DppParams, {"v_coeff": raw["scheduler"]["v_coeff"]}),
         ("simulate", EpisodeParams, raw["simulate"]))), raw=raw, output_dir=outdir)
     _prefixed("[solver]", check_iteration, s["damping"], s["tol"], s["max_iters"], s["init"])

@@ -26,8 +26,8 @@ DENSITY_FLOOR = -1e-9
 class GridSpec:
     """Uniform space-time grid over [0, horizon] x [0, 1]."""
 
-    n_t: int
-    n_q: int
+    n_t: int = 2601
+    n_q: int = 101
     horizon_s: float = 1.0
 
     def __post_init__(self):
@@ -134,7 +134,9 @@ class MfgSolution:
     """Converged equilibrium bundle for one scheduling period, with every
     input it was solved under: grid, phy (sbs_density is the calibrated eta),
     queue, boundary, noise_norm and mean_sq_gain; density[0] is the initial
-    density and value[-1] the terminal condition, both as given."""
+    density and value[-1] the terminal condition, both as given.  A solution
+    file's header is the grid's fields plus every field but grid and the four
+    arrays (solution_io), so a new field is a format change."""
 
     grid: GridSpec
     value: np.ndarray         # (n_t, n_q)

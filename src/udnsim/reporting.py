@@ -119,10 +119,14 @@ def read_metric(paths, metric: str) -> dict[str, list[float]]:
             raise ConfigError(f"metrics file {path} is not UTF-8 text ({exc.reason})") from exc
         if not rows:
             raise ConfigError(f"no metric rows in {path}")
+        if len(set(reader.fieldnames)) < len(reader.fieldnames):
+            raise ConfigError(f"{path} names a column twice")
         for column in ("method", metric):
             if column not in reader.fieldnames:
                 raise ConfigError(f"{path} lacks a {column!r} column")
         for line, row in rows:
+            if None in row:  # DictReader's key for the fields past the header
+                raise ConfigError(f"{path}, line {line}: more fields than the header")
             if None in (row["method"], row[metric]):  # DictReader's fill for a short row
                 raise ConfigError(f"{path}, line {line}: fewer fields than the header")
             try:

@@ -29,11 +29,12 @@ from .phy import PhyParams, instantaneous_rate
 class DppParams:
     """Tradeoff coefficient V <= 0.
 
-    More-negative V weighs the energy-efficiency penalty harder at the
-    expense of backlog pressure; V sweeps of {-1, -10, -100} cover the
-    tradeoff study, and V = 0 drops the penalty.  v_coeff may also be an
-    array that broadcasts against the scheduler's (..., k) arrays, such as
-    one V per lane of a batch as a (lanes, 1, 1) column.
+    The objective subtracts V times each UE's bits per joule, rate / (power
+    + p0): a more-negative V favours efficiency over backlog, but beside
+    backlog * rate it settles only near-empty queues.  V = 0 drops it.
+    v_coeff may also be an array that broadcasts against the scheduler's
+    (..., k) arrays, such as one V per lane of a batch as a (lanes, 1, 1)
+    column.
     """
 
     v_coeff: float = -1.0

@@ -3,46 +3,38 @@
 Format: a text magic line ``UDNSIM-MFG <version>``, one JSON header line,
 then four little-endian float64 blocks in this order: value field, density
 field, power policy (each n_t*n_q row-major) and the interference trajectory
-(n_t).  Round-trips are bit-exact.  The version-2 header holds the grid, the
-iteration count, the residuals and the solve's other inputs, each checked as
-the solve checks it: phy and queue (dicts, rebuilt through the constructors),
-noise_norm, mean_sq_gain and boundary.  Version 1 lacks most: solve again.
+(n_t); round-trips are bit-exact.  The header holds the grid's fields and
+MfgSolution's other non-block fields (HEADER), phy and queue as dicts: a
+new field is a format change that bumps VERSION.  Keys must match; values
+are checked as the solve checks them.  Version 1 lacks most: solve again.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import GridSpec, MfgSolution, terminal_value
-from .phy import PhyParams, QueueParams
 from .solver import beta_trajectory
 
 MAGIC = "UDNSIM-MFG"
 VERSION = 2
+BLOCKS = ("value", "density", "policy", "interference")
+HEADER = [f.name for f in fields(MfgSolution) if f.name not in ("grid", *BLOCKS)]
+GRID_KEYS = [f.name for f in fields(GridSpec)]
 
 
 def save_solution(path, sol: MfgSolution):
-    header = {
-        "n_t": sol.grid.n_t,
-        "n_q": sol.grid.n_q,
-        "horizon_s": sol.grid.horizon_s,
-        "phy": asdict(sol.phy),
-        "queue": asdict(sol.queue),
-        "noise_norm": sol.noise_norm,
-        "mean_sq_gain": sol.mean_sq_gain,
-        "boundary": sol.boundary,
-        "iterations": sol.iterations,
-        "residuals": sol.residuals,
-    }
+    header = {**asdict(sol.grid), **{name: getattr(sol, name) for name in HEADER}}
     with open(path, "wb") as f:
         f.write(f"{MAGIC} {VERSION}\n".encode("ascii"))
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        for block in (sol.value, sol.density, sol.policy, sol.interference):
-            f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        f.write((json.dumps(header, sort_keys=True, default=asdict) + "\n").encode("ascii"))
+        for name in BLOCKS:
+            f.write(np.ascontiguousarray(getattr(sol, name), dtype="<f8").tobytes())
 
 
 def load_solution(path) -> MfgSolution:
@@ -60,11 +52,13 @@ def load_solution(path) -> MfgSolution:
             raise ConfigError(f"{path}: unsupported solution format version {magic[1]}")
         try:
             header = json.loads(f.readline().decode("ascii"))
-            grid = GridSpec(header["n_t"], header["n_q"], header["horizon_s"])
-            meta = dict(iterations=header["iterations"], residuals=list(header["residuals"]),
-                        phy=PhyParams(**header["phy"]), queue=QueueParams(**header["queue"]),
-                        noise_norm=header["noise_norm"], mean_sq_gain=header["mean_sq_gain"],
-                        boundary=header["boundary"])
+            stray = set(header) ^ {*GRID_KEYS, *HEADER}
+            if stray:
+                raise ConfigError(f"missing or unknown keys {sorted(stray)}")
+            grid = GridSpec(**{name: header[name] for name in GRID_KEYS})
+            types = get_type_hints(MfgSolution)
+            meta = {name: types[name](**header[name]) if is_dataclass(types[name])
+                    else header[name] for name in HEADER}
             # JSON numbers load as int or float, and true as a bool
             if type(meta["iterations"]) is not int or meta["iterations"] < 1:
                 raise ConfigError("iterations must be a positive integer")
@@ -79,9 +73,6 @@ def load_solution(path) -> MfgSolution:
         raw = np.frombuffer(f.read(), dtype="<f8")
         if raw.size != 3 * n + grid.n_t:
             raise ConfigError(f"{path}: truncated solution payload")
-    value = raw[:n].reshape(grid.n_t, grid.n_q).copy()
-    density = raw[n:2 * n].reshape(grid.n_t, grid.n_q).copy()
-    policy = raw[2 * n:3 * n].reshape(grid.n_t, grid.n_q).copy()
-    interference = raw[3 * n:].copy()
-    return MfgSolution(grid=grid, value=value, density=density, policy=policy,
-                       interference=interference, **meta)
+    payload = raw.copy()
+    blocks = [*payload[:3 * n].reshape(3, grid.n_t, grid.n_q), payload[3 * n:]]
+    return MfgSolution(grid=grid, **dict(zip(BLOCKS, blocks)), **meta)

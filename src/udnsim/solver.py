@@ -315,8 +315,9 @@ def solve_mfg(grid: GridSpec, phy: PhyParams, queue: QueueParams,
     check_iteration(damping, tol, max_iters, init)
     eta = phy.sbs_density
     terminal = terminal_value(boundary, grid.queues)
-    if rho0 is None:
-        rho0 = initial_density(grid)
+    rho0 = initial_density(grid) if rho0 is None else np.asarray(rho0, dtype=float)
+    if rho0.shape != (grid.n_q,) or not abs(density_mass(grid, rho0) - 1.0) <= MASS_TOL:
+        raise ConfigError(f"initial density must be {grid.n_q} nodes of unit mass")
 
     x0 = 0.0 if init == "zero" else 0.5 * eta * phy.max_power_w
     interference = np.full(grid.n_t, _queue_blind_interference(

@@ -134,7 +134,7 @@ def test_solver_scheduler_and_deployment_defaults_are_their_owners():
                        ("fading", _bool, True, bool), ("cross_isolation_db", _float, 15.0, float),
                        ("rician_k_db", _float, 10.0, float)],
     }
-    owned = [(GridSpec, "solver", ["horizon_s"]),
+    owned = [(GridSpec, "solver", ["n_t", "n_q", "horizon_s"]),
              (solve_mfg, "solver", ["boundary", "damping", "tol", "max_iters", "init",
                                     "mean_sq_gain"]),
              (initial_density, "solver", ["rho0_mean", "rho0_variance"]),

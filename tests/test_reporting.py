@@ -119,7 +119,13 @@ def test_read_metric_names_what_is_missing(tmp_path):
              ("replicate,ee_bits_per_j\n0,1\n", "ee_bits_per_j", "lacks a 'method' column"),
              # DictReader skips the blank line, but the line number counts it
              ("method,ee_bits_per_j\n\nmfg,1\nmfg\n", "ee_bits_per_j",
-              "line 4: fewer fields than the header")]
+              "line 4: fewer fields than the header"),
+             # a longer row used to drop its extra fields, and a column
+             # named twice to keep its last value
+             ("method,ee_bits_per_j\nmfg,1\nmfg,1,7\n", "ee_bits_per_j",
+              "line 3: more fields than the header"),
+             ("method,ee_bits_per_j,method\nmfg,1,baseline\n", "ee_bits_per_j",
+              "names a column twice")]
     for text, metric, message in cases:
         path = tmp_path / "metrics.csv"
         path.write_text(text)

@@ -33,6 +33,19 @@ def test_rewrite_is_deterministic(tmp_path, small_solution):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_header_keys_are_pinned(tmp_path, small_solution):
+    # the header is the grid's fields plus every other non-block field of
+    # MfgSolution: a change to this list is a format change and needs a
+    # VERSION bump
+    path = tmp_path / "sol.mfg"
+    save_solution(path, small_solution)
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert VERSION == 2
+    assert sorted(header) == sorted([
+        "n_t", "n_q", "horizon_s", "iterations", "residuals", "phy", "queue",
+        "noise_norm", "mean_sq_gain", "boundary"])
+
+
 def test_bad_magic_rejected(tmp_path, small_solution):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)
@@ -87,12 +100,13 @@ def test_truncated_payload_rejected(tmp_path, small_solution):
     ('"capacity_bits": 2000000.0', '"capacity_bits": Infinity'),
     ('"slot_duration_s": 0.01', '"slot_duration_s": NaN'),
     ('"noise_dbm": -70.0', '"noise_dbm": 4000.0'),  # 1e397 W overflows
+    ('"iterations": ', '"eta": 0.25, "iterations": '),  # key the record lacks
 ], ids=["version", "json", "key", "phy-key", "queue-value", "noise-dbm-type",
         "noise-norm-type", "mean-sq-gain-type", "noise-norm-value", "boundary",
         "n-t-float", "horizon-nan", "iterations-type", "residual-type",
         "bandwidth-inf", "noise-dbm-nan", "max-power-nan", "circuit-power-nan",
         "sbs-density-inf", "arrival-rate-nan", "capacity-inf", "slot-duration-nan",
-        "noise-dbm-overflow"])
+        "noise-dbm-overflow", "unknown-key"])
 def test_corrupt_header_rejected(tmp_path, small_solution, old, new):
     path = tmp_path / "sol.mfg"
     save_solution(path, small_solution)

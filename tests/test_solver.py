@@ -626,3 +626,10 @@ def test_solve_option_validation(phy, queue):
     for kw in (dict(max_iters=0), dict(tol=0.0), dict(tol=-1.0), dict(tol=np.nan)):
         with pytest.raises(ConfigError, match="tol be positive and max_iters"):
             solve_mfg(grid, phy, queue, noise_norm=0.1, **kw)
+    # an initial density of mass 2, of the wrong length or of NaN is refused
+    # before the first sweep: a mass of 2 used to converge to a solution
+    # whose own validate() failed
+    rho0 = initial_density(grid)
+    for bad in (2 * rho0, rho0[:-1], np.full_like(rho0, np.nan)):
+        with pytest.raises(ConfigError, match="initial density must be"):
+            solve_mfg(grid, phy, queue, noise_norm=0.1, rho0=bad)
